@@ -144,7 +144,11 @@ def _cmd_snc_wsc(args, weakest: bool) -> int:
 
 def _parse_operand(text: str) -> Formula:
     path = Path(text)
-    if path.exists():
+    try:
+        is_file = path.exists()
+    except OSError:  # not a usable path, e.g. longer than the system allows
+        is_file = False
+    if is_file:
         _, th = parse_theory(path.read_text(encoding="utf-8"), name=path.stem)
         return th.as_formula
     return parse_formula(text)

@@ -160,27 +160,41 @@ class _Parser:
 
     # -- grammar ------------------------------------------------------------
 
-    def formula(self) -> Formula:
+    def descend(self) -> None:
+        """Enter one more level of nesting of the formula being built."""
         self.depth += 1
         if self.depth > _MAX_DEPTH:
             self.error("formula too deeply nested")
+
+    def formula(self) -> Formula:
+        self.descend()
         try:
             return self.iff()
         finally:
             self.depth -= 1
 
     def iff(self) -> Formula:
+        # each link of a chain nests the tree one level deeper
+        start = self.depth
         f = self.implies()
-        while self.peek().kind == "<->":
-            self.next()
-            f = Iff(f, self.implies())
-        return f
+        try:
+            while self.peek().kind == "<->":
+                self.next()
+                self.descend()
+                f = Iff(f, self.implies())
+            return f
+        finally:
+            self.depth = start
 
     def implies(self) -> Formula:
         f = self.or_()
         if self.peek().kind == "->":
             self.next()
-            return Implies(f, self.implies())
+            self.descend()
+            try:
+                return Implies(f, self.implies())
+            finally:
+                self.depth -= 1
         return f
 
     def or_(self) -> Formula:
@@ -198,9 +212,7 @@ class _Parser:
         return conj(items)
 
     def unary(self) -> Formula:
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            self.error("formula too deeply nested")
+        self.descend()
         try:
             tok = self.peek()
             if tok.kind == "~":

@@ -5,9 +5,12 @@ sufficient conditions.
 Elimination strategy per variable: the Ackermann rewrite (definitional
 conjuncts collected by grouping clauses that contain the variable with one
 polarity, residual uniform in the other) is tried first since it typically
-keeps results small; two-point expansion is the complete fallback.  Weak
-forgetting distributes the universal quantifier over conjuncts and uses the
-clause rule as a fast path."""
+keeps results small; two-point expansion is the complete fallback.  Strong
+forgetting miniscopes, ``Ex2 p.(A & B) = A & Ex2 p.B`` when ``p`` does not
+occur in ``A``: both rules run on the conjuncts that mention ``p`` only, so
+conjuncts that mention no forgotten symbol are kept, and printed, as
+written.  Weak forgetting distributes the universal quantifier over
+conjuncts and uses the clause rule as a fast path."""
 
 from __future__ import annotations
 
@@ -208,29 +211,44 @@ def normalize_conjuncts(f: Formula) -> list[Formula]:
 
 
 def _eliminate_exists(p: str, f: Formula, steps: list[TraceStep]) -> Formula:
-    out = ackermann_eliminate(p, f)
+    """Eliminate ``Ex2 p`` from ``f`` by miniscoping: ``Ex2 p.(A & B)`` is
+    ``A & Ex2 p.B`` when ``p`` does not occur in ``A``.  Only ``B``, the
+    conjuncts that mention ``p``, is rewritten; its result takes the place of
+    the first of them, and the conjuncts of ``A`` are kept as they are."""
+    items = conjuncts(f)
+    mentions = [p in prop_symbols(c) for c in items]
+    if not any(mentions):
+        return f  # forgetting an absent symbol is the identity
+    body = conj([c for c, m in zip(items, mentions) if m])
+    out = ackermann_eliminate(p, body)
     if out is not None:
         steps.extend(out.trace)
-        return out.result
-    raw = disj([substitute_prop(f, p, BOT), substitute_prop(f, p, TOP)])
-    steps.append(TraceStep("ShannonExists", Exists2(p, f), raw))
-    res = simplify(raw)
-    if res != raw:
-        steps.append(TraceStep("Simplify", raw, res))
-    return res
+        res = out.result
+    else:
+        raw = disj([substitute_prop(body, p, BOT), substitute_prop(body, p, TOP)])
+        steps.append(TraceStep("ShannonExists", Exists2(p, body), raw))
+        res = simplify(raw)
+        if res is not raw:
+            steps.append(TraceStep("Simplify", raw, res))
+    first = mentions.index(True)
+    rest = [c for c, m in zip(items, mentions) if not m]
+    return conj(rest[:first] + [res] + rest[first:])
 
 
 def forget_strong(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
     """Strong (standard) forgetting: eliminate ``Ex2 p`` for each variable in
     order; the result is over the remaining vocabulary and equivalent to the
-    existentially quantified theory."""
+    existentially quantified theory.  Each elimination touches only the
+    conjuncts that mention its variable; one simplification of the whole
+    result follows."""
     steps: list[TraceStep] = []
     f = simplify(th.as_formula)
     for p in forget:
-        if p not in prop_symbols(f):
-            continue  # forgetting an absent symbol is the identity
         f = _eliminate_exists(p, f, steps)
-    return success(f, steps)
+    out = simplify(f)
+    if out is not f:
+        steps.append(TraceStep("Simplify", f, out))
+    return success(out, steps)
 
 
 def forget_weak(th: Theory, forget: Sequence[str]) -> EliminationOutcome:

@@ -52,7 +52,18 @@ class Const(Term):
 class Formula:
     """Base class for all formula constructors."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        # Computed once per node: the engines hash the same immutable
+        # subtrees again and again (simplifier dedup, set membership), and
+        # the uncached hash walks the whole subtree.
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._field_hash()
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __and__(self, other: "Formula") -> "Formula":
         return conj([self, other])
@@ -69,22 +80,31 @@ class Formula:
         return format_formula(self)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+def _node(cls):
+    """Declare a formula node: a frozen, slotted dataclass whose generated
+    hash of the field tuple is computed once, by :meth:`Formula.__hash__`."""
+    cls = dataclass(frozen=True, slots=True, repr=False)(cls)
+    cls._field_hash = cls.__hash__
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class PropVar(Formula):
     name: str
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Atom(Formula):
     rel: str
     args: tuple[Term, ...]
@@ -93,18 +113,18 @@ class Atom(Formula):
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Equal(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class And(Formula):
     items: tuple[Formula, ...]
 
@@ -114,7 +134,7 @@ class And(Formula):
             raise InternalError("And requires >= 2 conjuncts; use conj()")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Or(Formula):
     items: tuple[Formula, ...]
 
@@ -124,31 +144,31 @@ class Or(Formula):
             raise InternalError("Or requires >= 2 disjuncts; use disj()")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Implies(Formula):
     antecedent: Formula
     consequent: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class ForallInd(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class ExistsInd(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Forall2(Formula):
     """Second-order universal quantifier over a propositional variable or
     relation symbol."""
@@ -157,7 +177,7 @@ class Forall2(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Exists2(Formula):
     sym: str
     body: Formula
@@ -167,7 +187,7 @@ class _FixpointBase(Formula):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Lfp(_FixpointBase):
     """Applied least-fixpoint literal ``lfp rel(argvars). body @(applied)``.
 
@@ -186,7 +206,7 @@ class Lfp(_FixpointBase):
         _check_fixpoint(self)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Gfp(_FixpointBase):
     """Applied greatest-fixpoint literal; see :class:`Lfp`."""
 
@@ -481,11 +501,6 @@ def const_symbols(f: Formula) -> set[str]:
         elif isinstance(g, (Lfp, Gfp)):
             out.update(t.name for t in g.applied if isinstance(t, Const))
     return out
-
-
-def all_symbols(f: Formula) -> set[str]:
-    """Free propositional variables and relation symbols together."""
-    return prop_symbols(f) | set(rel_symbols(f))
 
 
 def all_names(f: Formula) -> set[str]:

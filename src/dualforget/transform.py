@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+import operator
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ArityError, CaptureError, InternalError
 from .syntax import (
@@ -423,16 +424,24 @@ def _nnf(f: Formula, neg: bool) -> Formula:
 #
 # No tautology checking beyond these local rules: outputs stay predictable
 # and traces honest.  Golden comparisons go through the oracle instead.
+#
+# A pass returns each node itself when no rule fires at or below it, so an
+# unchanged formula comes back as the same object, with its cached hash.
 
 
 def simplify(f: Formula) -> Formula:
-    prev = None
     cur = f
-    for _ in range(_size(f) + 2):
-        if cur == prev:
+    rewrites = 0
+    while True:
+        nxt = _simp(cur)
+        if nxt is cur:
             return cur
-        prev, cur = cur, _simp(cur)
-    raise InternalError("simplifier failed to reach a fixpoint")
+        cur = nxt
+        rewrites += 1
+        # One rewriting pass is the rule, so the bound that guards
+        # termination, the input size, is only computed past it.
+        if rewrites > 1 and rewrites > _size(f) + 1:
+            raise InternalError("simplifier failed to reach a fixpoint")
 
 
 def _size(f: Formula) -> int:
@@ -468,7 +477,7 @@ def _simp(f: Formula) -> Formula:
             return TOP
         if isinstance(b, Not):
             return b.body
-        return Not(b)
+        return f if b is f.body else Not(b)
     if isinstance(f, And):
         return _simp_nary(f, is_and=True)
     if isinstance(f, Or):
@@ -484,7 +493,7 @@ def _simp(f: Formula) -> Formula:
             return _simp(Not(a))
         if a == b:
             return TOP
-        return Implies(a, b)
+        return f if a is f.antecedent and b is f.consequent else Implies(a, b)
     if isinstance(f, Iff):
         a = _simp(f.left)
         b = _simp(f.right)
@@ -498,27 +507,28 @@ def _simp(f: Formula) -> Formula:
             return _simp(Not(a))
         if a == b:
             return TOP
-        return Iff(a, b)
+        return f if a is f.left and b is f.right else Iff(a, b)
     if isinstance(f, (ForallInd, ExistsInd)):
         b = _simp(f.body)
         if f.var not in free_ind_vars(b):
             return b
-        return type(f)(f.var, b)
+        return f if b is f.body else type(f)(f.var, b)
     if isinstance(f, (Forall2, Exists2)):
         b = _simp(f.body)
         if f.sym not in prop_symbols(b) and f.sym not in rel_symbols(b):
             return b
-        return type(f)(f.sym, b)
+        return f if b is f.body else type(f)(f.sym, b)
     if isinstance(f, (Lfp, Gfp)):
-        return type(f)(f.rel, f.argvars, _simp(f.body), f.applied)
+        b = _simp(f.body)
+        return f if b is f.body else type(f)(f.rel, f.argvars, b, f.applied)
     raise InternalError(f"unhandled formula in simplify: {type(f).__name__}")
 
 
-def _simp_nary(f: Formula, is_and: bool) -> Formula:
+def _simp_nary(f: Union[And, Or], is_and: bool) -> Formula:
     absorbing: Formula = BOT if is_and else TOP
     neutral: Formula = TOP if is_and else BOT
     items: list[Formula] = []
-    for it in (f.items if isinstance(f, (And, Or)) else ()):
+    for it in f.items:
         s = _simp(it)
         if isinstance(s, And) and is_and:
             items.extend(s.items)
@@ -535,11 +545,10 @@ def _simp_nary(f: Formula, is_and: bool) -> Formula:
             continue
         seen.add(s)
         kept.append(s)
-    # complements within this level
-    for s in kept:
-        comp = s.body if isinstance(s, Not) else Not(s)
-        if comp in seen:
-            return absorbing
+    # complements within this level: one of a complementary pair is the
+    # negation of the other
+    if any(isinstance(s, Not) and s.body in seen for s in kept):
+        return absorbing
     # absorption: inside a conjunction, drop any disjunction containing
     # another conjunct (dually for disjunctions)
     inner = Or if is_and else And
@@ -548,4 +557,6 @@ def _simp_nary(f: Formula, is_and: bool) -> Formula:
         for s in kept
         if not (isinstance(s, inner) and any(d in seen and d != s for d in s.items))
     ]
+    if len(result) == len(f.items) and all(map(operator.is_, result, f.items)):
+        return f
     return conj(result) if is_and else disj(result)

@@ -149,6 +149,21 @@ def test_check_equiv_accepts_theory_files(capsys, theories_dir):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "operand,expected",
+    [
+        # too long to probe as a file name: read as formula text
+        (" | ".join(["p"] * 200), 0),
+        # nested deeper than the parser allows
+        (" -> ".join(["p"] * 1000), 1),
+    ],
+)
+def test_check_equiv_long_operands(capsys, operand, expected):
+    code, _, err = run(capsys, "check-equiv", operand, "p")
+    assert code == expected
+    assert "Traceback" not in err
+
+
 def test_byte_identical_runs(theories_dir):
     cmd = [
         sys.executable, "-m", "dualforget.cli",

@@ -13,6 +13,7 @@ from dualforget.syntax import (
     ExistsInd,
     ForallInd,
     Gfp,
+    Iff,
     Implies,
     Lfp,
     Not,
@@ -91,6 +92,15 @@ def test_parse_errors_have_positions():
         parse_formula("(p")
     with pytest.raises(ParseError):
         parse_formula("Unknown p")
+
+
+@pytest.mark.parametrize("op", ["->", "<->"])
+def test_long_chains_count_toward_nesting_limit(op):
+    # each link nests the tree one level deeper, so a long chain must stop at
+    # the nesting limit, not at the interpreter's recursion limit
+    with pytest.raises(ParseError, match="too deeply nested"):
+        parse_formula(f" {op} ".join(["p"] * 1000))
+    assert isinstance(parse_formula(f" {op} ".join(["p"] * 100)), Iff if op == "<->" else Implies)
 
 
 def test_strict_mode_requires_declarations():

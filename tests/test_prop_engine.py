@@ -15,6 +15,7 @@ from dualforget.syntax import (
     Not,
     Theory,
     conj,
+    conjuncts,
     exists2,
     forall2,
     prop_symbols,
@@ -143,6 +144,19 @@ def test_forget_edge_cases():
     # empty theory
     assert prop.forget_strong(Theory("e", ()), ["p"]).result == TOP
     assert prop.forget_weak(Theory("e", ()), ["p"]).result == TOP
+
+
+def test_forget_strong_keeps_conjuncts_without_forgotten_symbols():
+    formulas = tuple(pf(t) for t in (
+        "a -> b", "(tc | sp) -> (isq & gc)", "c <-> ~d", "isq -> ~loan", "gc -> loan", "b | e",
+    ))
+    theory = Theory("t", formulas)
+    for forget in (["tc"], ["isq"], ["tc", "isq"], ["sp", "loan", "gc"]):
+        out = prop.forget_strong(theory, forget).result
+        assert equiv_prop(out, exists2(forget, theory.as_formula))
+        untouched = [f for f in formulas if prop_symbols(f).isdisjoint(forget)]
+        # every one of them, as the same object, in the theory's order
+        assert [c for c in conjuncts(out) if any(c is f for f in untouched)] == untouched
 
 
 # ---------------------------------------------------------------------------

@@ -109,3 +109,15 @@ def test_signature_of_merges_usage():
     sig = signature_of(f, g)
     assert sig.relations == {"ms": 1, "h": 1}
     assert sig.prop_vars == {"p", "q"}
+
+
+def test_equal_trees_hash_equal_before_and_after_caching():
+    text = "(p -> q) & ~(r <-> s) | (all x. (a(x) & x = c)) | (Ex2 p. p | t)"
+    f, g = parse_formula(text), parse_formula(text)
+    assert f == g and f is not g
+    # a subtree of g hashed (and cached) before the whole tree
+    assert hash(g.items[0]) == hash(f.items[0])
+    first = hash(f)
+    assert hash(g) == first
+    assert hash(f) == hash(g) == first
+    assert len({f, g}) == 1

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gen import fo_formula, prop_formula
+from gen import fo_formula, prop_formula, prop_theory
 from dualforget.errors import CaptureError
 from dualforget.parser import parse_formula
 from dualforget.printer import format_formula
@@ -124,7 +124,15 @@ def test_simplify_equivalent_and_idempotent_prop():
         f = prop_formula(rng)
         s = simplify(f)
         assert equiv_prop(s, f)
-        assert simplify(s) == s
+        assert simplify(s) is s
+
+
+def test_simplify_returns_a_fixpoint_itself():
+    # the theories of the criterion-8 property suite
+    rng = random.Random(2024)
+    for _ in range(1000):
+        g = simplify(prop_theory(rng).as_formula)
+        assert simplify(g) is g
 
 
 def test_simplify_equivalent_fo_small_models():
