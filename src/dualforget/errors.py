@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import functools
+
 
 class LogicError(Exception):
     """Base class for all errors raised by this package."""
@@ -35,3 +37,21 @@ class EvalError(LogicError):
 
 class InternalError(LogicError):
     """An internal invariant was violated; indicates a bug, not bad input."""
+
+
+def nesting_guard(fn):
+    """Decorate an operator entry point so that a formula nested deeper than
+    the recursive rewriting can follow raises :class:`LogicError` instead of
+    ``RecursionError``."""
+
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise LogicError(
+                "formula nested too deeply for elimination "
+                "(deeper than the Python recursion limit allows)"
+            ) from None
+
+    return guarded

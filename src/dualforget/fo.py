@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InternalError
+from .errors import InternalError, nesting_guard
 from .outcome import EliminationOutcome, TraceStep, failure, success
 from .syntax import (
     BOT,
@@ -39,7 +39,6 @@ from .syntax import (
     Forall2,
     Formula,
     Gfp,
-    Iff,
     Implies,
     Lfp,
     Not,
@@ -49,6 +48,7 @@ from .syntax import (
     Theory,
     Var,
     all_names,
+    children,
     conj,
     conjuncts,
     disj,
@@ -59,6 +59,7 @@ from .syntax import (
     polarity,
     prop_symbols,
     rel_symbols,
+    so_binder,
 )
 from .transform import NameGen, nnf, simplify, substitute_prop, substitute_rel
 from .prop import _DIST_LIMIT
@@ -127,23 +128,9 @@ def _tuple_neq(left: Sequence[Term], right: Sequence[Term]) -> Formula:
 def _occurs_outside_fixpoints(f: Formula, r: str) -> bool:
     if isinstance(f, Atom):
         return f.rel == r
-    if isinstance(f, (Lfp, Gfp)):
+    if isinstance(f, (Lfp, Gfp)) or so_binder(f) == r:
         return False
-    if isinstance(f, Not):
-        return _occurs_outside_fixpoints(f.body, r)
-    if isinstance(f, (And, Or)):
-        return any(_occurs_outside_fixpoints(it, r) for it in f.items)
-    if isinstance(f, Implies):
-        return _occurs_outside_fixpoints(f.antecedent, r) or _occurs_outside_fixpoints(
-            f.consequent, r
-        )
-    if isinstance(f, Iff):
-        return _occurs_outside_fixpoints(f.left, r) or _occurs_outside_fixpoints(f.right, r)
-    if isinstance(f, (ForallInd, ExistsInd)):
-        return _occurs_outside_fixpoints(f.body, r)
-    if isinstance(f, (Forall2, Exists2)):
-        return f.sym != r and _occurs_outside_fixpoints(f.body, r)
-    return False
+    return any(_occurs_outside_fixpoints(g, r) for g in children(f))
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +448,7 @@ def _eliminate_exists_rel(
     return out, None
 
 
+@nesting_guard
 def forget_strong(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
     """First-order strong forgetting: eliminate ``Ex2 r`` per symbol in
     order (Ackermann, then fixpoint); a failure on one symbol reports the
@@ -475,6 +463,7 @@ def forget_strong(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
     return success(f, steps)
 
 
+@nesting_guard
 def forget_weak(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
     """First-order weak forgetting: distribute ``All2 r`` over conjuncts and
     eliminate per conjunct (clause rule, then the Ackermann rewrite on the
@@ -547,6 +536,7 @@ def _eliminate_forall_conjunct(
     return result, None
 
 
+@nesting_guard
 def snc(th: Theory, query: Formula, keep: Sequence[str]) -> EliminationOutcome:
     """First-order strongest necessary condition: strong forgetting of the
     complementary vocabulary in ``th & query``."""
@@ -554,6 +544,7 @@ def snc(th: Theory, query: Formula, keep: Sequence[str]) -> EliminationOutcome:
     return forget_strong(Theory(th.name, th.formulas + (query,)), forget)
 
 
+@nesting_guard
 def wsc(th: Theory, query: Formula, keep: Sequence[str]) -> EliminationOutcome:
     """First-order weakest sufficient condition: weak forgetting of the
     complementary vocabulary in ``th -> query``."""

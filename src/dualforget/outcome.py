@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional
 
 from .errors import InternalError
-from .syntax import Formula, contains_fixpoint, contains_so_quantifier, is_propositional
+from .syntax import Formula, contains_so_quantifier_and_fixpoint, is_propositional
 
 #: rule names a trace step may carry
 TRACE_RULES = frozenset(
@@ -52,8 +52,11 @@ class EliminationOutcome:
     trace: tuple[TraceStep, ...] = ()
     failure_reason: Optional[str] = None
     residual: Optional[Formula] = None
+    #: ``contains_so_quantifier_and_fixpoint(result)`` when the caller has
+    #: already walked the result
+    scan: InitVar[Optional[tuple[bool, bool]]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, scan):
         object.__setattr__(self, "trace", tuple(self.trace))
         if self.status is Status.FAILED:
             if self.result is not None or not self.failure_reason:
@@ -61,9 +64,10 @@ class EliminationOutcome:
         else:
             if self.result is None:
                 raise InternalError("successful outcome needs a result formula")
-            if contains_so_quantifier(self.result):
+            so, fix = scan or contains_so_quantifier_and_fixpoint(self.result)
+            if so:
                 raise InternalError("second-order quantifier left in result")
-            if self.status is Status.FIRST_ORDER and contains_fixpoint(self.result):
+            if self.status is Status.FIRST_ORDER and fix:
                 raise InternalError("fixpoint in a first-order outcome")
 
     @property
@@ -81,8 +85,9 @@ class EliminationOutcome:
 
 
 def success(result: Formula, trace) -> EliminationOutcome:
-    status = Status.FIXPOINT if contains_fixpoint(result) else Status.FIRST_ORDER
-    return EliminationOutcome(status, result, tuple(trace))
+    scan = contains_so_quantifier_and_fixpoint(result)
+    status = Status.FIXPOINT if scan[1] else Status.FIRST_ORDER
+    return EliminationOutcome(status, result, tuple(trace), scan=scan)
 
 
 def failure(reason: str, trace, residual: Optional[Formula] = None) -> EliminationOutcome:

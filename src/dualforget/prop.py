@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from .errors import InternalError
+from .errors import InternalError, nesting_guard
 from .outcome import EliminationOutcome, TraceStep, success
 from .syntax import (
     BOT,
@@ -235,6 +235,7 @@ def _eliminate_exists(p: str, f: Formula, steps: list[TraceStep]) -> Formula:
     return conj(rest[:first] + [res] + rest[first:])
 
 
+@nesting_guard
 def forget_strong(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
     """Strong (standard) forgetting: eliminate ``Ex2 p`` for each variable in
     order; the result is over the remaining vocabulary and equivalent to the
@@ -251,6 +252,7 @@ def forget_strong(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
     return success(out, steps)
 
 
+@nesting_guard
 def forget_weak(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
     """Weak forgetting: eliminate ``All2 p`` for each variable, distributing
     the quantifier over conjuncts and eliminating in each conjunct
@@ -312,6 +314,7 @@ def _partition(th: Theory, query: Formula, keep: Sequence[str]) -> list[str]:
     return [p for p in sorted(vocab) if p not in set(keep)]
 
 
+@nesting_guard
 def snc(th: Theory, query: Formula, keep: Sequence[str]) -> EliminationOutcome:
     """Strongest necessary condition of ``query`` on the ``keep`` vocabulary
     under ``th``: strong forgetting of the complementary vocabulary in
@@ -321,6 +324,7 @@ def snc(th: Theory, query: Formula, keep: Sequence[str]) -> EliminationOutcome:
     return forget_strong(extended, forget)
 
 
+@nesting_guard
 def wsc(th: Theory, query: Formula, keep: Sequence[str]) -> EliminationOutcome:
     """Weakest sufficient condition of ``query`` on the ``keep`` vocabulary
     under ``th``: weak forgetting of the complementary vocabulary in

@@ -1,8 +1,8 @@
-"""Circuit program representation shared by both kernel backends.
+"""Circuit program representation evaluated by the truth-table kernel.
 
 A program is a straight-line boolean circuit.  Slots ``0 .. n_vars-1`` are
 the inputs; instruction ``k`` (opcode plus up to two operand slot indices)
-writes slot ``n_vars + k``.  The kernels evaluate one designated output slot
+writes slot ``n_vars + k``.  The kernel evaluates one designated output slot
 over every valuation of the inputs.
 """
 

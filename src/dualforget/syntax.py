@@ -10,6 +10,7 @@ argument binders and are checked positive in the bound relation when built.
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -348,6 +349,69 @@ class Theory:
 
 
 # ---------------------------------------------------------------------------
+# Traversal
+#
+# ``children`` and ``rebuild`` are the one statement of the tree's shape.  A
+# walker handles the node types it treats specially and reaches every other
+# node through them.
+
+
+_CHILDREN = {
+    **dict.fromkeys((Top, Bottom, PropVar, Atom, Equal), lambda g: ()),
+    **dict.fromkeys(
+        (Not, ForallInd, ExistsInd, Forall2, Exists2, Lfp, Gfp), lambda g: (g.body,)
+    ),
+    And: operator.attrgetter("items"),
+    Or: operator.attrgetter("items"),
+    Implies: lambda g: (g.antecedent, g.consequent),
+    Iff: lambda g: (g.left, g.right),
+}
+
+_REBUILD = {
+    Not: lambda g, kids: Not(*kids),
+    And: lambda g, kids: conj(kids),
+    Or: lambda g, kids: disj(kids),
+    Implies: lambda g, kids: Implies(*kids),
+    Iff: lambda g, kids: Iff(*kids),
+    ForallInd: lambda g, kids: ForallInd(g.var, *kids),
+    ExistsInd: lambda g, kids: ExistsInd(g.var, *kids),
+    Forall2: lambda g, kids: Forall2(g.sym, *kids),
+    Exists2: lambda g, kids: Exists2(g.sym, *kids),
+    Lfp: lambda g, kids: Lfp(g.rel, g.argvars, *kids, g.applied),
+    Gfp: lambda g, kids: Gfp(g.rel, g.argvars, *kids, g.applied),
+}
+
+
+def children(g: Formula) -> tuple[Formula, ...]:
+    """Immediate subformulas, left to right; terms are not formulas."""
+    return _CHILDREN[type(g)](g)
+
+
+def rebuild(g: Formula, kids: Sequence[Formula]) -> Formula:
+    """``g`` with its children replaced by ``kids``, every other field kept.
+
+    Returns ``g`` itself when every kid is the old child, so an untouched
+    subtree stays the same object, with its cached hash.  ``And``/``Or`` are
+    rebuilt through :func:`conj`/:func:`disj`."""
+    old = _CHILDREN[type(g)](g)
+    if len(kids) == len(old) and all(map(operator.is_, kids, old)):
+        return g
+    return _REBUILD[type(g)](g, kids)
+
+
+_SO_BINDER = {
+    **dict.fromkeys((Forall2, Exists2), operator.attrgetter("sym")),
+    **dict.fromkeys((Lfp, Gfp), operator.attrgetter("rel")),
+}
+
+
+def so_binder(g: Formula) -> Optional[str]:
+    """The symbol a second-order quantifier or fixpoint binds in its body."""
+    get = _SO_BINDER.get(type(g))
+    return None if get is None else get(g)
+
+
+# ---------------------------------------------------------------------------
 # Vocabulary queries
 
 
@@ -357,18 +421,7 @@ def _subformulas(f: Formula) -> Iterator[Formula]:
     while stack:
         g = stack.pop()
         yield g
-        if isinstance(g, Not):
-            stack.append(g.body)
-        elif isinstance(g, (And, Or)):
-            stack.extend(g.items)
-        elif isinstance(g, Implies):
-            stack.extend((g.antecedent, g.consequent))
-        elif isinstance(g, Iff):
-            stack.extend((g.left, g.right))
-        elif isinstance(g, (ForallInd, ExistsInd, Forall2, Exists2)):
-            stack.append(g.body)
-        elif isinstance(g, (Lfp, Gfp)):
-            stack.append(g.body)
+        stack.extend(_CHILDREN[type(g)](g))
 
 
 def free_ind_vars(f: Formula) -> set[str]:
@@ -393,25 +446,15 @@ def free_ind_vars_ordered(f: Formula) -> list[str]:
         elif isinstance(g, Equal):
             term(g.left, bound)
             term(g.right, bound)
-        elif isinstance(g, Not):
-            walk(g.body, bound)
-        elif isinstance(g, (And, Or)):
-            for it in g.items:
-                walk(it, bound)
-        elif isinstance(g, Implies):
-            walk(g.antecedent, bound)
-            walk(g.consequent, bound)
-        elif isinstance(g, Iff):
-            walk(g.left, bound)
-            walk(g.right, bound)
         elif isinstance(g, (ForallInd, ExistsInd)):
             walk(g.body, bound | {g.var})
-        elif isinstance(g, (Forall2, Exists2)):
-            walk(g.body, bound)
         elif isinstance(g, (Lfp, Gfp)):
             walk(g.body, bound | set(g.argvars))
             for t in g.applied:
                 term(t, bound)
+        else:
+            for k in children(g):
+                walk(k, bound)
 
     walk(f, frozenset())
     return out
@@ -430,23 +473,12 @@ def prop_symbols(f: Formula) -> set[str]:
         if isinstance(g, PropVar):
             if g.name not in shadow:
                 out.add(g.name)
-        elif isinstance(g, Not):
-            walk(g.body, shadow)
-        elif isinstance(g, (And, Or)):
-            for it in g.items:
-                walk(it, shadow)
-        elif isinstance(g, Implies):
-            walk(g.antecedent, shadow)
-            walk(g.consequent, shadow)
-        elif isinstance(g, Iff):
-            walk(g.left, shadow)
-            walk(g.right, shadow)
-        elif isinstance(g, (ForallInd, ExistsInd)):
-            walk(g.body, shadow)
-        elif isinstance(g, (Forall2, Exists2)):
-            walk(g.body, shadow | {g.sym})
-        elif isinstance(g, (Lfp, Gfp)):
-            walk(g.body, shadow | {g.rel})
+            return
+        bound = _SO_BINDER.get(type(g))
+        if bound is not None:
+            shadow = shadow | {bound(g)}
+        for k in children(g):
+            walk(k, shadow)
 
     walk(f, frozenset())
     return out
@@ -454,38 +486,22 @@ def prop_symbols(f: Formula) -> set[str]:
 
 def rel_symbols(f: Formula) -> dict[str, int]:
     """Relation symbols occurring free, with arities.  Conflicting arities
-    raise :class:`ArityError`."""
+    raise :class:`ArityError`.  A fixpoint binds its relation, so its
+    applied literal is no free occurrence of it."""
     out: dict[str, int] = {}
-
-    def note(name: str, arity: int) -> None:
-        if out.setdefault(name, arity) != arity:
-            raise ArityError(
-                f"relation {name} used with arities {out[name]} and {arity}"
-            )
 
     def walk(g: Formula, shadow: frozenset[str]) -> None:
         if isinstance(g, Atom):
-            if g.rel not in shadow:
-                note(g.rel, len(g.args))
-        elif isinstance(g, Not):
-            walk(g.body, shadow)
-        elif isinstance(g, (And, Or)):
-            for it in g.items:
-                walk(it, shadow)
-        elif isinstance(g, Implies):
-            walk(g.antecedent, shadow)
-            walk(g.consequent, shadow)
-        elif isinstance(g, Iff):
-            walk(g.left, shadow)
-            walk(g.right, shadow)
-        elif isinstance(g, (ForallInd, ExistsInd)):
-            walk(g.body, shadow)
-        elif isinstance(g, (Forall2, Exists2)):
-            walk(g.body, shadow | {g.sym})
-        elif isinstance(g, (Lfp, Gfp)):
-            # the fixpoint binds its relation; the applied literal is not a
-            # free occurrence of g.rel
-            walk(g.body, shadow | {g.rel})
+            if g.rel not in shadow and out.setdefault(g.rel, len(g.args)) != len(g.args):
+                raise ArityError(
+                    f"relation {g.rel} used with arities {out[g.rel]} and {len(g.args)}"
+                )
+            return
+        bound = _SO_BINDER.get(type(g))
+        if bound is not None:
+            shadow = shadow | {bound(g)}
+        for k in children(g):
+            walk(k, shadow)
 
     walk(f, frozenset())
     return out
@@ -549,8 +565,16 @@ def contains_fixpoint(f: Formula) -> bool:
     return any(isinstance(g, (Lfp, Gfp)) for g in _subformulas(f))
 
 
-def contains_so_quantifier(f: Formula) -> bool:
-    return any(isinstance(g, (Forall2, Exists2)) for g in _subformulas(f))
+def contains_so_quantifier_and_fixpoint(f: Formula) -> tuple[bool, bool]:
+    """Whether ``f`` contains a second-order quantifier, and whether it
+    contains a fixpoint literal, from one walk."""
+    so = fix = False
+    for g in _subformulas(f):
+        if isinstance(g, (Forall2, Exists2)):
+            so = True
+        elif isinstance(g, (Lfp, Gfp)):
+            fix = True
+    return so, fix
 
 
 def is_propositional(f: Formula) -> bool:
@@ -573,6 +597,11 @@ class Polarity(enum.Enum):
     ABSENT = "absent"
 
 
+#: how each child position of a connective turns the parity of an
+#: occurrence: -1 flips it, 0 counts it both ways; other positions keep it
+_CHILD_SIGNS = {Not: (-1,), Implies: (-1, 1), Iff: (0, 0)}
+
+
 def polarity(f: Formula, sym: str) -> Polarity:
     """Polarity of a propositional variable or relation symbol in ``f``.
 
@@ -592,25 +621,17 @@ def polarity(f: Formula, sym: str) -> Polarity:
         elif isinstance(g, Atom):
             if g.rel == sym:
                 _mark(par)
-        elif isinstance(g, Not):
-            walk(g.body, -par)
-        elif isinstance(g, (And, Or)):
-            for it in g.items:
-                walk(it, par)
-        elif isinstance(g, Implies):
-            walk(g.antecedent, -par)
-            walk(g.consequent, par)
-        elif isinstance(g, Iff):
-            walk(g.left, 0)
-            walk(g.right, 0)
-        elif isinstance(g, (ForallInd, ExistsInd)):
-            walk(g.body, par)
-        elif isinstance(g, (Forall2, Exists2)):
-            if g.sym != sym:
-                walk(g.body, par)
-        elif isinstance(g, (Lfp, Gfp)):
-            if g.rel != sym:
-                walk(g.body, par)
+        else:
+            bound = _SO_BINDER.get(type(g))
+            if bound is not None and bound(g) == sym:
+                return  # shadowed
+            signs = _CHILD_SIGNS.get(type(g))
+            if signs is None:
+                for k in children(g):
+                    walk(k, par)
+            else:
+                for k, sign in zip(children(g), signs):
+                    walk(k, par * sign)
 
     def _mark(par: int) -> None:
         nonlocal pos, neg

@@ -28,12 +28,16 @@ from .syntax import (
     Term,
     Top,
     Var,
+    _subformulas,
     all_names,
+    children,
     conj,
     disj,
     free_ind_vars,
     prop_symbols,
+    rebuild,
     rel_symbols,
+    so_binder,
 )
 
 
@@ -82,36 +86,24 @@ def subst_terms(f: Formula, mapping: Mapping[str, Term], ng: Optional[NameGen] =
         ng = NameGen(all_names(f) | {t.name for t in mapping.values()} | set(mapping))
 
     def walk(g: Formula, m: Mapping[str, Term]) -> Formula:
-        if isinstance(g, (Top, Bottom, PropVar)):
-            return g
         if isinstance(g, Atom):
-            return Atom(g.rel, tuple(_term_sub(t, m) for t in g.args))
+            args = _terms_sub(g.args, m)
+            return g if args is g.args else Atom(g.rel, args)
         if isinstance(g, Equal):
-            return Equal(_term_sub(g.left, m), _term_sub(g.right, m))
-        if isinstance(g, Not):
-            return Not(walk(g.body, m))
-        if isinstance(g, And):
-            return And(tuple(walk(it, m) for it in g.items))
-        if isinstance(g, Or):
-            return Or(tuple(walk(it, m) for it in g.items))
-        if isinstance(g, Implies):
-            return Implies(walk(g.antecedent, m), walk(g.consequent, m))
-        if isinstance(g, Iff):
-            return Iff(walk(g.left, m), walk(g.right, m))
+            pair = (g.left, g.right)
+            new = _terms_sub(pair, m)
+            return g if new is pair else Equal(*new)
         if isinstance(g, (ForallInd, ExistsInd)):
             m2 = {k: v for k, v in m.items() if k != g.var}
             if not m2:
                 return g
-            var = g.var
-            body = g.body
-            if var in _term_vars(m2.values()):
-                var = ng.fresh(g.var)
-                body = subst_terms(body, {g.var: Var(var)}, ng)
+            if g.var not in _term_vars(m2.values()):
+                return rebuild(g, [walk(g.body, m2)])
+            var = ng.fresh(g.var)
+            body = subst_terms(g.body, {g.var: Var(var)}, ng)
             return type(g)(var, walk(body, m2))
-        if isinstance(g, (Forall2, Exists2)):
-            return type(g)(g.sym, walk(g.body, m))
         if isinstance(g, (Lfp, Gfp)):
-            applied = tuple(_term_sub(t, m) for t in g.applied)
+            applied = _terms_sub(g.applied, m)
             m2 = {k: v for k, v in m.items() if k not in g.argvars}
             body = g.body
             argvars = g.argvars
@@ -120,10 +112,20 @@ def subst_terms(f: Formula, mapping: Mapping[str, Term], ng: Optional[NameGen] =
                 renaming = {v: Var(ng.fresh(v)) for v in clash}
                 argvars = tuple(renaming.get(v, Var(v)).name for v in argvars)
                 body = subst_terms(body, renaming, ng)
-            return type(g)(g.rel, argvars, walk(body, m2) if m2 else body, applied)
-        raise InternalError(f"unhandled formula in subst_terms: {type(g).__name__}")
+            if m2:
+                body = walk(body, m2)
+            if body is g.body and argvars is g.argvars and applied is g.applied:
+                return g
+            return type(g)(g.rel, argvars, body, applied)
+        return rebuild(g, [walk(k, m) for k in children(g)])
 
     return walk(f, dict(mapping))
+
+
+def _terms_sub(ts: tuple[Term, ...], m: Mapping[str, Term]) -> tuple[Term, ...]:
+    """``ts`` with ``m`` applied; the same tuple when no term changes."""
+    out = tuple(_term_sub(t, m) for t in ts)
+    return ts if out == ts else out
 
 
 # ---------------------------------------------------------------------------
@@ -138,29 +140,9 @@ def _rename_symbol(f: Formula, old: str, new: str) -> Formula:
             return PropVar(new) if g.name == old else g
         if isinstance(g, Atom):
             return Atom(new, g.args) if g.rel == old else g
-        if isinstance(g, (Top, Bottom, Equal)):
+        if so_binder(g) == old:
             return g
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, And):
-            return And(tuple(walk(it) for it in g.items))
-        if isinstance(g, Or):
-            return Or(tuple(walk(it) for it in g.items))
-        if isinstance(g, Implies):
-            return Implies(walk(g.antecedent), walk(g.consequent))
-        if isinstance(g, Iff):
-            return Iff(walk(g.left), walk(g.right))
-        if isinstance(g, (ForallInd, ExistsInd)):
-            return type(g)(g.var, walk(g.body))
-        if isinstance(g, (Forall2, Exists2)):
-            if g.sym == old:
-                return g
-            return type(g)(g.sym, walk(g.body))
-        if isinstance(g, (Lfp, Gfp)):
-            if g.rel == old:
-                return g
-            return type(g)(g.rel, g.argvars, walk(g.body), g.applied)
-        raise InternalError(f"unhandled formula in _rename_symbol: {type(g).__name__}")
+        return rebuild(g, [walk(k) for k in children(g)])
 
     return walk(f)
 
@@ -170,32 +152,12 @@ def _freshen_binders(f: Formula, clash_vars: set[str], clash_syms: set[str], ng:
     the formula being substituted in."""
 
     def walk(g: Formula) -> Formula:
-        if isinstance(g, (Top, Bottom, PropVar, Atom, Equal)):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, And):
-            return And(tuple(walk(it) for it in g.items))
-        if isinstance(g, Or):
-            return Or(tuple(walk(it) for it in g.items))
-        if isinstance(g, Implies):
-            return Implies(walk(g.antecedent), walk(g.consequent))
-        if isinstance(g, Iff):
-            return Iff(walk(g.left), walk(g.right))
-        if isinstance(g, (ForallInd, ExistsInd)):
-            body = g.body
-            var = g.var
-            if var in clash_vars:
-                var = ng.fresh(g.var)
-                body = subst_terms(body, {g.var: Var(var)}, ng)
-            return type(g)(var, walk(body))
-        if isinstance(g, (Forall2, Exists2)):
-            body = g.body
-            sym = g.sym
-            if sym in clash_syms:
-                sym = ng.fresh(g.sym)
-                body = _rename_symbol(body, g.sym, sym)
-            return type(g)(sym, walk(body))
+        if isinstance(g, (ForallInd, ExistsInd)) and g.var in clash_vars:
+            var = ng.fresh(g.var)
+            return type(g)(var, walk(subst_terms(g.body, {g.var: Var(var)}, ng)))
+        if isinstance(g, (Forall2, Exists2)) and g.sym in clash_syms:
+            sym = ng.fresh(g.sym)
+            return type(g)(sym, walk(_rename_symbol(g.body, g.sym, sym)))
         if isinstance(g, (Lfp, Gfp)):
             body = g.body
             rel = g.rel
@@ -207,8 +169,9 @@ def _freshen_binders(f: Formula, clash_vars: set[str], clash_syms: set[str], ng:
             if renaming:
                 argvars = tuple(renaming[v].name if v in renaming else v for v in argvars)
                 body = subst_terms(body, renaming, ng)
-            return type(g)(rel, argvars, walk(body), g.applied)
-        raise InternalError(f"unhandled formula in _freshen_binders: {type(g).__name__}")
+            if rel != g.rel or renaming:
+                return type(g)(rel, argvars, walk(body), g.applied)
+        return rebuild(g, [walk(k) for k in children(g)])
 
     return walk(f)
 
@@ -222,10 +185,10 @@ def substitute_prop(f: Formula, p: str, e: Formula) -> Formula:
 
     Raises :class:`CaptureError` when ``p`` is itself bound by a second-order
     quantifier (or fixpoint) inside ``f``.  Binders in ``f`` that would
-    capture a free name of ``e`` are renamed first."""
-    for g in _binders_of(f):
-        if g == p:
-            raise CaptureError(f"{p} is rebound inside the substitution target")
+    capture a free name of ``e`` are renamed first.  Subtrees without ``p``
+    are kept as the same objects."""
+    if p in _binders_of(f):
+        raise CaptureError(f"{p} is rebound inside the substitution target")
     clash_syms = prop_symbols(e) | set(rel_symbols(e))
     clash_vars = free_ind_vars(e)
     if clash_syms or clash_vars:
@@ -235,47 +198,14 @@ def substitute_prop(f: Formula, p: str, e: Formula) -> Formula:
     def walk(g: Formula) -> Formula:
         if isinstance(g, PropVar):
             return e if g.name == p else g
-        if isinstance(g, (Top, Bottom, Atom, Equal)):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, And):
-            return conj([walk(it) for it in g.items])
-        if isinstance(g, Or):
-            return disj([walk(it) for it in g.items])
-        if isinstance(g, Implies):
-            return Implies(walk(g.antecedent), walk(g.consequent))
-        if isinstance(g, Iff):
-            return Iff(walk(g.left), walk(g.right))
-        if isinstance(g, (ForallInd, ExistsInd, Forall2, Exists2)):
-            return type(g)(g.var if isinstance(g, (ForallInd, ExistsInd)) else g.sym, walk(g.body))
-        if isinstance(g, (Lfp, Gfp)):
-            return type(g)(g.rel, g.argvars, walk(g.body), g.applied)
-        raise InternalError(f"unhandled formula in substitute_prop: {type(g).__name__}")
+        return rebuild(g, [walk(k) for k in children(g)])
 
     return walk(f)
 
 
-def _binders_of(f: Formula):
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, (Forall2, Exists2)):
-            yield g.sym
-            stack.append(g.body)
-        elif isinstance(g, (Lfp, Gfp)):
-            yield g.rel
-            stack.append(g.body)
-        elif isinstance(g, Not):
-            stack.append(g.body)
-        elif isinstance(g, (And, Or)):
-            stack.extend(g.items)
-        elif isinstance(g, Implies):
-            stack.extend((g.antecedent, g.consequent))
-        elif isinstance(g, Iff):
-            stack.extend((g.left, g.right))
-        elif isinstance(g, (ForallInd, ExistsInd)):
-            stack.append(g.body)
+def _binders_of(f: Formula) -> set[str]:
+    """Symbols bound by second-order quantifiers and fixpoints in ``f``."""
+    return {b for g in _subformulas(f) if (b := so_binder(g)) is not None}
 
 
 def substitute_rel(f: Formula, r: str, params: Sequence[str], e: Formula) -> Formula:
@@ -303,7 +233,7 @@ def substitute_rel(f: Formula, r: str, params: Sequence[str], e: Formula) -> For
             )
         body = e
         arg_vars = _term_vars(args)
-        bound_in_e = {b for b in _ind_binders_of(e)}
+        bound_in_e = _ind_binders_of(e)
         if arg_vars & bound_in_e:
             body = _freshen_binders(body, arg_vars & bound_in_e, set(), ng)
         return subst_terms(body, dict(zip(params, args)), ng)
@@ -311,53 +241,22 @@ def substitute_rel(f: Formula, r: str, params: Sequence[str], e: Formula) -> For
     def walk(g: Formula) -> Formula:
         if isinstance(g, Atom):
             return inst(g.args) if g.rel == r else g
-        if isinstance(g, (Top, Bottom, PropVar, Equal)):
+        if so_binder(g) == r:
             return g
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, And):
-            return conj([walk(it) for it in g.items])
-        if isinstance(g, Or):
-            return disj([walk(it) for it in g.items])
-        if isinstance(g, Implies):
-            return Implies(walk(g.antecedent), walk(g.consequent))
-        if isinstance(g, Iff):
-            return Iff(walk(g.left), walk(g.right))
-        if isinstance(g, (ForallInd, ExistsInd)):
-            return type(g)(g.var, walk(g.body))
-        if isinstance(g, (Forall2, Exists2)):
-            if g.sym == r:
-                return g
-            return type(g)(g.sym, walk(g.body))
-        if isinstance(g, (Lfp, Gfp)):
-            if g.rel == r:
-                return g
-            return type(g)(g.rel, g.argvars, walk(g.body), g.applied)
-        raise InternalError(f"unhandled formula in substitute_rel: {type(g).__name__}")
+        return rebuild(g, [walk(k) for k in children(g)])
 
     return walk(f)
 
 
-def _ind_binders_of(f: Formula):
-    stack = [f]
-    while stack:
-        g = stack.pop()
+def _ind_binders_of(f: Formula) -> set[str]:
+    """Individual variables bound by quantifiers and fixpoints in ``f``."""
+    out: set[str] = set()
+    for g in _subformulas(f):
         if isinstance(g, (ForallInd, ExistsInd)):
-            yield g.var
-            stack.append(g.body)
+            out.add(g.var)
         elif isinstance(g, (Lfp, Gfp)):
-            yield from g.argvars
-            stack.append(g.body)
-        elif isinstance(g, Not):
-            stack.append(g.body)
-        elif isinstance(g, (And, Or)):
-            stack.extend(g.items)
-        elif isinstance(g, Implies):
-            stack.extend((g.antecedent, g.consequent))
-        elif isinstance(g, Iff):
-            stack.extend((g.left, g.right))
-        elif isinstance(g, (Forall2, Exists2)):
-            stack.append(g.body)
+            out.update(g.argvars)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -445,23 +344,7 @@ def simplify(f: Formula) -> Formula:
 
 
 def _size(f: Formula) -> int:
-    return 1 + sum(_size(g) for g in _children(f))
-
-
-def _children(f: Formula):
-    if isinstance(f, Not):
-        return (f.body,)
-    if isinstance(f, (And, Or)):
-        return f.items
-    if isinstance(f, Implies):
-        return (f.antecedent, f.consequent)
-    if isinstance(f, Iff):
-        return (f.left, f.right)
-    if isinstance(f, (ForallInd, ExistsInd, Forall2, Exists2)):
-        return (f.body,)
-    if isinstance(f, (Lfp, Gfp)):
-        return (f.body,)
-    return ()
+    return 1 + sum(_size(g) for g in children(f))
 
 
 def _simp(f: Formula) -> Formula:

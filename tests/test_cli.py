@@ -175,3 +175,11 @@ def test_byte_identical_runs(theories_dir):
     b = subprocess.run(cmd, capture_output=True, env=env)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_golden_outputs():
+    # every shipped theory, each single symbol and pair, both modes, and the
+    # README commands, byte for byte; see tests/golden.py to regenerate
+    import golden
+
+    assert golden.render() == golden.GOLDEN.read_text(encoding="utf-8")

@@ -5,6 +5,7 @@ import pytest
 from conftest import load_theory
 from gen import clause_fragment_theory
 from dualforget import fo
+from dualforget.errors import LogicError
 from dualforget.outcome import Status
 from dualforget.parser import parse_formula
 from dualforget.printer import format_formula
@@ -393,3 +394,16 @@ def test_snc_wsc_fo():
         Forall2("t", Implies(theory.as_formula, query)),
         max_domain=2,
     )
+
+
+@pytest.mark.parametrize("op", ["forget_strong", "forget_weak", "snc", "wsc"])
+def test_deep_nesting_raises_logic_error(op):
+    x = Var("x")
+    deep = Atom("r", (x,))
+    for _ in range(3000):
+        deep = Not(deep)
+    theory = Theory("deep", (ForallInd("x", conj([deep, Atom("s", (x,))])),))
+    query = ForallInd("x", Atom("s", (x,)))
+    args = (["r"],) if op.startswith("forget") else (query, ["s"])
+    with pytest.raises(LogicError, match="nested too deeply"):
+        getattr(fo, op)(theory, *args)

@@ -5,6 +5,7 @@ import pytest
 from conftest import load_theory
 from gen import forget_split, prop_formula, prop_theory
 from dualforget import prop
+from dualforget.errors import LogicError
 from dualforget.parser import parse_formula
 from dualforget.semantics import equiv_prop, eval_prop, implies_prop
 from dualforget.syntax import (
@@ -13,6 +14,7 @@ from dualforget.syntax import (
     Exists2,
     Forall2,
     Not,
+    PropVar,
     Theory,
     conj,
     conjuncts,
@@ -231,3 +233,14 @@ def test_traces_preserve_equivalence():
         for out in (prop.forget_strong(theory, forget), prop.forget_weak(theory, forget)):
             for step in out.trace:
                 assert equiv_prop(step.before, step.after), step.rule
+
+
+@pytest.mark.parametrize("op", ["forget_strong", "forget_weak", "snc", "wsc"])
+def test_deep_nesting_raises_logic_error(op):
+    deep = PropVar("p")
+    for _ in range(3000):
+        deep = Not(deep)
+    theory = Theory("deep", (conj([deep, PropVar("q")]),))
+    args = (["p"],) if op.startswith("forget") else (PropVar("q"), ["q"])
+    with pytest.raises(LogicError, match="nested too deeply"):
+        getattr(prop, op)(theory, *args)

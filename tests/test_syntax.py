@@ -1,3 +1,6 @@
+import dataclasses
+import sys
+
 import pytest
 
 from dualforget.errors import ArityError, InternalError
@@ -10,18 +13,27 @@ from dualforget.syntax import (
     Const,
     Equal,
     Exists2,
+    ExistsInd,
+    Forall2,
+    ForallInd,
+    Formula,
+    Gfp,
+    Iff,
+    Implies,
     Lfp,
     Not,
     Or,
     Polarity,
     PropVar,
     Var,
+    children,
     conj,
     disj,
     free_ind_vars,
     is_closed,
     polarity,
     prop_symbols,
+    rebuild,
     rel_symbols,
     signature_of,
 )
@@ -121,3 +133,66 @@ def test_equal_trees_hash_equal_before_and_after_caching():
     assert hash(g) == first
     assert hash(f) == hash(g) == first
     assert len({f, g}) == 1
+
+
+def _node_classes() -> set[type]:
+    """Concrete formula classes.  A slotted dataclass replaces the class it
+    decorates and the replaced class stays listed among the subclasses, so
+    only the class the module exports counts."""
+    found, todo = set(), [Formula]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        exported = getattr(sys.modules[cls.__module__], cls.__name__, None) is cls
+        if exported and dataclasses.is_dataclass(cls):
+            found.add(cls)
+    return found
+
+
+_P, _Q, _S = PropVar("p"), PropVar("q"), PropVar("s")
+_X = Var("x")
+_RX = Atom("r", (_X,))
+_RU = Atom("r", (Var("u"),))
+
+# (node, the node with its first child replaced by s, built by hand)
+_TRAVERSAL_CASES = [
+    (TOP, None),
+    (BOT, None),
+    (_P, None),
+    (_RX, None),
+    (Equal(_X, Const("a")), None),
+    (Not(_P), Not(_S)),
+    (And((_P, _Q)), And((_S, _Q))),
+    (Or((_P, _Q)), Or((_S, _Q))),
+    (Implies(_P, _Q), Implies(_S, _Q)),
+    (Iff(_P, _Q), Iff(_S, _Q)),
+    (ForallInd("x", _RX), ForallInd("x", _S)),
+    (ExistsInd("x", _RX), ExistsInd("x", _S)),
+    (Forall2("p", _P), Forall2("p", _S)),
+    (Exists2("p", _P), Exists2("p", _S)),
+    (Lfp("r", ("u",), _RU, (_X,)), Lfp("r", ("u",), _S, (_X,))),
+    (Gfp("r", ("u",), _RU, (Const("a"),)), Gfp("r", ("u",), _S, (Const("a"),))),
+]
+
+
+def test_traversal_covers_every_node_class():
+    assert {type(g) for g, _ in _TRAVERSAL_CASES} == _node_classes()
+
+
+@pytest.mark.parametrize("g,expected", _TRAVERSAL_CASES, ids=lambda v: type(v).__name__)
+def test_rebuild_keeps_unchanged_nodes_and_replaces_children(g, expected):
+    kids = children(g)
+    assert rebuild(g, kids) is g
+    assert rebuild(g, list(kids)) is g
+    if expected is None:
+        assert kids == ()
+        return
+    out = rebuild(g, [_S, *kids[1:]])
+    assert out == expected and type(out) is type(expected)
+    assert children(out) == (_S, *kids[1:])
+
+
+def test_rebuild_flattens_through_conj_and_disj():
+    a, b = PropVar("a"), PropVar("b")
+    assert rebuild(And((_P, _Q)), [And((a, b)), _Q]) == And((a, b, _Q))
+    assert rebuild(Or((_P, _Q)), [_P, Or((a, b))]) == Or((_P, a, b))
