@@ -40,8 +40,8 @@ class InternalError(LogicError):
 
 
 def nesting_guard(fn):
-    """Decorate an operator entry point so that a formula nested deeper than
-    the recursive rewriting can follow raises :class:`LogicError` instead of
+    """Decorate a public entry point so that a formula nested deeper than
+    its recursive walk can follow raises :class:`LogicError` instead of
     ``RecursionError``."""
 
     @functools.wraps(fn)
@@ -50,7 +50,7 @@ def nesting_guard(fn):
             return fn(*args, **kwargs)
         except RecursionError:
             raise LogicError(
-                "formula nested too deeply for elimination "
+                f"formula nested too deeply for {fn.__name__} "
                 "(deeper than the Python recursion limit allows)"
             ) from None
 

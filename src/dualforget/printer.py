@@ -8,7 +8,7 @@ parenthesized for readability, matching the theory-file style."""
 
 from __future__ import annotations
 
-from .errors import InternalError
+from .errors import InternalError, nesting_guard
 from .syntax import (
     And,
     Atom,
@@ -45,6 +45,7 @@ def format_term(t: Term) -> str:
     return t.name
 
 
+@nesting_guard
 def format_formula(f: Formula) -> str:
     return _fmt(f, 0, rightmost=True)
 

@@ -13,7 +13,7 @@ OP_CONST1 = 1
 OP_NOT = 2
 OP_AND = 3
 OP_OR = 4
-OP_VAR = 5  # alias of an existing slot
+OP_XOR = 5
 
 
 class CircuitBuilder:
@@ -43,9 +43,6 @@ class CircuitBuilder:
         self._memo[key] = slot
         return slot
 
-    def var(self, i: int) -> int:
-        return i
-
     def const(self, value: bool) -> int:
         return self._emit(OP_CONST1 if value else OP_CONST0)
 
@@ -55,12 +52,17 @@ class CircuitBuilder:
     def and2(self, a: int, b: int) -> int:
         if a == b:
             return a
-        return self._emit(OP_AND, min(a, b), max(a, b))
+        return self._emit(OP_AND, a, b) if a < b else self._emit(OP_AND, b, a)
 
     def or2(self, a: int, b: int) -> int:
         if a == b:
             return a
-        return self._emit(OP_OR, min(a, b), max(a, b))
+        return self._emit(OP_OR, a, b) if a < b else self._emit(OP_OR, b, a)
+
+    def xor2(self, a: int, b: int) -> int:
+        if a == b:
+            return self.const(False)
+        return self._emit(OP_XOR, a, b) if a < b else self._emit(OP_XOR, b, a)
 
     def and_many(self, slots) -> int:
         acc = None

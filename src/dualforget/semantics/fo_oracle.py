@@ -9,10 +9,11 @@
 * :func:`counterexample` / :func:`equiv_fo_finite` -- exhaustive equivalence
   check over all interpretations up to a domain size.  Internally each ground
   atom becomes one boolean circuit input, so one kernel truth table covers
-  every interpretation at once; the reported counterexample is the lowest
-  index in the documented lexicographic enumeration order (relations sorted
-  by name, tuples in lexicographic order, constants and free variables
-  enumerated outermost).
+  every interpretation at once.  Both sides share one circuit, whose
+  ``f XOR g`` output marks where they differ; the reported counterexample
+  is the lowest index in the documented lexicographic enumeration order
+  (relations sorted by name, tuples in lexicographic order, constants and
+  free variables enumerated outermost).
 
 Enumeration guards are hard errors, never silent truncation.
 """
@@ -23,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from ..errors import EvalError, GuardError
+from ..errors import EvalError, GuardError, nesting_guard
 from ..syntax import (
     And,
     Atom,
@@ -324,7 +325,7 @@ class _Grounder:
         if isinstance(f, Iff):
             x = self.ground(f.left, env, frames)
             y = self.ground(f.right, env, frames)
-            return b.or2(b.and2(x, y), b.and2(b.not_(x), b.not_(y)))
+            return b.not_(b.xor2(x, y))
         if isinstance(f, (ForallInd, ExistsInd)):
             slots = [
                 self.ground(f.body, {**env, f.var: e}, frames) for e in range(self.d)
@@ -383,6 +384,7 @@ def _atom_order(sig: Signature, domain_size: int) -> list[tuple[str, tuple[int, 
     return atoms
 
 
+@nesting_guard
 def counterexample(
     f: Formula,
     g: Formula,
@@ -412,13 +414,10 @@ def counterexample(
             const_map = dict(zip(consts, const_vals))
             for env_vals in itertools.product(range(d), repeat=len(free)):
                 env = dict(zip(free, env_vals))
-                tables = []
-                for formula in (f, g):
-                    builder = CircuitBuilder(len(atoms))
-                    grounder = _Grounder(builder, d, const_map, slot_of)
-                    out = grounder.ground(formula, env, {})
-                    tables.append(kernel.eval_table(builder, out))
-                diff = tables[0] ^ tables[1]
+                builder = CircuitBuilder(len(atoms))
+                grounder = _Grounder(builder, d, const_map, slot_of)
+                out = builder.xor2(grounder.ground(f, env, {}), grounder.ground(g, env, {}))
+                diff = kernel.eval_table(builder, out)
                 if diff:
                     v = (diff & -diff).bit_length() - 1
                     return Counterexample(_decode(v, atoms, sig, d, const_map), env)

@@ -3,13 +3,14 @@ truth-table tautology and equivalence checks.
 
 Independent of the elimination engines by design; only the syntax module is
 imported.  Second-order quantifiers are evaluated by their defining
-two-point expansion."""
+two-point expansion.  Each check compiles all its formulas into one circuit
+and reads one truth table."""
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Optional, Sequence
 
-from ..errors import EvalError, GuardError
+from ..errors import EvalError, GuardError, nesting_guard
 from ..syntax import (
     And,
     Bottom,
@@ -22,8 +23,6 @@ from ..syntax import (
     Or,
     PropVar,
     Top,
-    is_propositional,
-    prop_symbols,
 )
 from . import kernel
 from ._program import CircuitBuilder
@@ -72,75 +71,142 @@ def eval_prop(f: Formula, valuation: Valuation) -> bool:
     raise EvalError(f"not a propositional formula: {type(f).__name__}")
 
 
-def _compile(builder: CircuitBuilder, f: Formula, env: dict[str, int]) -> int:
-    """Compile to a circuit slot; ``env`` maps every free propositional
-    variable (and any quantified one in scope) to a slot."""
-    if isinstance(f, Top):
-        return builder.const(True)
-    if isinstance(f, Bottom):
-        return builder.const(False)
-    if isinstance(f, PropVar):
-        return env[f.name]
-    if isinstance(f, Not):
-        return builder.not_(_compile(builder, f.body, env))
-    if isinstance(f, And):
-        return builder.and_many(_compile(builder, it, env) for it in f.items)
-    if isinstance(f, Or):
-        return builder.or_many(_compile(builder, it, env) for it in f.items)
-    if isinstance(f, Implies):
-        return builder.or2(
-            builder.not_(_compile(builder, f.antecedent, env)),
-            _compile(builder, f.consequent, env),
-        )
-    if isinstance(f, Iff):
-        a = _compile(builder, f.left, env)
-        b = _compile(builder, f.right, env)
-        return builder.or2(builder.and2(a, b), builder.and2(builder.not_(a), builder.not_(b)))
-    if isinstance(f, (Exists2, Forall2)):
-        lo = _compile(builder, f.body, {**env, f.sym: builder.const(False)})
-        hi = _compile(builder, f.body, {**env, f.sym: builder.const(True)})
-        return builder.or2(lo, hi) if isinstance(f, Exists2) else builder.and2(lo, hi)
-    raise EvalError(f"not a propositional formula: {type(f).__name__}")
+def _scan(fs: tuple[Formula, ...]) -> tuple[dict[int, int], dict[str, int]]:
+    """One walk over the distinct nodes of ``fs``: rejects first-order nodes,
+    gives every propositional name (free or bound) one bit, and records the
+    names free in each node as a bitmask keyed by the node's ``id``."""
+    masks: dict[int, int] = {}
+    bits: dict[str, int] = {}
+
+    def bit(name: str) -> int:
+        b = bits.get(name)
+        if b is None:
+            b = bits[name] = 1 << len(bits)
+        return b
+
+    def walk(f: Formula) -> int:
+        m = masks.get(id(f))
+        if m is not None:
+            return m
+        t = type(f)
+        if t is PropVar:
+            m = bit(f.name)
+        elif t is And or t is Or:
+            m = 0
+            for it in f.items:
+                m |= walk(it)
+        elif t is Not:
+            m = walk(f.body)
+        elif t is Implies:
+            m = walk(f.antecedent) | walk(f.consequent)
+        elif t is Iff:
+            m = walk(f.left) | walk(f.right)
+        elif t is Exists2 or t is Forall2:
+            m = walk(f.body) & ~bit(f.sym)
+        elif t is Top or t is Bottom:
+            m = 0
+        else:
+            raise EvalError(f"first-order construct in propositional oracle: {t.__name__}")
+        masks[id(f)] = m
+        return m
+
+    for f in fs:
+        walk(f)
+    return masks, bits
 
 
-def truth_table(f: Formula, var_order: list[str]) -> int:
-    """Truth table of ``f`` over the given variable order, as an integer
-    (bit v = value where variable i is true iff ``(v >> i) & 1``)."""
+def _circuit(
+    fs: tuple[Formula, ...], var_order: Optional[Sequence[str]] = None
+) -> tuple[CircuitBuilder, list[int]]:
+    """One circuit for all of ``fs`` over ``var_order`` (by default their
+    free vocabulary, sorted), and the output slot of each formula.
+
+    A node is compiled once per key: the node and the values of the
+    quantified variables free in it.  A node with no bound variable free in
+    it is compiled once for both copies of every quantifier around it and
+    for every formula of ``fs``."""
+    masks, bits = _scan(fs)
+    free = 0
+    for f in fs:
+        free |= masks[id(f)]
+    vocab = [name for name, b in bits.items() if free & b]
+    if var_order is None:
+        var_order = sorted(vocab)
     if len(var_order) > MAX_TT_VARS:
         raise GuardError(
             f"truth-table enumeration over {len(var_order)} variables exceeds "
             f"the {MAX_TT_VARS}-variable guard"
         )
+    inputs = {name: i for i, name in enumerate(var_order)}
+    for name in vocab:
+        if name not in inputs:
+            raise EvalError(f"variable order does not list {name!r}")
     builder = CircuitBuilder(len(var_order))
-    env = {name: i for i, name in enumerate(var_order)}
-    out = _compile(builder, f, env)
+    const, not_, and2, or2, xor2 = (
+        builder.const, builder.not_, builder.and2, builder.or2, builder.xor2
+    )
+    memo: dict[object, int] = {}
+
+    def comp(f: Formula, bound: int, vals: int) -> int:
+        # bound: the quantified names in scope; vals: those bound to true
+        i = id(f)
+        m = masks[i] & bound
+        t = type(f)
+        if t is PropVar:
+            return const(bool(vals & m)) if m else inputs[f.name]
+        key = (i, m, vals & m) if m else i
+        slot = memo.get(key)
+        if slot is not None:
+            return slot
+        if t is And:
+            slot = builder.and_many([comp(it, bound, vals) for it in f.items])
+        elif t is Or:
+            slot = builder.or_many([comp(it, bound, vals) for it in f.items])
+        elif t is Not:
+            slot = not_(comp(f.body, bound, vals))
+        elif t is Implies:
+            slot = or2(not_(comp(f.antecedent, bound, vals)), comp(f.consequent, bound, vals))
+        elif t is Iff:
+            slot = not_(xor2(comp(f.left, bound, vals), comp(f.right, bound, vals)))
+        elif t is Exists2 or t is Forall2:
+            b = bits[f.sym]
+            lo = comp(f.body, bound | b, vals & ~b)
+            hi = comp(f.body, bound | b, vals | b)
+            slot = or2(lo, hi) if t is Exists2 else and2(lo, hi)
+        else:  # Top or Bottom: _scan admits nothing else
+            slot = const(t is Top)
+        memo[key] = slot
+        return slot
+
+    return builder, [comp(f, 0, 0) for f in fs]
+
+
+@nesting_guard
+def truth_table(f: Formula, var_order: Sequence[str]) -> int:
+    """Truth table of ``f`` over the given variable order, as an integer
+    (bit v = value where variable i is true iff ``(v >> i) & 1``)."""
+    builder, (out,) = _circuit((f,), var_order)
     return kernel.eval_table(builder, out)
 
 
-def _check_prop(*fs: Formula) -> list[str]:
-    vocab: set[str] = set()
-    for f in fs:
-        if not is_propositional(f):
-            raise EvalError("first-order construct in propositional oracle")
-        vocab |= prop_symbols(f)
-    return sorted(vocab)
-
-
+@nesting_guard
 def taut_prop(f: Formula) -> bool:
-    """Exhaustive truth-table tautology check."""
-    vocab = _check_prop(f)
-    return truth_table(f, vocab) == (1 << (1 << len(vocab))) - 1
+    """Exhaustive truth-table tautology check: ``~f`` is false everywhere."""
+    builder, (a,) = _circuit((f,))
+    return kernel.eval_table(builder, builder.not_(a)) == 0
 
 
+@nesting_guard
 def equiv_prop(f: Formula, g: Formula) -> bool:
-    """Exhaustive truth-table equivalence check over the combined vocabulary."""
-    vocab = _check_prop(f, g)
-    return truth_table(f, vocab) == truth_table(g, vocab)
+    """Exhaustive equivalence check over the combined vocabulary: both sides
+    in one circuit, whose ``f XOR g`` is false everywhere."""
+    builder, (a, b) = _circuit((f, g))
+    return kernel.eval_table(builder, builder.xor2(a, b)) == 0
 
 
+@nesting_guard
 def implies_prop(f: Formula, g: Formula) -> bool:
-    """Exhaustive check of the entailment ``|= f -> g``."""
-    vocab = _check_prop(f, g)
-    tf = truth_table(f, vocab)
-    tg = truth_table(g, vocab)
-    return tf & ~tg == 0
+    """Exhaustive check of the entailment ``|= f -> g``: ``f & ~g`` is false
+    everywhere."""
+    builder, (a, b) = _circuit((f, g))
+    return kernel.eval_table(builder, builder.and2(a, builder.not_(b))) == 0

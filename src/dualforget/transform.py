@@ -5,7 +5,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import ArityError, CaptureError, InternalError
+from .errors import ArityError, CaptureError, InternalError, nesting_guard
 from .syntax import (
     BOT,
     TOP,
@@ -263,6 +263,7 @@ def _ind_binders_of(f: Formula) -> set[str]:
 # Negation normal form
 
 
+@nesting_guard
 def nnf(f: Formula) -> Formula:
     """Negation normal form: ``->``/``<->`` expanded, negation pushed to
     literals, double negations removed, quantifiers dualized.
@@ -328,6 +329,7 @@ def _nnf(f: Formula, neg: bool) -> Formula:
 # unchanged formula comes back as the same object, with its cached hash.
 
 
+@nesting_guard
 def simplify(f: Formula) -> Formula:
     cur = f
     rewrites = 0

@@ -8,16 +8,24 @@ import pytest
 from conftest import load_theory
 from gen import prop_formula
 from dualforget import fo
+from dualforget.errors import LogicError
 from dualforget.outcome import Status
 from dualforget.parser import parse_formula
+from dualforget.printer import format_formula
 from dualforget.semantics import (
     FiniteInterpretation,
+    counterexample,
     equiv_fo_finite,
+    equiv_prop,
     eval_fo,
     eval_prop,
     eval_so,
+    implies_prop,
+    taut_prop,
+    truth_table,
 )
-from dualforget.syntax import Exists2, exists2, prop_symbols
+from dualforget.syntax import Exists2, Not, PropVar, exists2, prop_symbols
+from dualforget.transform import nnf, simplify
 
 
 def test_eval_prop_agrees_with_eval_fo_on_prop_formulas():
@@ -63,3 +71,26 @@ def test_fixpoint_matches_so_enumeration_at_domain_three():
         sec = frozenset((a,) for a in range(d) if rng.random() < 0.4)
         m = FiniteInterpretation(d, {}, {"con": con, "ex": ex_, "in": in_, "sec": sec})
         assert eval_fo(out.result, m) == eval_so(quantified, m)
+
+
+# Every public entry point that walks a formula recursively turns a formula
+# nested past the recursion limit into LogicError, never RecursionError.
+_DEEP_ENTRY_POINTS = {
+    "simplify": simplify,
+    "nnf": nnf,
+    "format_formula": format_formula,
+    "taut_prop": taut_prop,
+    "equiv_prop": lambda f: equiv_prop(f, PropVar("p")),
+    "implies_prop": lambda f: implies_prop(f, PropVar("p")),
+    "truth_table": lambda f: truth_table(f, ["p"]),
+    "counterexample": lambda f: counterexample(f, PropVar("p"), max_domain=1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_DEEP_ENTRY_POINTS))
+def test_deep_nesting_raises_logic_error(entry):
+    deep = PropVar("p")
+    for _ in range(3000):
+        deep = Not(deep)
+    with pytest.raises(LogicError, match="nested too deeply"):
+        _DEEP_ENTRY_POINTS[entry](deep)

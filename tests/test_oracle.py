@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gen import fo_formula, prop_formula
+from gen import PROP_VARS, fo_formula, prop_formula
 from dualforget.errors import EvalError, GuardError
 from dualforget.parser import parse_formula
 from dualforget.semantics import (
@@ -13,10 +13,24 @@ from dualforget.semantics import (
     eval_fo,
     eval_prop,
     eval_so,
+    implies_prop,
     taut_prop,
+    truth_table,
 )
 from dualforget.semantics.fo_oracle import _tuple_space
-from dualforget.syntax import Atom, Exists2, Forall2, PropVar, Var, prop_symbols
+from dualforget.syntax import (
+    Atom,
+    Exists2,
+    Forall2,
+    Iff,
+    Implies,
+    Not,
+    PropVar,
+    Var,
+    conj,
+    disj,
+    prop_symbols,
+)
 
 
 def pf(text, **kw):
@@ -52,8 +66,6 @@ def test_truth_table_guard():
 
 
 def test_eval_prop_agrees_with_table():
-    from dualforget.semantics import truth_table
-
     rng = random.Random(31)
     for _ in range(100):
         f = prop_formula(rng)
@@ -62,6 +74,41 @@ def test_eval_prop_agrees_with_table():
         for v in range(1 << len(vocab)):
             val = {name: bool((v >> i) & 1) for i, name in enumerate(vocab)}
             assert eval_prop(f, val) == bool((table >> v) & 1)
+
+
+def _quantified_formula(rng):
+    """A random body under Ex2/All2 over 1-3 variables.  One subtree object
+    mentioning the first of them occurs inside and outside its binders, and
+    that variable is bound again around an inner binder of it."""
+    qs = rng.sample(PROP_VARS, rng.randint(1, 3))
+    shared = disj([PropVar(qs[0]), prop_formula(rng, depth=2)])
+    join = rng.choice([lambda a, b: conj([a, b]), lambda a, b: disj([a, b]), Iff, Implies])
+    f = join(prop_formula(rng, depth=3), shared)
+    for q in qs + [qs[0]]:
+        f = rng.choice([Exists2, Forall2])(q, f)
+        f = rng.choice([lambda a, b: conj([a, b]), lambda a, b: disj([a, b]), Iff])(f, shared)
+    return f
+
+
+def test_quantified_checks_agree_with_eval_prop():
+    # the compile memo shares a subtree between binder copies only when no
+    # bound variable free in it differs; each check is held to eval_prop
+    rng = random.Random(47)
+    for _ in range(150):
+        f = _quantified_formula(rng)
+        g = rng.choice([_quantified_formula(rng), Not(Not(f)), prop_formula(rng, depth=3)])
+        vocab = sorted(prop_symbols(f) | prop_symbols(g))
+        table = truth_table(f, vocab)
+        fv, gv = [], []
+        for v in range(1 << len(vocab)):
+            val = {name: bool((v >> i) & 1) for i, name in enumerate(vocab)}
+            fv.append(eval_prop(f, val))
+            gv.append(eval_prop(g, val))
+            assert bool((table >> v) & 1) == fv[-1]
+        assert taut_prop(f) == all(fv)
+        assert equiv_prop(f, g) == (fv == gv)
+        assert implies_prop(f, g) == all(b or not a for a, b in zip(fv, gv))
+        assert implies_prop(g, f) == all(a or not b for a, b in zip(fv, gv))
 
 
 # ---------------------------------------------------------------------------
