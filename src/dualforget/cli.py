@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import fo, prop
+from . import fo
 from .errors import LogicError, ParseError
 from .outcome import EliminationOutcome
 from .parser import parse_formula, parse_theory
@@ -29,14 +29,13 @@ from .printer import format_formula
 from .semantics import counterexample, equiv_prop
 from .syntax import (
     Formula,
+    Implies,
     Signature,
     Theory,
     conj,
     exists2,
     forall2,
     is_propositional,
-    prop_symbols,
-    rel_symbols,
 )
 
 EXIT_OK = 0
@@ -111,11 +110,9 @@ def _finish(outcome: EliminationOutcome, args, spec_formula: Formula, prop_probl
 def _cmd_forget(args) -> int:
     sig, th = _load_theory(args.theory_file)
     forget = _symbols(args.vars)
-    prop_problem = _is_propositional_problem(th)
-    engine = prop if prop_problem else fo
-    outcome = (engine.forget_strong if args.mode == "strong" else engine.forget_weak)(th, forget)
+    outcome = (fo.forget_strong if args.mode == "strong" else fo.forget_weak)(th, forget)
     quant = exists2 if args.mode == "strong" else forall2
-    return _finish(outcome, args, quant(forget, th.as_formula), prop_problem)
+    return _finish(outcome, args, quant(forget, th.as_formula), _is_propositional_problem(th))
 
 
 def _cmd_snc_wsc(args, weakest: bool) -> int:
@@ -125,21 +122,14 @@ def _cmd_snc_wsc(args, weakest: bool) -> int:
         sig, th = Signature(), Theory("theory", ())
     query = parse_formula(args.query, sig)
     keep = _symbols(args.keep) if args.keep else []
-    forget_set = sorted(
-        (prop_symbols(th.as_formula) | set(rel_symbols(th.as_formula))
-         | prop_symbols(query) | set(rel_symbols(query))) - set(keep)
-    )
-    prop_problem = _is_propositional_problem(th, (query,))
-    engine = prop if prop_problem else fo
+    forget_set = fo._partition(th, query, keep)
     if weakest:
-        outcome = engine.wsc(th, query, keep)
-        from .syntax import Implies
-
+        outcome = fo.wsc(th, query, keep)
         spec_formula = forall2(forget_set, Implies(th.as_formula, query))
     else:
-        outcome = engine.snc(th, query, keep)
+        outcome = fo.snc(th, query, keep)
         spec_formula = exists2(forget_set, conj([th.as_formula, query]))
-    return _finish(outcome, args, spec_formula, prop_problem)
+    return _finish(outcome, args, spec_formula, _is_propositional_problem(th, (query,)))
 
 
 def _parse_operand(text: str) -> Formula:

@@ -1,4 +1,13 @@
-"""First-order and fixpoint second-order quantifier elimination.
+"""Second-order quantifier elimination: the one driver for propositional
+and first-order theories, and the first-order elimination rules.
+
+``forget_strong``, ``forget_weak``, ``snc`` and ``wsc`` serve both
+fragments; ``prop`` exports these same functions.  A propositional variable
+is a 0-ary symbol and is eliminated by the propositional rules of ``prop``
+(miniscoped Ackermann rewrite and two-point expansion for strong forgetting;
+clause rule, Ackermann on the negation, then expansion for weak), also where
+it occurs inside a first-order theory.  A relation is eliminated by the
+rules below.
 
 Per eliminated relation the strategy escalates, cheapest first:
 
@@ -17,6 +26,9 @@ applies ``r`` to distinct clause-bound variables, and a bare literal conjunct
 isolated with equality guards (``~r(x,y)`` becomes
 ``all u. all w. (r(u,w) -> u != x | w != y)``).  A tautological definition is
 injected when the whole formula already has uniform polarity.
+
+``prop`` imports the driver from this module, so this module imports
+``prop`` only inside the two forgetting drivers.
 """
 
 from __future__ import annotations
@@ -56,27 +68,32 @@ from .syntax import (
     exists,
     forall,
     forall2,
+    free_symbols,
     polarity,
     prop_symbols,
     rel_symbols,
     so_binder,
 )
-from .transform import NameGen, nnf, simplify, substitute_prop, substitute_rel
-from .prop import _DIST_LIMIT
+from .transform import NameGen, nnf, simplify, subst_terms, substitute_rel
+
+# Not called here: ``perfbench/tracing.py`` wraps ``substitute_prop`` in this
+# module's namespace by name, so the name must stay importable from it.
+from .transform import substitute_prop  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
 # Normalization: NNF, quantifier distribution, bounded or-over-and
 
 
+_DIST_LIMIT = 64
+
+
 def _distribute(f: Formula) -> Formula:
+    """Push disjunctions over conjunctions, at most ``_DIST_LIMIT``
+    conjuncts per disjunction, and universal quantifiers over
+    conjunctions, so clause structure is exposed; input in NNF."""
     if isinstance(f, And):
         return conj([_distribute(it) for it in f.items])
-    if isinstance(f, ForallInd):
-        body = _distribute(f.body)
-        if isinstance(body, And):
-            return conj([_distribute(ForallInd(f.var, c)) for c in body.items])
-        return ForallInd(f.var, body)
     if isinstance(f, Or):
         items = [_distribute(it) for it in f.items]
         branches = [conjuncts(it) for it in items]
@@ -85,9 +102,9 @@ def _distribute(f: Formula) -> Formula:
             total *= len(b)
             if total > _DIST_LIMIT:
                 return disj(items)
-        if total == 1:
-            return disj(items)
-        return _distribute(conj([disj(list(combo)) for combo in itertools.product(*branches)]))
+        return conj([disj(list(combo)) for combo in itertools.product(*branches)])
+    if isinstance(f, ForallInd):
+        return conj([ForallInd(f.var, c) for c in conjuncts(_distribute(f.body))])
     if isinstance(f, ExistsInd):
         return ExistsInd(f.var, _distribute(f.body))
     return f
@@ -166,8 +183,6 @@ def _def_from_clause(
     (definition ``r -> A``); the negative case from a positive head."""
     bvars, body = _strip_forall(c)
     ds = list(disjuncts(body))
-    from .transform import subst_terms
-
     for i, d in enumerate(ds):
         args = _head_literal(d, r, positive=not positive_case)
         if args is None:
@@ -407,12 +422,8 @@ def clause_form_eliminate(r: str, f: Formula) -> Optional[Formula]:
 def _eliminate_exists_rel(
     r: str, f: Formula, steps: list[TraceStep]
 ) -> tuple[Optional[Formula], Optional[str]]:
-    """Eliminate ``Ex2 r`` from ``f``; returns (result, None) or
-    (None, reason)."""
-    if r in prop_symbols(f):
-        raw = disj([substitute_prop(f, r, BOT), substitute_prop(f, r, TOP)])
-        steps.append(TraceStep("ShannonExists", Exists2(r, f), raw))
-        return simplify(raw), None
+    """Eliminate ``Ex2 r`` for a relation ``r`` from ``f``; returns
+    (result, None) or (None, reason)."""
     if r not in rel_symbols(f):
         return f, None
     if not _occurs_outside_fixpoints(f, r):
@@ -450,32 +461,52 @@ def _eliminate_exists_rel(
 
 @nesting_guard
 def forget_strong(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
-    """First-order strong forgetting: eliminate ``Ex2 r`` per symbol in
-    order (Ackermann, then fixpoint); a failure on one symbol reports the
-    partial progress over the previous ones."""
+    """Strong (standard) forgetting: eliminate ``Ex2 s`` for each symbol in
+    order; the result is over the remaining vocabulary and equivalent to the
+    existentially quantified theory.  A propositional variable is eliminated
+    by the miniscoped propositional rules, a relation by Ackermann, then
+    fixpoint; a failure on one symbol reports the partial progress over the
+    previous ones.  One simplification of the whole result follows."""
+    from . import prop
+
     steps: list[TraceStep] = []
     f = simplify(th.as_formula)
-    for r in forget:
-        out, reason = _eliminate_exists_rel(r, f, steps)
-        if out is None:
-            return failure(f"{reason}", steps, residual=f)
+    for s in forget:
+        # the propositional step returns ``f`` itself when ``s`` is no
+        # propositional variable of ``f``; only then can it be a relation
+        out: Optional[Formula] = prop._eliminate_exists(s, f, steps)
+        if out is f:
+            out, reason = _eliminate_exists_rel(s, f, steps)
+            if out is None:
+                return failure(f"{reason}", steps, residual=f)
         f = out
-    return success(f, steps)
+    out = simplify(f)
+    if out is not f:
+        steps.append(TraceStep("Simplify", f, out))
+    return success(out, steps)
 
 
 @nesting_guard
 def forget_weak(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
-    """First-order weak forgetting: distribute ``All2 r`` over conjuncts and
-    eliminate per conjunct (clause rule, then the Ackermann rewrite on the
-    negated existential form, then its fixpoint generalization)."""
+    """Weak forgetting: distribute ``All2`` over conjuncts and eliminate per
+    conjunct, the propositional variables first and together (clause rule,
+    then the Ackermann rewrite on the negated existential form, then
+    expansion), then each relation in order (clause rule, then the same
+    rewrite, then its fixpoint generalization)."""
+    from . import prop
+
     steps: list[TraceStep] = []
     whole = th.as_formula
-    present = [s for s in forget if s in prop_symbols(whole) or s in rel_symbols(whole)]
+    props = prop_symbols(whole)
+    present = [s for s in forget if s in props]
+    if len(present) < len(forget):
+        rels = rel_symbols(whole)
+        present = [s for s in forget if s in props or s in rels]
     if not present:
         return success(simplify(whole), steps)
     items: list[Formula] = []
     for formula in th.formulas:
-        items.extend(conjuncts(normalize(simplify(formula))))
+        items.extend(prop.normalize_conjuncts(simplify(formula)))
     if len(items) > 1:
         steps.append(
             TraceStep(
@@ -484,10 +515,12 @@ def forget_weak(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
                 conj([forall2(present, c) for c in items]),
             )
         )
+    prop_vars = [s for s in present if s in props]
+    relations = [s for s in present if s not in props]
     results: list[Formula] = []
     for idx, c in enumerate(items):
-        cur: Formula = c
-        for r in forget:
+        cur = prop._eliminate_forall_conjunct(c, prop_vars, steps) if prop_vars else c
+        for r in relations:
             out, reason = _eliminate_forall_conjunct(r, cur, steps)
             if out is None:
                 return failure(
@@ -507,10 +540,8 @@ def forget_weak(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
 def _eliminate_forall_conjunct(
     r: str, c: Formula, steps: list[TraceStep]
 ) -> tuple[Optional[Formula], Optional[str]]:
-    if r in prop_symbols(c):
-        raw = conj([substitute_prop(c, r, BOT), substitute_prop(c, r, TOP)])
-        steps.append(TraceStep("ShannonForall", Forall2(r, c), raw))
-        return simplify(raw), None
+    """Eliminate ``All2 r`` for a relation ``r`` from one conjunct; returns
+    (result, None) or (None, reason)."""
     if r not in rel_symbols(c):
         return c, None
     if not _occurs_outside_fixpoints(c, r):
@@ -527,10 +558,7 @@ def _eliminate_forall_conjunct(
     out, reason = _eliminate_exists_rel(r, matrix, inner_steps)
     if out is None:
         return None, reason
-    rule = next(
-        (s.rule for s in inner_steps if s.rule.startswith(("Ackermann", "Shannon"))),
-        "Simplify",
-    )
+    rule = next((s.rule for s in inner_steps if s.rule.startswith("Ackermann")), "Simplify")
     result = simplify(nnf(Not(exists(prefix, out))))
     steps.append(TraceStep(rule, Forall2(r, c), result))
     return result, None
@@ -538,22 +566,26 @@ def _eliminate_forall_conjunct(
 
 @nesting_guard
 def snc(th: Theory, query: Formula, keep: Sequence[str]) -> EliminationOutcome:
-    """First-order strongest necessary condition: strong forgetting of the
-    complementary vocabulary in ``th & query``."""
+    """Strongest necessary condition of ``query`` on the ``keep`` vocabulary
+    under ``th``: strong forgetting of the complementary vocabulary in
+    ``th & query``."""
     forget = _partition(th, query, keep)
     return forget_strong(Theory(th.name, th.formulas + (query,)), forget)
 
 
 @nesting_guard
 def wsc(th: Theory, query: Formula, keep: Sequence[str]) -> EliminationOutcome:
-    """First-order weakest sufficient condition: weak forgetting of the
-    complementary vocabulary in ``th -> query``."""
+    """Weakest sufficient condition of ``query`` on the ``keep`` vocabulary
+    under ``th``: weak forgetting of the complementary vocabulary in
+    ``th -> query``."""
     forget = _partition(th, query, keep)
     body = Implies(th.as_formula, query) if th.formulas else query
     return forget_weak(Theory(th.name, (body,)), forget)
 
 
 def _partition(th: Theory, query: Formula, keep: Sequence[str]) -> list[str]:
-    vocab = prop_symbols(th.as_formula) | set(rel_symbols(th.as_formula))
-    vocab |= prop_symbols(query) | set(rel_symbols(query))
-    return [s for s in sorted(vocab) if s not in set(keep)]
+    """The symbols of ``th`` and ``query`` outside ``keep``, sorted: what
+    ``snc`` and ``wsc`` forget."""
+    kept = set(keep)
+    vocab = free_symbols(th.as_formula) | free_symbols(query)
+    return [s for s in sorted(vocab) if s not in kept]

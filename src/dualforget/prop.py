@@ -1,28 +1,30 @@
-"""Propositional second-order quantifier elimination and the four operators:
-strong forgetting, weak forgetting, strongest necessary and weakest
-sufficient conditions.
+"""The propositional elimination rules: how one propositional variable,
+a 0-ary symbol, leaves a formula under a second-order quantifier.
 
-Elimination strategy per variable: the Ackermann rewrite (definitional
-conjuncts collected by grouping clauses that contain the variable with one
-polarity, residual uniform in the other) is tried first since it typically
-keeps results small; two-point expansion is the complete fallback.  Strong
-forgetting miniscopes, ``Ex2 p.(A & B) = A & Ex2 p.B`` when ``p`` does not
-occur in ``A``: both rules run on the conjuncts that mention ``p`` only, so
-conjuncts that mention no forgotten symbol are kept, and printed, as
-written.  Weak forgetting distributes the universal quantifier over
-conjuncts and uses the clause rule as a fast path."""
+The driver is ``fo``'s: ``forget_strong``, ``forget_weak``, ``snc`` and
+``wsc`` here are the same function objects as there, and they use these
+rules for every propositional variable, also inside a first-order theory.
+
+Strong forgetting miniscopes, ``Ex2 p.(A & B) = A & Ex2 p.B`` when ``p`` does
+not occur in ``A``: the Ackermann rewrite (definitional conjuncts collected
+by grouping clauses that contain the variable with one polarity, residual
+uniform in the other) runs on the conjuncts that mention ``p`` only, since
+it typically keeps results small, and two-point expansion is the complete
+fallback; conjuncts that mention no forgotten symbol are kept, and printed,
+as written.  Weak forgetting eliminates the universal quantifiers of a
+conjunct together, by the clause rule as a fast path, then per variable by
+the Ackermann rewrite on the negated existential form, then expansion."""
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Sequence
 
-from .errors import InternalError, nesting_guard
+from .errors import InternalError
+from .fo import forget_strong, forget_weak, normalize, snc, wsc  # noqa: F401 (the operators)
 from .outcome import EliminationOutcome, TraceStep, success
 from .syntax import (
     BOT,
     TOP,
-    And,
     Bottom,
     Exists2,
     Forall2,
@@ -31,7 +33,6 @@ from .syntax import (
     Not,
     Or,
     PropVar,
-    Theory,
     Top,
     conj,
     conjuncts,
@@ -178,36 +179,17 @@ def clause_forall_eliminate(vars: Sequence[str], clause: Formula) -> Optional[Fo
 
 
 # ---------------------------------------------------------------------------
-# Normalization into conjuncts (shared by the drivers)
-
-
-_DIST_LIMIT = 64
-
-
-def _distribute(f: Formula) -> Formula:
-    """Push disjunctions over conjunctions (bounded) so clause structure is
-    exposed; input in NNF."""
-    if isinstance(f, And):
-        return conj([_distribute(it) for it in f.items])
-    if isinstance(f, Or):
-        items = [_distribute(it) for it in f.items]
-        branches = [conjuncts(it) for it in items]
-        total = 1
-        for b in branches:
-            total *= len(b)
-            if total > _DIST_LIMIT:
-                return disj(items)
-        return conj([disj(list(combo)) for combo in itertools.product(*branches)])
-    return f
+# Normalization into conjuncts
 
 
 def normalize_conjuncts(f: Formula) -> list[Formula]:
-    """NNF plus bounded or-over-and distribution, flattened into conjuncts."""
-    return list(conjuncts(_distribute(nnf(f))))
+    """NNF plus bounded or-over-and distribution, flattened into conjuncts;
+    weak forgetting starts from these for both fragments."""
+    return list(conjuncts(normalize(f)))
 
 
 # ---------------------------------------------------------------------------
-# Operators
+# Per-variable elimination steps of the driver
 
 
 def _eliminate_exists(p: str, f: Formula, steps: list[TraceStep]) -> Formula:
@@ -235,53 +217,10 @@ def _eliminate_exists(p: str, f: Formula, steps: list[TraceStep]) -> Formula:
     return conj(rest[:first] + [res] + rest[first:])
 
 
-@nesting_guard
-def forget_strong(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
-    """Strong (standard) forgetting: eliminate ``Ex2 p`` for each variable in
-    order; the result is over the remaining vocabulary and equivalent to the
-    existentially quantified theory.  Each elimination touches only the
-    conjuncts that mention its variable; one simplification of the whole
-    result follows."""
-    steps: list[TraceStep] = []
-    f = simplify(th.as_formula)
-    for p in forget:
-        f = _eliminate_exists(p, f, steps)
-    out = simplify(f)
-    if out is not f:
-        steps.append(TraceStep("Simplify", f, out))
-    return success(out, steps)
-
-
-@nesting_guard
-def forget_weak(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
-    """Weak forgetting: eliminate ``All2 p`` for each variable, distributing
-    the quantifier over conjuncts and eliminating in each conjunct
-    separately (clause rule, then the Ackermann rewrite on the negated
-    existential form, then expansion)."""
-    steps: list[TraceStep] = []
-    forget = [p for p in forget if p in prop_symbols(th.as_formula)]
-    if not forget:
-        return success(simplify(th.as_formula), steps)
-    items: list[Formula] = []
-    for formula in th.formulas:
-        items.extend(normalize_conjuncts(simplify(formula)))
-    if len(items) > 1:
-        steps.append(
-            TraceStep(
-                "DistributeForall",
-                forall2(forget, conj(items)),
-                conj([forall2(forget, c) for c in items]),
-            )
-        )
-    results = [_eliminate_forall_conjunct(c, forget, steps) for c in items]
-    raw = conj(results)
-    out = simplify(raw)
-    if out != raw:
-        steps.append(TraceStep("Simplify", raw, out))
-    return success(out, steps)
-
-
 def _eliminate_forall_conjunct(c: Formula, forget: Sequence[str], steps: list[TraceStep]) -> Formula:
+    """Eliminate ``All2`` of the variables of ``forget`` that occur in the
+    conjunct ``c``: all of them at once by the clause rule, else one at a
+    time by the Ackermann rewrite on ``~c``, else by expansion."""
     vars_here = [p for p in forget if p in prop_symbols(c)]
     if not vars_here:
         return c
@@ -307,28 +246,3 @@ def _eliminate_forall_conjunct(c: Formula, forget: Sequence[str], steps: list[Tr
             steps.append(TraceStep("ShannonForall", Forall2(p, cur), out))
         cur = out
     return cur
-
-
-def _partition(th: Theory, query: Formula, keep: Sequence[str]) -> list[str]:
-    vocab = prop_symbols(th.as_formula) | prop_symbols(query)
-    return [p for p in sorted(vocab) if p not in set(keep)]
-
-
-@nesting_guard
-def snc(th: Theory, query: Formula, keep: Sequence[str]) -> EliminationOutcome:
-    """Strongest necessary condition of ``query`` on the ``keep`` vocabulary
-    under ``th``: strong forgetting of the complementary vocabulary in
-    ``th & query``."""
-    forget = _partition(th, query, keep)
-    extended = Theory(th.name, th.formulas + (query,))
-    return forget_strong(extended, forget)
-
-
-@nesting_guard
-def wsc(th: Theory, query: Formula, keep: Sequence[str]) -> EliminationOutcome:
-    """Weakest sufficient condition of ``query`` on the ``keep`` vocabulary
-    under ``th``: weak forgetting of the complementary vocabulary in
-    ``th -> query``."""
-    forget = _partition(th, query, keep)
-    body = Implies(th.as_formula, query) if th.formulas else query
-    return forget_weak(Theory(th.name, (body,)), forget)

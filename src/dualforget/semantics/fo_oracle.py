@@ -112,6 +112,7 @@ def _tuple_space(domain_size: int, arity: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(domain_size), repeat=arity))
 
 
+@nesting_guard
 def eval_fo(
     f: Formula,
     interp: FiniteInterpretation,
@@ -121,6 +122,7 @@ def eval_fo(
     return _eval(f, interp, dict(env or {}), {}, allow_so=False)
 
 
+@nesting_guard
 def eval_so(
     f: Formula,
     interp: FiniteInterpretation,

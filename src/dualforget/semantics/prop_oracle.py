@@ -32,9 +32,14 @@ MAX_TT_VARS = 22
 Valuation = Mapping[str, bool]
 
 
+@nesting_guard
 def eval_prop(f: Formula, valuation: Valuation) -> bool:
     """Evaluate a propositional formula under a valuation (total on its free
     propositional variables).  Second-order quantifiers are allowed."""
+    return _eval_prop(f, valuation)
+
+
+def _eval_prop(f: Formula, valuation: Valuation) -> bool:
     if isinstance(f, Top):
         return True
     if isinstance(f, Bottom):
@@ -45,29 +50,29 @@ def eval_prop(f: Formula, valuation: Valuation) -> bool:
         except KeyError:
             raise EvalError(f"valuation does not map {f.name!r}") from None
     if isinstance(f, Not):
-        return not eval_prop(f.body, valuation)
+        return not _eval_prop(f.body, valuation)
     if isinstance(f, And):
-        return all(eval_prop(it, valuation) for it in f.items)
+        return all(_eval_prop(it, valuation) for it in f.items)
     if isinstance(f, Or):
-        return any(eval_prop(it, valuation) for it in f.items)
+        return any(_eval_prop(it, valuation) for it in f.items)
     if isinstance(f, Implies):
-        return (not eval_prop(f.antecedent, valuation)) or eval_prop(f.consequent, valuation)
+        return (not _eval_prop(f.antecedent, valuation)) or _eval_prop(f.consequent, valuation)
     if isinstance(f, Iff):
-        return eval_prop(f.left, valuation) == eval_prop(f.right, valuation)
+        return _eval_prop(f.left, valuation) == _eval_prop(f.right, valuation)
     if isinstance(f, Exists2):
         over = dict(valuation)
         over[f.sym] = False
-        if eval_prop(f.body, over):
+        if _eval_prop(f.body, over):
             return True
         over[f.sym] = True
-        return eval_prop(f.body, over)
+        return _eval_prop(f.body, over)
     if isinstance(f, Forall2):
         over = dict(valuation)
         over[f.sym] = False
-        if not eval_prop(f.body, over):
+        if not _eval_prop(f.body, over):
             return False
         over[f.sym] = True
-        return eval_prop(f.body, over)
+        return _eval_prop(f.body, over)
     raise EvalError(f"not a propositional formula: {type(f).__name__}")
 
 

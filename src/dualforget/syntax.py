@@ -507,6 +507,30 @@ def rel_symbols(f: Formula) -> dict[str, int]:
     return out
 
 
+def free_symbols(f: Formula) -> set[str]:
+    """The vocabulary of ``f`` from one walk: the propositional variables
+    and relation symbols occurring free (arities are not checked)."""
+    out: set[str] = set()
+
+    def walk(g: Formula, shadow: frozenset[str]) -> None:
+        if isinstance(g, PropVar):
+            if g.name not in shadow:
+                out.add(g.name)
+            return
+        if isinstance(g, Atom):
+            if g.rel not in shadow:
+                out.add(g.rel)
+            return
+        bound = _SO_BINDER.get(type(g))
+        if bound is not None:
+            shadow = shadow | {bound(g)}
+        for k in children(g):
+            walk(k, shadow)
+
+    walk(f, frozenset())
+    return out
+
+
 def const_symbols(f: Formula) -> set[str]:
     out: set[str] = set()
     for g in _subformulas(f):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from gen import clause_fragment_theory
 from dualforget import fo
 from dualforget.errors import LogicError
 from dualforget.outcome import Status
-from dualforget.parser import parse_formula
+from dualforget.parser import parse_formula, parse_theory
 from dualforget.printer import format_formula
 from dualforget.semantics import counterexample, equiv_fo_finite, eval_fo, eval_so
 from dualforget.syntax import (
@@ -407,3 +408,25 @@ def test_deep_nesting_raises_logic_error(op):
     args = (["r"],) if op.startswith("forget") else (query, ["s"])
     with pytest.raises(LogicError, match="nested too deeply"):
         getattr(fo, op)(theory, *args)
+
+
+_MIXED = """\
+all x. (p -> a(x))
+all x. (r(x) -> (q | a(x)))
+p | ex x. r(x)
+"""
+
+
+@pytest.mark.parametrize(
+    "forget", [list(c) for k in (1, 2) for c in itertools.combinations("apqr", k)], ids=",".join
+)
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_mixed_theory_forgetting(mode, forget):
+    # p and q are eliminated by the propositional rules, which rewrite only
+    # the conjuncts that mention them, so r stays separable in strong p,r
+    # and q,r
+    _, th = parse_theory(_MIXED, name="mixed")
+    op, quant = (fo.forget_strong, exists2) if mode == "strong" else (fo.forget_weak, forall2)
+    out = op(th, forget)
+    assert out.ok, out.failure_reason
+    assert counterexample(out.result, quant(forget, th.as_formula), max_domain=2) is None

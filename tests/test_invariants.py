@@ -1,7 +1,9 @@
 """Cross-cutting invariants: oracle self-consistency and deeper soundness
 spot checks at domain size 3."""
 
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +86,9 @@ _DEEP_ENTRY_POINTS = {
     "implies_prop": lambda f: implies_prop(f, PropVar("p")),
     "truth_table": lambda f: truth_table(f, ["p"]),
     "counterexample": lambda f: counterexample(f, PropVar("p"), max_domain=1),
+    "eval_prop": lambda f: eval_prop(f, {"p": True}),
+    "eval_fo": lambda f: eval_fo(f, FiniteInterpretation(1, {}, {}, {"p": True})),
+    "eval_so": lambda f: eval_so(f, FiniteInterpretation(1, {}, {}, {"p": True})),
 }
 
 
@@ -94,3 +99,13 @@ def test_deep_nesting_raises_logic_error(entry):
         deep = Not(deep)
     with pytest.raises(LogicError, match="nested too deeply"):
         _DEEP_ENTRY_POINTS[entry](deep)
+
+
+def test_benchmark_tracer_targets_are_module_level_names(monkeypatch):
+    # perfbench/tracing.py replaces each listed function by name in each
+    # listed module, so every one must stay a module-level name there
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for _layer, name, namespaces in tracing._PATCHES:
+        for ns in namespaces:
+            assert callable(vars(ns).get(name)), f"{ns.__name__}.{name}"

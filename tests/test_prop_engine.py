@@ -4,7 +4,7 @@ import pytest
 
 from conftest import load_theory
 from gen import forget_split, prop_formula, prop_theory
-from dualforget import prop
+from dualforget import fo, prop
 from dualforget.errors import LogicError
 from dualforget.parser import parse_formula
 from dualforget.semantics import equiv_prop, eval_prop, implies_prop
@@ -34,6 +34,11 @@ def th(*texts, name="t"):
 
 # ---------------------------------------------------------------------------
 # shannon expansion
+
+
+@pytest.mark.parametrize("op", ["forget_strong", "forget_weak", "snc", "wsc"])
+def test_operators_are_the_one_driver(op):
+    assert getattr(prop, op) is getattr(fo, op)
 
 
 def test_shannon_examples():
