@@ -1,34 +1,41 @@
 """Second-order quantifier elimination: the one driver for propositional
-and first-order theories, and the first-order elimination rules.
+and first-order theories, and the one Ackermann extractor.
 
 ``forget_strong``, ``forget_weak``, ``snc`` and ``wsc`` serve both
 fragments; ``prop`` exports these same functions.  A propositional variable
-is a 0-ary symbol and is eliminated by the propositional rules of ``prop``
-(miniscoped Ackermann rewrite and two-point expansion for strong forgetting;
-clause rule, Ackermann on the negation, then expansion for weak), also where
-it occurs inside a first-order theory.  A relation is eliminated by the
-rules below.
+is a 0-ary symbol.  The driver learns each symbol's kind and arity from one
+walk; a name used with two arities, or as both kinds, raises ``ArityError``.
+
+Strong forgetting miniscopes for both kinds, ``Ex2 s.(A & B) = A & Ex2 s.B``
+when ``s`` does not occur in ``A``: only the conjuncts that mention ``s`` are
+rewritten, and the others are kept, and printed, as written.  A
+propositional variable is eliminated by the Ackermann rewrite, then by
+two-point expansion (``prop``).  Weak forgetting eliminates a conjunct's
+propositional variables together by ``prop``'s rules (clause rule,
+Ackermann on the negation, expansion), then its relations in order.
 
 Per eliminated relation the strategy escalates, cheapest first:
 
 1. clause rule (weak forgetting only): a universally quantified disjunction
    of literals collapses to equality disjunctions, at most quadratic output;
-2. the first-order Ackermann rewrite: conjuncts are split into definitional
-   parts ``all u. (r(u) -> A(u))`` / ``all u. (A(u) -> r(u))`` with ``A``
-   free of ``r`` and a residual of uniform opposite polarity, then the
-   residual is instantiated with ``A``;
+2. the Ackermann rewrite: conjuncts are split into definitional parts
+   ``all u. (r(u) -> A(u))`` / ``all u. (A(u) -> r(u))`` with ``A`` free of
+   ``r`` and a residual of uniform opposite polarity, then the residual is
+   instantiated with ``A``;
 3. its fixpoint generalization when ``A`` mentions ``r`` positively, which
-   yields least/greatest fixpoint literals;
+   yields least/greatest fixpoint literals (never for a propositional
+   variable, whose complete fallback is expansion);
 4. a reported failure (reason plus partial-progress residual).
 
-Definitional parts are recognized in two shapes: a clause whose head literal
-applies ``r`` to distinct clause-bound variables, and a bare literal conjunct
-isolated with equality guards (``~r(x,y)`` becomes
+The extractor serves both kinds.  Definitional parts are recognized in two
+shapes: a clause whose head literal applies ``r`` to distinct clause-bound
+variables (a propositional variable is a head without arguments), and a
+bare literal conjunct isolated with equality guards (``~r(x,y)`` becomes
 ``all u. all w. (r(u,w) -> u != x | w != y)``).  A tautological definition is
 injected when the whole formula already has uniform polarity.
 
-``prop`` imports the driver from this module, so this module imports
-``prop`` only inside the two forgetting drivers.
+``prop`` imports the driver and the extractor from this module, so this
+module imports ``prop`` only inside the two forgetting drivers.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from .syntax import (
     Not,
     Or,
     Polarity,
+    PropVar,
     Term,
     Theory,
     Var,
@@ -70,7 +78,6 @@ from .syntax import (
     forall2,
     free_symbols,
     polarity,
-    prop_symbols,
     rel_symbols,
     so_binder,
 )
@@ -165,11 +172,16 @@ class _Extraction:
 
 
 def _head_literal(d: Formula, r: str, positive: bool) -> Optional[tuple[Term, ...]]:
-    """Argument tuple when ``d`` is the r-literal of the requested sign."""
-    if positive and isinstance(d, Atom) and d.rel == r:
+    """Argument tuple when ``d`` is the r-literal of the requested sign; a
+    propositional variable is a 0-ary head with arguments ``()``."""
+    if not positive:
+        if not isinstance(d, Not):
+            return None
+        d = d.body
+    if isinstance(d, Atom) and d.rel == r:
         return d.args
-    if not positive and isinstance(d, Not) and isinstance(d.body, Atom) and d.body.rel == r:
-        return d.body.args
+    if isinstance(d, PropVar) and d.name == r:
+        return ()
     return None
 
 
@@ -242,7 +254,7 @@ def _extract(
         residual,
         positive_case,
         artificial=not defs,
-        needs_fixpoint=polarity(a, r) is not Polarity.ABSENT,
+        needs_fixpoint=allow_r_in_def and polarity(a, r) is not Polarity.ABSENT,
     )
 
 
@@ -275,7 +287,7 @@ def _attempt(
     avoid: set[str],
     arity: int,
 ) -> Optional[_Extraction]:
-    nice = _extract_single_def_params(r, items, positive_case, arity)
+    nice = arity and _extract_single_def_params(r, items, positive_case, arity)
     if nice:
         ng: NameGen = _FixedNames(nice, set(avoid))
     else:
@@ -366,25 +378,11 @@ def fixpoint_eliminate(r: str, f: Formula) -> EliminationOutcome:
     """Eliminate ``Ex2 r`` from ``f`` allowing the definition to mention
     ``r`` positively; produces a least fixpoint for ``all u.(A(r) -> r(u))``
     with a negative residual, a greatest fixpoint for the dual."""
-    arity = rel_symbols(f).get(r)
-    if arity is None:
-        return success(simplify(f), [])
-    items = conjuncts(normalize(f))
-    ext = _select_extraction(r, items, all_names(f), arity, allow_fixpoint=True)
-    if ext is None:
-        return failure(
-            f"mixed-polarity occurrences of {r} not separable", [], residual=f
-        )
-    if polarity(ext.a, r) not in (Polarity.POSITIVE, Polarity.ABSENT):
-        return failure(
-            f"defining formula for {r} is not positive in {r}", [], residual=f
-        )
-    residual = conj(ext.residual)
-    if not ext.needs_fixpoint:
-        return success(simplify(substitute_rel(residual, r, ext.params, ext.a)), [])
-    fix_cls = Lfp if not ext.positive_case else Gfp
-    literal = fix_cls(r, ext.params, ext.a, tuple(Var(p) for p in ext.params))
-    return success(simplify(substitute_rel(residual, r, ext.params, literal)), [])
+    steps: list[TraceStep] = []
+    out, reason = _eliminate_exists_rel(r, f, steps)
+    if out is None:
+        return failure(reason, steps, residual=f)
+    return success(out, steps)
 
 
 def clause_form_eliminate(r: str, f: Formula) -> Optional[Formula]:
@@ -424,7 +422,8 @@ def _eliminate_exists_rel(
 ) -> tuple[Optional[Formula], Optional[str]]:
     """Eliminate ``Ex2 r`` for a relation ``r`` from ``f``; returns
     (result, None) or (None, reason)."""
-    if r not in rel_symbols(f):
+    arity = rel_symbols(f).get(r)
+    if arity is None:
         return f, None
     if not _occurs_outside_fixpoints(f, r):
         return None, f"{r} occurs only inside fixpoint literals; elimination not attempted"
@@ -432,7 +431,6 @@ def _eliminate_exists_rel(
     if g != f:
         steps.append(TraceStep("NNF", f, g))
     items = conjuncts(g)
-    arity = rel_symbols(f)[r]
     ext = _select_extraction(r, items, all_names(f), arity, allow_fixpoint=True)
     if ext is None:
         return None, f"mixed-polarity occurrences of {r} not separable"
@@ -463,23 +461,37 @@ def _eliminate_exists_rel(
 def forget_strong(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
     """Strong (standard) forgetting: eliminate ``Ex2 s`` for each symbol in
     order; the result is over the remaining vocabulary and equivalent to the
-    existentially quantified theory.  A propositional variable is eliminated
-    by the miniscoped propositional rules, a relation by Ackermann, then
-    fixpoint; a failure on one symbol reports the partial progress over the
-    previous ones.  One simplification of the whole result follows."""
+    existentially quantified theory.
+
+    Each step miniscopes, ``Ex2 s.(A & B) = A & Ex2 s.B`` when ``s`` does not
+    occur in ``A``: only ``B``, the conjuncts that mention ``s``, is rewritten,
+    and its result takes the place of the first of them; the conjuncts of
+    ``A`` stay the same objects.  A propositional variable is eliminated by
+    the Ackermann rewrite, then two-point expansion; a relation by Ackermann,
+    then fixpoint.  A failure on one symbol reports the partial progress over
+    the previous ones.  One simplification of the whole result follows."""
     from . import prop
 
     steps: list[TraceStep] = []
-    f = simplify(th.as_formula)
+    # each conjunct with its free symbols; the one walk that learns each
+    # symbol's arity, 0 for a propositional variable
+    arities: dict[str, int] = {}
+    parts = [(c, free_symbols(c, arities)) for c in conjuncts(simplify(th.as_formula))]
     for s in forget:
-        # the propositional step returns ``f`` itself when ``s`` is no
-        # propositional variable of ``f``; only then can it be a relation
-        out: Optional[Formula] = prop._eliminate_exists(s, f, steps)
-        if out is f:
-            out, reason = _eliminate_exists_rel(s, f, steps)
+        hit = [i for i, (_, syms) in enumerate(parts) if s in syms]
+        if not hit:
+            continue  # forgetting an absent symbol is the identity
+        body = conj([parts[i][0] for i in hit])
+        if arities[s] == 0:
+            out: Optional[Formula] = prop._eliminate_exists(s, body, steps)
+        else:
+            out, reason = _eliminate_exists_rel(s, body, steps)
             if out is None:
-                return failure(f"{reason}", steps, residual=f)
-        f = out
+                return failure(reason, steps, residual=conj([c for c, _ in parts]))
+        rest = [part for part in parts if s not in part[1]]
+        new = [(c, free_symbols(c, arities)) for c in conjuncts(out)]
+        parts = rest[: hit[0]] + new + rest[hit[0]:]
+    f = conj([c for c, _ in parts])
     out = simplify(f)
     if out is not f:
         steps.append(TraceStep("Simplify", f, out))
@@ -497,11 +509,8 @@ def forget_weak(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
 
     steps: list[TraceStep] = []
     whole = th.as_formula
-    props = prop_symbols(whole)
-    present = [s for s in forget if s in props]
-    if len(present) < len(forget):
-        rels = rel_symbols(whole)
-        present = [s for s in forget if s in props or s in rels]
+    arities = free_symbols(whole)
+    present = [s for s in forget if s in arities]
     if not present:
         return success(simplify(whole), steps)
     items: list[Formula] = []
@@ -515,8 +524,8 @@ def forget_weak(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
                 conj([forall2(present, c) for c in items]),
             )
         )
-    prop_vars = [s for s in present if s in props]
-    relations = [s for s in present if s not in props]
+    prop_vars = [s for s in present if arities[s] == 0]
+    relations = [s for s in present if arities[s] != 0]
     results: list[Formula] = []
     for idx, c in enumerate(items):
         cur = prop._eliminate_forall_conjunct(c, prop_vars, steps) if prop_vars else c
@@ -587,5 +596,5 @@ def _partition(th: Theory, query: Formula, keep: Sequence[str]) -> list[str]:
     """The symbols of ``th`` and ``query`` outside ``keep``, sorted: what
     ``snc`` and ``wsc`` forget."""
     kept = set(keep)
-    vocab = free_symbols(th.as_formula) | free_symbols(query)
+    vocab = free_symbols(th.as_formula).keys() | free_symbols(query).keys()
     return [s for s in sorted(vocab) if s not in kept]

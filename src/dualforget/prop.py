@@ -2,25 +2,25 @@
 a 0-ary symbol, leaves a formula under a second-order quantifier.
 
 The driver is ``fo``'s: ``forget_strong``, ``forget_weak``, ``snc`` and
-``wsc`` here are the same function objects as there, and they use these
-rules for every propositional variable, also inside a first-order theory.
+``wsc`` here are the same function objects as there.  It uses these rules
+for every propositional variable, also inside a first-order theory, and in
+strong forgetting hands them only the conjuncts that mention the variable.
 
-Strong forgetting miniscopes, ``Ex2 p.(A & B) = A & Ex2 p.B`` when ``p`` does
-not occur in ``A``: the Ackermann rewrite (definitional conjuncts collected
-by grouping clauses that contain the variable with one polarity, residual
-uniform in the other) runs on the conjuncts that mention ``p`` only, since
-it typically keeps results small, and two-point expansion is the complete
-fallback; conjuncts that mention no forgotten symbol are kept, and printed,
-as written.  Weak forgetting eliminates the universal quantifiers of a
-conjunct together, by the clause rule as a fast path, then per variable by
-the Ackermann rewrite on the negated existential form, then expansion."""
+The Ackermann rewrite runs ``fo``'s extractor at arity 0: NNF conjuncts are
+split into definitions ``p -> A`` or ``A -> p`` with ``A`` free of ``p`` and a
+residual of uniform opposite polarity.  It typically keeps results small;
+two-point expansion is the complete fallback.  Weak forgetting eliminates
+the universal quantifiers of a conjunct together, by the clause rule as a
+fast path, then per variable by the Ackermann rewrite on the negated
+existential form, then expansion."""
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
 from .errors import InternalError
-from .fo import forget_strong, forget_weak, normalize, snc, wsc  # noqa: F401 (the operators)
+from .fo import _select_extraction, normalize
+from .fo import forget_strong, forget_weak, snc, wsc  # noqa: F401 (the operators)
 from .outcome import EliminationOutcome, TraceStep, success
 from .syntax import (
     BOT,
@@ -38,8 +38,6 @@ from .syntax import (
     conjuncts,
     disj,
     forall2,
-    polarity,
-    Polarity,
     prop_symbols,
 )
 from .transform import nnf, simplify, substitute_prop
@@ -62,43 +60,11 @@ def shannon_eliminate(kind: str, p: str, f: Formula) -> Formula:
 # Ackermann rewriting
 
 
-def _literal(p: str, positive: bool) -> Formula:
-    return PropVar(p) if positive else Not(PropVar(p))
-
-
-def _group(p: str, items: Sequence[Formula], positive_case: bool) -> Optional[tuple[list[Formula], list[Formula]]]:
-    """Split NNF conjuncts into definitional parts and a residual.
-
-    ``positive_case`` targets the shape ``(p -> A) & B`` with ``B`` positive
-    in ``p``: clauses whose only ``p`` occurrences are direct ``~p``
-    disjuncts (or the bare literal ``~p``) are definitional; the rest must be
-    positive in ``p`` or free of it.  The negative case is symmetric."""
-    lit = _literal(p, not positive_case)
-    resid_ok = Polarity.POSITIVE if positive_case else Polarity.NEGATIVE
-    defs: list[Formula] = []
-    resid: list[Formula] = []
-    for c in items:
-        pol = polarity(c, p)
-        if pol is Polarity.ABSENT:
-            resid.append(c)
-        elif c == lit:
-            defs.append(BOT if positive_case else TOP)
-        elif isinstance(c, Or) and lit in c.items:
-            others = [d for d in c.items if d != lit]
-            if any(polarity(o, p) is not Polarity.ABSENT for o in others):
-                return None
-            rest = disj(others)
-            defs.append(rest if positive_case else nnf(Not(rest)))
-        elif pol is resid_ok:
-            resid.append(c)
-        else:
-            return None
-    return defs, resid
-
-
 def ackermann_eliminate(p: str, f: Formula) -> Optional[EliminationOutcome]:
     """Eliminate ``Ex2 p`` from ``f`` by the Ackermann rewrite, or ``None``
-    when the occurrences cannot be grouped (caller falls back to expansion).
+    when the occurrences cannot be separated (caller falls back to
+    expansion).  ``fo``'s extractor splits the conjuncts, ``p`` being a
+    0-ary symbol; a definition never mentions ``p``.
 
     When no definitional conjunct exists but the residual polarity is
     uniform, a tautological definition is injected (``p -> T`` or ``F -> p``)
@@ -107,40 +73,27 @@ def ackermann_eliminate(p: str, f: Formula) -> Optional[EliminationOutcome]:
     steps: list[TraceStep] = []
     if g != f:
         steps.append(TraceStep("NNF", f, g))
-    items = conjuncts(g)
-    for positive_case in (True, False):
-        grouped = _group(p, items, positive_case)
-        if grouped is None:
-            continue
-        defs, resid = grouped
-        rule = "AckermannPos" if positive_case else "AckermannNeg"
-        residual = conj(resid)
-        if defs:
-            a = conj(defs) if positive_case else disj(defs)
-        else:
-            a = TOP if positive_case else BOT
-            steps.append(
-                TraceStep(
-                    "ArtificialConjunct",
-                    Exists2(p, g),
-                    Exists2(p, conj([_inject(p, positive_case), g])),
-                )
-            )
-        raw = substitute_prop(residual, p, a)
-        steps.append(TraceStep(rule, Exists2(p, g), raw))
-        out = simplify(raw)
-        if out != raw:
-            steps.append(TraceStep("Simplify", raw, out))
-        return success(out, steps)
-    return None
-
-
-def _inject(p: str, positive_case: bool) -> Formula:
-    return Implies(PropVar(p), TOP) if positive_case else Implies(BOT, PropVar(p))
+    # a 0-ary definition has no parameters, so no fresh names to avoid
+    ext = _select_extraction(p, conjuncts(g), set(), 0, allow_fixpoint=False)
+    if ext is None:
+        return None
+    if ext.artificial:
+        taut = Implies(PropVar(p), TOP) if ext.positive_case else Implies(BOT, PropVar(p))
+        steps.append(TraceStep("ArtificialConjunct", Exists2(p, g), Exists2(p, conj([taut, g]))))
+    raw = substitute_prop(conj(ext.residual), p, ext.a)
+    steps.append(TraceStep("AckermannPos" if ext.positive_case else "AckermannNeg", Exists2(p, g), raw))
+    out = simplify(raw)
+    if out != raw:
+        steps.append(TraceStep("Simplify", raw, out))
+    return success(out, steps)
 
 
 # ---------------------------------------------------------------------------
 # Clause rule (universal quantification over a disjunction of literals)
+
+
+def _literal(p: str, positive: bool) -> Formula:
+    return PropVar(p) if positive else Not(PropVar(p))
 
 
 def _as_literal(d: Formula) -> Optional[tuple[str, bool]]:
@@ -193,28 +146,18 @@ def normalize_conjuncts(f: Formula) -> list[Formula]:
 
 
 def _eliminate_exists(p: str, f: Formula, steps: list[TraceStep]) -> Formula:
-    """Eliminate ``Ex2 p`` from ``f`` by miniscoping: ``Ex2 p.(A & B)`` is
-    ``A & Ex2 p.B`` when ``p`` does not occur in ``A``.  Only ``B``, the
-    conjuncts that mention ``p``, is rewritten; its result takes the place of
-    the first of them, and the conjuncts of ``A`` are kept as they are."""
-    items = conjuncts(f)
-    mentions = [p in prop_symbols(c) for c in items]
-    if not any(mentions):
-        return f  # forgetting an absent symbol is the identity
-    body = conj([c for c, m in zip(items, mentions) if m])
-    out = ackermann_eliminate(p, body)
+    """Eliminate ``Ex2 p`` from ``f``, the conjuncts that mention ``p``: by
+    the Ackermann rewrite, else by two-point expansion."""
+    out = ackermann_eliminate(p, f)
     if out is not None:
         steps.extend(out.trace)
-        res = out.result
-    else:
-        raw = disj([substitute_prop(body, p, BOT), substitute_prop(body, p, TOP)])
-        steps.append(TraceStep("ShannonExists", Exists2(p, body), raw))
-        res = simplify(raw)
-        if res is not raw:
-            steps.append(TraceStep("Simplify", raw, res))
-    first = mentions.index(True)
-    rest = [c for c, m in zip(items, mentions) if not m]
-    return conj(rest[:first] + [res] + rest[first:])
+        return out.result
+    raw = disj([substitute_prop(f, p, BOT), substitute_prop(f, p, TOP)])
+    steps.append(TraceStep("ShannonExists", Exists2(p, f), raw))
+    res = simplify(raw)
+    if res is not raw:
+        steps.append(TraceStep("Simplify", raw, res))
+    return res
 
 
 def _eliminate_forall_conjunct(c: Formula, forget: Sequence[str], steps: list[TraceStep]) -> Formula:

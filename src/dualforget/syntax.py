@@ -507,25 +507,33 @@ def rel_symbols(f: Formula) -> dict[str, int]:
     return out
 
 
-def free_symbols(f: Formula) -> set[str]:
-    """The vocabulary of ``f`` from one walk: the propositional variables
-    and relation symbols occurring free (arities are not checked)."""
-    out: set[str] = set()
+def free_symbols(f: Formula, seen: Optional[dict[str, int]] = None) -> dict[str, int]:
+    """The vocabulary of ``f`` from one walk: each propositional variable
+    (arity 0) and relation symbol occurring free, with its arity.  A name
+    used with two arities, also as both kinds, or a relation applied to no
+    arguments raises :class:`ArityError`; ``seen`` collects the arities of several formulas checked against each
+    other."""
+    out: dict[str, int] = {}
+    known = out if seen is None else seen
 
     def walk(g: Formula, shadow: frozenset[str]) -> None:
         if isinstance(g, PropVar):
-            if g.name not in shadow:
-                out.add(g.name)
+            name, arity = g.name, 0
+        elif isinstance(g, Atom):
+            name, arity = g.rel, len(g.args)
+            if not arity:  # as in the parser: a 0-ary symbol is a PropVar
+                raise ArityError(f"relation {name} applied to no arguments")
+        else:
+            bound = _SO_BINDER.get(type(g))
+            if bound is not None:
+                shadow = shadow | {bound(g)}
+            for k in children(g):
+                walk(k, shadow)
             return
-        if isinstance(g, Atom):
-            if g.rel not in shadow:
-                out.add(g.rel)
-            return
-        bound = _SO_BINDER.get(type(g))
-        if bound is not None:
-            shadow = shadow | {bound(g)}
-        for k in children(g):
-            walk(k, shadow)
+        if name not in shadow:
+            if known.setdefault(name, arity) != arity:
+                raise ArityError(f"symbol {name} used with arities {known[name]} and {arity}")
+            out[name] = arity
 
     walk(f, frozenset())
     return out

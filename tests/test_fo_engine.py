@@ -6,7 +6,7 @@ import pytest
 from conftest import load_theory
 from gen import clause_fragment_theory
 from dualforget import fo
-from dualforget.errors import LogicError
+from dualforget.errors import ArityError, LogicError
 from dualforget.outcome import Status
 from dualforget.parser import parse_formula, parse_theory
 from dualforget.printer import format_formula
@@ -23,9 +23,11 @@ from dualforget.syntax import (
     Implies,
     Lfp,
     Not,
+    PropVar,
     Theory,
     Var,
     conj,
+    conjuncts,
     contains_fixpoint,
     disj,
     exists2,
@@ -430,3 +432,38 @@ def test_mixed_theory_forgetting(mode, forget):
     out = op(th, forget)
     assert out.ok, out.failure_reason
     assert counterexample(out.result, quant(forget, th.as_formula), max_domain=2) is None
+
+
+def test_forget_strong_keeps_conjuncts_without_forgotten_relations():
+    formulas = tuple(pf(t) for t in (
+        "all x. (a(x) -> b(x))",
+        "all x. (ms(x) -> t(x))",
+        "all x. (c(x) <-> ~d(x))",
+        "all x. (t(x) -> h(x))",
+        "ex x. b(x)",
+    ))
+    theory = Theory("t", formulas)
+    for forget in (["t"], ["t", "ms"], ["c"], ["a", "t"]):
+        out = fo.forget_strong(theory, forget)
+        assert out.ok, out.failure_reason
+        assert counterexample(out.result, exists2(forget, theory.as_formula), max_domain=2) is None
+        untouched = [f for f in formulas if rel_symbols(f).keys().isdisjoint(forget)]
+        # every one of them, as the same object, in the theory's order
+        assert [c for c in conjuncts(out.result) if any(c is f for f in untouched)] == untouched
+
+
+@pytest.mark.parametrize(
+    "formula, message",
+    [
+        (conj([PropVar("p"), ForallInd("x", Atom("p", (Var("x"),)))]), "p used with arities"),
+        (conj([Atom("p", ()), PropVar("q")]), "p applied to no arguments"),
+    ],
+    ids=["both_kinds", "zero_ary_atom"],
+)
+@pytest.mark.parametrize("op", ["forget_strong", "forget_weak", "snc", "wsc"])
+def test_ill_formed_symbol_use_raises_arity_error(op, formula, message):
+    # the parser rejects these as text; a theory built in code must not slip by
+    theory = Theory("t", (formula,))
+    args = (["p"],) if op.startswith("forget") else (TOP, [])
+    with pytest.raises(ArityError, match=message):
+        getattr(fo, op)(theory, *args)
