@@ -1,41 +1,40 @@
 """Second-order quantifier elimination: the one driver for propositional
-and first-order theories, and the one Ackermann extractor.
+and first-order theories, and each elimination rule, once for both kinds.
 
 ``forget_strong``, ``forget_weak``, ``snc`` and ``wsc`` serve both
 fragments; ``prop`` exports these same functions.  A propositional variable
 is a 0-ary symbol.  The driver learns each symbol's kind and arity from one
 walk; a name used with two arities, or as both kinds, raises ``ArityError``.
 
-Strong forgetting miniscopes for both kinds, ``Ex2 s.(A & B) = A & Ex2 s.B``
-when ``s`` does not occur in ``A``: only the conjuncts that mention ``s`` are
-rewritten, and the others are kept, and printed, as written.  A
-propositional variable is eliminated by the Ackermann rewrite, then by
-two-point expansion (``prop``).  Weak forgetting eliminates a conjunct's
-propositional variables together by ``prop``'s rules (clause rule,
-Ackermann on the negation, expansion), then its relations in order.
+Strong forgetting miniscopes, ``Ex2 s.(A & B) = A & Ex2 s.B`` when ``s``
+does not occur in ``A``: only the conjuncts that mention ``s`` are
+rewritten, and the others are kept, and printed, as written.  Weak
+forgetting distributes ``All2`` over the conjuncts and eliminates their
+symbols in one step per conjunct, propositional variables first.
 
-Per eliminated relation the strategy escalates, cheapest first:
+Per eliminated symbol the strategy escalates, cheapest first:
 
 1. clause rule (weak forgetting only): a universally quantified disjunction
    of literals collapses to equality disjunctions, at most quadratic output;
+   one pass takes every forgotten symbol of a clause of literals;
 2. the Ackermann rewrite: conjuncts are split into definitional parts
    ``all u. (r(u) -> A(u))`` / ``all u. (A(u) -> r(u))`` with ``A`` free of
    ``r`` and a residual of uniform opposite polarity, then the residual is
-   instantiated with ``A``;
-3. its fixpoint generalization when ``A`` mentions ``r`` positively, which
-   yields least/greatest fixpoint literals (never for a propositional
-   variable, whose complete fallback is expansion);
-4. a reported failure (reason plus partial-progress residual).
+   instantiated with ``A`` (weak forgetting rewrites the negation);
+3. for a propositional variable, two-point expansion, which is complete;
+   for a relation, the fixpoint generalization when ``A`` mentions ``r``
+   positively, which yields least/greatest fixpoint literals;
+4. for a relation, a reported failure (reason plus partial-progress
+   residual).
 
-The extractor serves both kinds.  Definitional parts are recognized in two
-shapes: a clause whose head literal applies ``r`` to distinct clause-bound
-variables (a propositional variable is a head without arguments), and a
-bare literal conjunct isolated with equality guards (``~r(x,y)`` becomes
-``all u. all w. (r(u,w) -> u != x | w != y)``).  A tautological definition is
-injected when the whole formula already has uniform polarity.
+Definitional parts are recognized in two shapes: a clause whose head literal
+applies ``r`` to distinct clause-bound variables (a propositional variable
+is a head without arguments), and a bare literal conjunct isolated with
+equality guards (``~r(x,y)`` becomes ``all u. all w. (r(u,w) -> u != x | w !=
+y)``).  A tautological definition is injected when the whole formula already
+has uniform polarity.
 
-``prop`` imports the driver and the extractor from this module, so this
-module imports ``prop`` only inside the two forgetting drivers.
+This module imports nothing from ``prop``, which wraps the rules here.
 """
 
 from __future__ import annotations
@@ -81,11 +80,7 @@ from .syntax import (
     rel_symbols,
     so_binder,
 )
-from .transform import NameGen, nnf, simplify, subst_terms, substitute_rel
-
-# Not called here: ``perfbench/tracing.py`` wraps ``substitute_prop`` in this
-# module's namespace by name, so the name must stay importable from it.
-from .transform import substitute_prop  # noqa: F401
+from .transform import NameGen, nnf, simplify, subst_terms, substitute_prop, substitute_rel
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +181,7 @@ def _head_literal(d: Formula, r: str, positive: bool) -> Optional[tuple[Term, ..
 
 
 def _def_from_clause(
-    c: Formula, r: str, positive_case: bool, params: tuple[str, ...], ng: NameGen
+    c: Formula, r: str, positive_case: bool, params: tuple[str, ...], ng: Optional[NameGen]
 ) -> Optional[Formula]:
     """Defining formula ``A`` over ``params`` extracted from one conjunct, or
     ``None`` when the conjunct has no definitional shape.
@@ -227,7 +222,7 @@ def _extract(
     items: Sequence[Formula],
     positive_case: bool,
     allow_r_in_def: bool,
-    ng: NameGen,
+    ng: Optional[NameGen],
     arity: int,
 ) -> Optional[_Extraction]:
     resid_ok = Polarity.POSITIVE if positive_case else Polarity.NEGATIVE
@@ -287,11 +282,11 @@ def _attempt(
     avoid: set[str],
     arity: int,
 ) -> Optional[_Extraction]:
-    nice = arity and _extract_single_def_params(r, items, positive_case, arity)
-    if nice:
-        ng: NameGen = _FixedNames(nice, set(avoid))
-    else:
-        ng = NameGen(set(avoid))
+    # a 0-ary definition has no parameters to name
+    ng: Optional[NameGen] = None
+    if arity:
+        nice = _extract_single_def_params(r, items, positive_case, arity)
+        ng = _FixedNames(nice, set(avoid)) if nice else NameGen(set(avoid))
     return _extract(r, items, positive_case, allow_r_in_def, ng, arity)
 
 
@@ -378,83 +373,167 @@ def fixpoint_eliminate(r: str, f: Formula) -> EliminationOutcome:
     """Eliminate ``Ex2 r`` from ``f`` allowing the definition to mention
     ``r`` positively; produces a least fixpoint for ``all u.(A(r) -> r(u))``
     with a negative residual, a greatest fixpoint for the dual."""
+    arity = rel_symbols(f).get(r)
+    if arity is None:
+        return success(f, [])
     steps: list[TraceStep] = []
-    out, reason = _eliminate_exists_rel(r, f, steps)
+    out, reason = _eliminate_exists_rel(r, f, steps, arity)
     if out is None:
         return failure(reason, steps, residual=f)
     return success(out, steps)
 
 
-def clause_form_eliminate(r: str, f: Formula) -> Optional[Formula]:
+def clause_form_eliminate(r: str, f: Formula, *more: str) -> Optional[Formula]:
     """Eliminate ``All2 r`` from a universally quantified disjunction whose
     ``r``-part consists of literals: ``all x.(r(t1)|..|~r(s1)|..|rest)``
     becomes the equality disjunction ``all x.(s1=t1 | .. | rest)`` (one
     equality per negative/positive pair, tuples componentwise), at most
-    quadratic in the input.  ``None`` when the conjunct has another shape."""
+    quadratic in the input; for a propositional variable its literals are
+    deleted.  A complementary pair of propositional literals makes the
+    clause ``T``.  ``None`` when the conjunct has another shape.
+
+    The symbols of ``more`` are eliminated in the same pass; then every
+    disjunct must be a literal, while for ``r`` alone a disjunct without
+    ``r`` may have any shape."""
+    syms = (r,) + more
     bvars, body = _strip_forall(f)
-    pos: list[tuple[Term, ...]] = []
-    neg: list[tuple[Term, ...]] = []
+    pos: dict[str, list[tuple[Term, ...]]] = {s: [] for s in syms}
+    neg: dict[str, list[tuple[Term, ...]]] = {s: [] for s in syms}
     rest: list[Formula] = []
+    signed: set[tuple[str, bool]] = set()  # the propositional literals
     for d in disjuncts(body):
-        args = _head_literal(d, r, positive=True)
-        if args is not None:
-            pos.append(args)
+        lit = d.body if isinstance(d, Not) else d
+        if isinstance(lit, Atom):
+            name, args = lit.rel, lit.args
+        elif isinstance(lit, PropVar):
+            name, args = lit.name, ()
+            signed.add((name, lit is d))
+        else:
+            if more or polarity(d, r) is not Polarity.ABSENT:
+                return None
+            rest.append(d)
             continue
-        args = _head_literal(d, r, positive=False)
-        if args is not None:
-            neg.append(args)
-            continue
-        if polarity(d, r) is not Polarity.ABSENT:
-            return None
-        rest.append(d)
-    if not pos and not neg:
+        if name in pos:
+            (pos if lit is d else neg)[name].append(args)
+        else:
+            rest.append(d)
+    if not any(pos.values()) and not any(neg.values()):
         return None
-    eqs = [_tuple_eq(n, p) for n in neg for p in pos]
+    if any((name, not sign) in signed for name, sign in signed):
+        return TOP
+    # the last symbol's equalities first, as eliminating one at a time gives
+    eqs = [_tuple_eq(n, p) for s in reversed(syms) for n in neg[s] for p in pos[s]]
     return forall(bvars, disj(eqs + rest))
 
 
 # ---------------------------------------------------------------------------
-# Drivers
+# Elimination steps for one symbol of either kind; arity 0 is a
+# propositional variable
 
 
 def _eliminate_exists_rel(
-    r: str, f: Formula, steps: list[TraceStep]
+    r: str, f: Formula, steps: list[TraceStep], arity: int
 ) -> tuple[Optional[Formula], Optional[str]]:
-    """Eliminate ``Ex2 r`` for a relation ``r`` from ``f``; returns
-    (result, None) or (None, reason)."""
-    arity = rel_symbols(f).get(r)
-    if arity is None:
-        return f, None
-    if not _occurs_outside_fixpoints(f, r):
+    """Eliminate ``Ex2 r`` from ``f`` by the Ackermann rewrite; returns
+    (result, None) or (None, reason).  A relation's conjuncts are normalized
+    and its definition may mention it positively (fixpoint form); a
+    propositional variable's are only put in NNF, and its definition never
+    mentions it, because expansion is its complete fallback."""
+    if arity and not _occurs_outside_fixpoints(f, r):
         return None, f"{r} occurs only inside fixpoint literals; elimination not attempted"
-    g = normalize(f)
-    if g != f:
-        steps.append(TraceStep("NNF", f, g))
-    items = conjuncts(g)
-    ext = _select_extraction(r, items, all_names(f), arity, allow_fixpoint=True)
+    g = normalize(f) if arity else nnf(f)
+    avoid = all_names(f) if arity else set()
+    ext = _select_extraction(r, conjuncts(g), avoid, arity, allow_fixpoint=arity > 0)
     if ext is None:
         return None, f"mixed-polarity occurrences of {r} not separable"
-    residual = conj(ext.residual)
-    rule = "AckermannPos" if ext.positive_case else "AckermannNeg"
+    if g != f:
+        steps.append(TraceStep("NNF", f, g))
+    pvars = tuple(Var(p) for p in ext.params)
+    head = Atom(r, pvars) if arity else PropVar(r)
     if ext.artificial:
-        taut = forall(
-            list(ext.params),
-            Implies(Atom(r, tuple(Var(p) for p in ext.params)), TOP)
-            if ext.positive_case
-            else Implies(BOT, Atom(r, tuple(Var(p) for p in ext.params))),
-        )
+        impl = Implies(head, TOP) if ext.positive_case else Implies(BOT, head)
+        taut = forall(list(ext.params), impl)
         steps.append(TraceStep("ArtificialConjunct", Exists2(r, g), Exists2(r, conj([taut, g]))))
+    e = ext.a
     if ext.needs_fixpoint:
-        fix_cls = Gfp if ext.positive_case else Lfp
-        e: Formula = fix_cls(r, ext.params, ext.a, tuple(Var(p) for p in ext.params))
+        e = (Gfp if ext.positive_case else Lfp)(r, ext.params, e, pvars)
+    residual = conj(ext.residual)
+    if arity:
+        raw = substitute_rel(residual, r, ext.params, e)
     else:
-        e = ext.a
-    raw = substitute_rel(residual, r, ext.params, e)
-    steps.append(TraceStep(rule, Exists2(r, g), raw))
+        raw = substitute_prop(residual, r, e)
+    steps.append(TraceStep("AckermannPos" if ext.positive_case else "AckermannNeg", Exists2(r, g), raw))
     out = simplify(raw)
     if out != raw:
         steps.append(TraceStep("Simplify", raw, out))
     return out, None
+
+
+def _expand(p: str, f: Formula, steps: list[TraceStep], universal: bool) -> Formula:
+    """Two-point expansion of ``All2 p`` (``universal``) or ``Ex2 p``:
+    ``f(p=F) & f(p=T)`` or ``f(p=F) | f(p=T)``, simplified."""
+    halves = [substitute_prop(f, p, BOT), substitute_prop(f, p, TOP)]
+    if universal:
+        raw = conj(halves)
+        steps.append(TraceStep("ShannonForall", Forall2(p, f), raw))
+    else:
+        raw = disj(halves)
+        steps.append(TraceStep("ShannonExists", Exists2(p, f), raw))
+    out = simplify(raw)
+    if out is not raw:
+        steps.append(TraceStep("Simplify", raw, out))
+    return out
+
+
+def _eliminate_forall_conjunct(
+    c: Formula, forget: Sequence[str], arities: dict[str, int], steps: list[TraceStep]
+) -> tuple[Formula, Optional[str]]:
+    """Eliminate ``All2`` of the symbols of ``forget`` that occur in the
+    conjunct ``c``: all of them in one pass of the clause rule, else one at
+    a time by the clause rule, the Ackermann rewrite on ``~c``, and
+    expansion of a propositional variable.  Returns (result, None), or the
+    conjunct as far as it got and the reason a relation failed."""
+    present = free_symbols(c)
+    pending = [s for s in forget if s in present]
+    if not pending:
+        return c, None
+    fast = clause_form_eliminate(pending[0], c, *pending[1:])
+    if fast is not None:
+        # nothing is left to eliminate: the driver's last simplification
+        # serves this conjunct too
+        steps.append(TraceStep("ClauseRule", forall2(pending, c), fast))
+        return fast, None
+    cur = c
+    for i, s in enumerate(pending):
+        if s not in present:
+            continue
+        # with one symbol pending, the first pass was this same rule
+        fast = clause_form_eliminate(s, cur) if len(pending) > 1 else None
+        if fast is not None:
+            steps.append(TraceStep("ClauseRule", Forall2(s, cur), fast))
+            out = simplify(fast)
+        else:
+            # All2 s C == ~ Ex2 s ~C; strip the leading existential prefix so
+            # the definitional shapes can be recognized under it
+            prefix, matrix = _strip_exists(nnf(Not(cur)))
+            inner: list[TraceStep] = []
+            res, reason = _eliminate_exists_rel(s, matrix, inner, arities[s])
+            if res is not None:
+                out = simplify(nnf(Not(exists(prefix, res))))
+                rule = next((t.rule for t in inner if t.rule.startswith("Ackermann")), "Simplify")
+                steps.append(TraceStep(rule, Forall2(s, cur), out))
+            elif arities[s]:
+                return cur, reason
+            else:
+                out = _expand(s, cur, steps, universal=True)
+        cur = out
+        if i + 1 < len(pending):
+            present = free_symbols(cur)
+    return cur, None
+
+
+# ---------------------------------------------------------------------------
+# Drivers
 
 
 @nesting_guard
@@ -466,12 +545,11 @@ def forget_strong(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
     Each step miniscopes, ``Ex2 s.(A & B) = A & Ex2 s.B`` when ``s`` does not
     occur in ``A``: only ``B``, the conjuncts that mention ``s``, is rewritten,
     and its result takes the place of the first of them; the conjuncts of
-    ``A`` stay the same objects.  A propositional variable is eliminated by
-    the Ackermann rewrite, then two-point expansion; a relation by Ackermann,
-    then fixpoint.  A failure on one symbol reports the partial progress over
-    the previous ones.  One simplification of the whole result follows."""
-    from . import prop
-
+    ``A`` stay the same objects.  A symbol is eliminated by the Ackermann
+    rewrite, then a propositional variable by two-point expansion and a
+    relation by the fixpoint form.  A failure on one symbol reports the
+    partial progress over the previous ones.  One simplification of the
+    whole result follows."""
     steps: list[TraceStep] = []
     # each conjunct with its free symbols; the one walk that learns each
     # symbol's arity, 0 for a propositional variable
@@ -482,12 +560,11 @@ def forget_strong(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
         if not hit:
             continue  # forgetting an absent symbol is the identity
         body = conj([parts[i][0] for i in hit])
-        if arities[s] == 0:
-            out: Optional[Formula] = prop._eliminate_exists(s, body, steps)
-        else:
-            out, reason = _eliminate_exists_rel(s, body, steps)
-            if out is None:
+        out, reason = _eliminate_exists_rel(s, body, steps, arities[s])
+        if out is None:
+            if arities[s]:
                 return failure(reason, steps, residual=conj([c for c, _ in parts]))
+            out = _expand(s, body, steps, universal=False)
         rest = [part for part in parts if s not in part[1]]
         new = [(c, free_symbols(c, arities)) for c in conjuncts(out)]
         parts = rest[: hit[0]] + new + rest[hit[0]:]
@@ -501,12 +578,11 @@ def forget_strong(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
 @nesting_guard
 def forget_weak(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
     """Weak forgetting: distribute ``All2`` over conjuncts and eliminate per
-    conjunct, the propositional variables first and together (clause rule,
-    then the Ackermann rewrite on the negated existential form, then
-    expansion), then each relation in order (clause rule, then the same
-    rewrite, then its fixpoint generalization)."""
-    from . import prop
-
+    conjunct, the propositional variables first, then the relations, each
+    in the given order: the clause rule over all of them at once, else per
+    symbol the clause rule, the Ackermann rewrite on the negated
+    existential form (a relation's with its fixpoint generalization), then
+    expansion of a propositional variable."""
     steps: list[TraceStep] = []
     whole = th.as_formula
     arities = free_symbols(whole)
@@ -515,7 +591,7 @@ def forget_weak(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
         return success(simplify(whole), steps)
     items: list[Formula] = []
     for formula in th.formulas:
-        items.extend(prop.normalize_conjuncts(simplify(formula)))
+        items.extend(conjuncts(normalize(simplify(formula))))
     if len(items) > 1:
         steps.append(
             TraceStep(
@@ -524,53 +600,18 @@ def forget_weak(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
                 conj([forall2(present, c) for c in items]),
             )
         )
-    prop_vars = [s for s in present if arities[s] == 0]
-    relations = [s for s in present if arities[s] != 0]
+    order = sorted(present, key=lambda s: arities[s] > 0)
     results: list[Formula] = []
     for idx, c in enumerate(items):
-        cur = prop._eliminate_forall_conjunct(c, prop_vars, steps) if prop_vars else c
-        for r in relations:
-            out, reason = _eliminate_forall_conjunct(r, cur, steps)
-            if out is None:
-                return failure(
-                    f"conjunct {idx + 1} ({cur!r}): {reason}",
-                    steps,
-                    residual=conj(items),
-                )
-            cur = out
+        cur, reason = _eliminate_forall_conjunct(c, order, arities, steps)
+        if reason is not None:
+            return failure(f"conjunct {idx + 1} ({cur!r}): {reason}", steps, residual=conj(items))
         results.append(cur)
     raw = conj(results)
     out = simplify(raw)
     if out != raw:
         steps.append(TraceStep("Simplify", raw, out))
     return success(out, steps)
-
-
-def _eliminate_forall_conjunct(
-    r: str, c: Formula, steps: list[TraceStep]
-) -> tuple[Optional[Formula], Optional[str]]:
-    """Eliminate ``All2 r`` for a relation ``r`` from one conjunct; returns
-    (result, None) or (None, reason)."""
-    if r not in rel_symbols(c):
-        return c, None
-    if not _occurs_outside_fixpoints(c, r):
-        return None, f"{r} occurs only inside fixpoint literals; elimination not attempted"
-    fast = clause_form_eliminate(r, c)
-    if fast is not None:
-        steps.append(TraceStep("ClauseRule", Forall2(r, c), fast))
-        return simplify(fast), None
-    # All2 r C == ~ Ex2 r ~C; strip the leading existential prefix so the
-    # definitional shapes can be recognized under it
-    negated = normalize(Not(c))
-    prefix, matrix = _strip_exists(negated)
-    inner_steps: list[TraceStep] = []
-    out, reason = _eliminate_exists_rel(r, matrix, inner_steps)
-    if out is None:
-        return None, reason
-    rule = next((s.rule for s in inner_steps if s.rule.startswith("Ackermann")), "Simplify")
-    result = simplify(nnf(Not(exists(prefix, out))))
-    steps.append(TraceStep(rule, Forall2(r, c), result))
-    return result, None
 
 
 @nesting_guard

@@ -85,7 +85,13 @@ class EliminationOutcome:
 
 
 def success(result: Formula, trace) -> EliminationOutcome:
+    """The outcome of an elimination that produced ``result``.  A
+    second-order quantifier that no rule eliminates, one the input already
+    held, makes it a failure with ``result`` as the residual."""
     scan = contains_so_quantifier_and_fixpoint(result)
+    if scan[0]:
+        reason = "second-order quantifier left in result (Ex2/All2 of the input are not eliminated)"
+        return failure(reason, trace, residual=result)
     status = Status.FIXPOINT if scan[1] else Status.FIRST_ORDER
     return EliminationOutcome(status, result, tuple(trace), scan=scan)
 

@@ -4,7 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from dualforget import fo
 from dualforget.cli import main
+from dualforget.outcome import Status
+from dualforget.parser import parse_formula, parse_theory
+from dualforget.syntax import contains_so_quantifier_and_fixpoint
 
 ROOT = Path(__file__).parent.parent
 
@@ -183,3 +187,33 @@ def test_golden_outputs():
     import golden
 
     assert golden.render() == golden.GOLDEN.read_text(encoding="utf-8")
+
+
+def test_second_order_quantifier_in_input_fails_with_residual(capsys, tmp_path):
+    # the parser accepts Ex2/All2, but no rule eliminates one the input
+    # holds: each operator reports FAILED with the result as residual, and
+    # the CLI exits 2, not 3 (internal invariant breach)
+    path = tmp_path / "so.th"
+    path.write_text("Ex2 q. (q | r)\np | s\n", encoding="utf-8")
+    _, th = parse_theory(path.read_text(encoding="utf-8"), name="so")
+    query = parse_formula("s")
+    outcomes = [
+        fo.forget_strong(th, ["p"]),
+        fo.forget_weak(th, ["p"]),
+        fo.snc(th, query, ["s", "r"]),
+        fo.wsc(th, query, ["s", "r"]),
+    ]
+    for out in outcomes:
+        assert out.status is Status.FAILED
+        assert out.failure_reason.startswith("second-order quantifier left in result")
+        assert contains_so_quantifier_and_fixpoint(out.residual)[0]
+    for argv in (
+        ["forget", "--mode", "strong", "--vars", "p", str(path)],
+        ["forget", "--mode", "weak", "--vars", "p", str(path)],
+        ["snc", "--theory", str(path), "--query", "s", "--keep", "s,r"],
+        ["wsc", "--theory", str(path), "--query", "s", "--keep", "s,r"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, err
+        assert "second-order quantifier left in result" in err
+        assert contains_so_quantifier_and_fixpoint(parse_formula(out.strip()))[0]

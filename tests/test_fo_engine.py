@@ -467,3 +467,24 @@ def test_ill_formed_symbol_use_raises_arity_error(op, formula, message):
     args = (["p"],) if op.startswith("forget") else (TOP, [])
     with pytest.raises(ArityError, match=message):
         getattr(fo, op)(theory, *args)
+
+
+def test_forget_weak_clause_rule_takes_every_symbol_of_a_literal_clause():
+    # one pass over the literal clause for both kinds at once, not the
+    # Ackermann rewrite for p and then the clause rule for r
+    theory = Theory("t", (pf("all x. (p | r(x) | ~q(x))"),))
+    out = fo.forget_weak(theory, ["p", "r"])
+    assert out.ok, out.failure_reason
+    assert [(s.rule, s.before) for s in out.trace] == [
+        ("ClauseRule", forall2(["p", "r"], theory.as_formula))
+    ]
+    assert counterexample(out.result, forall2(["p", "r"], theory.as_formula), max_domain=2) is None
+
+
+def test_forget_weak_clause_rule_for_a_variable_beside_a_quantified_disjunct():
+    # the disjunct without p may have any shape when p is the only symbol
+    theory = Theory("t", (pf("all x. (~p | ex y. r(x, y))"),))
+    out = fo.forget_weak(theory, ["p"])
+    assert out.ok, out.failure_reason
+    assert [s.rule for s in out.trace] == ["ClauseRule"]
+    assert counterexample(out.result, Forall2("p", theory.as_formula), max_domain=2) is None

@@ -1,6 +1,7 @@
 """Cross-cutting invariants: oracle self-consistency and deeper soundness
 spot checks at domain size 3."""
 
+import ast
 import importlib
 import random
 from pathlib import Path
@@ -109,3 +110,17 @@ def test_benchmark_tracer_targets_are_module_level_names(monkeypatch):
     for _layer, name, namespaces in tracing._PATCHES:
         for ns in namespaces:
             assert callable(vars(ns).get(name)), f"{ns.__name__}.{name}"
+
+
+def test_fo_imports_nothing_from_prop():
+    # the elimination rules live in fo and prop wraps them, never the reverse
+    tree = ast.parse(Path(fo.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [base] + [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        assert all(n.split(".")[-1] != "prop" for n in names), ast.dump(node)
