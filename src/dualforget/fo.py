@@ -77,7 +77,6 @@ from .syntax import (
     forall2,
     free_symbols,
     polarity,
-    rel_symbols,
     so_binder,
 )
 from .transform import NameGen, nnf, simplify, subst_terms, substitute_prop, substitute_rel
@@ -180,63 +179,83 @@ def _head_literal(d: Formula, r: str, positive: bool) -> Optional[tuple[Term, ..
     return None
 
 
-def _def_from_clause(
-    c: Formula, r: str, positive_case: bool, params: tuple[str, ...], ng: Optional[NameGen]
-) -> Optional[Formula]:
-    """Defining formula ``A`` over ``params`` extracted from one conjunct, or
+#: bound variables, head arguments, other disjuncts, argument names or None
+_Head = tuple[list[str], tuple[Term, ...], tuple[Formula, ...], Optional[tuple[str, ...]]]
+
+
+def _find_head(c: Formula, r: str, positive_case: bool) -> Optional[_Head]:
+    """The definitional head of one conjunct: its bound variables, the head
+    literal's arguments, the other disjuncts, and the names of the arguments
+    when they are distinct bound variables (``None`` for a bare literal);
     ``None`` when the conjunct has no definitional shape.
 
-    ``positive_case`` extracts from clauses with a negative head ``~r(t)``
-    (definition ``r -> A``); the negative case from a positive head."""
+    ``positive_case`` looks for a negative head ``~r(t)`` (definition
+    ``r -> A``); the negative case for a positive head."""
     bvars, body = _strip_forall(c)
-    ds = list(disjuncts(body))
+    ds = disjuncts(body)
     for i, d in enumerate(ds):
         args = _head_literal(d, r, positive=not positive_case)
         if args is None:
             continue
-        rest = disj(ds[:i] + ds[i + 1:])
-        distinct_bound_vars = (
-            all(isinstance(t, Var) and t.name in bvars for t in args)
-            and len({t.name for t in args if isinstance(t, Var)}) == len(args)
-        )
-        if distinct_bound_vars:
-            outer = [v for v in bvars if v not in {t.name for t in args}]
-            if positive_case:
-                a = forall(outer, rest)
-            else:
-                a = exists(outer, nnf(Not(rest)))
-            renaming = {t.name: Var(p) for t, p in zip(args, params)}
-            return subst_terms(a, renaming, ng)
-        if len(ds) == 1:
-            # bare literal: isolate with equality guards
-            pvars = tuple(Var(p) for p in params)
-            if positive_case:
-                return forall(bvars, _tuple_neq(pvars, args))
-            return exists(bvars, _tuple_eq(pvars, args))
-        return None
+        names = tuple(t.name for t in args if isinstance(t, Var) and t.name in bvars)
+        if len(set(names)) == len(args):
+            return bvars, args, ds[:i] + ds[i + 1:], names
+        return (bvars, args, (), None) if len(ds) == 1 else None
     return None
 
 
-def _extract(
+def _def_from_head(
+    head: _Head, positive_case: bool, params: tuple[str, ...], ng: Optional[NameGen]
+) -> Formula:
+    """The defining formula ``A`` over ``params`` of a head found by
+    :func:`_find_head`."""
+    bvars, args, rest, names = head
+    if names is None:
+        # bare literal: isolate with equality guards
+        pvars = tuple(Var(p) for p in params)
+        if positive_case:
+            return forall(bvars, _tuple_neq(pvars, args))
+        return exists(bvars, _tuple_eq(pvars, args))
+    outer = [v for v in bvars if v not in names]
+    if positive_case:
+        a = forall(outer, disj(rest))
+    else:
+        a = exists(outer, nnf(Not(disj(rest))))
+    return subst_terms(a, {n: Var(p) for n, p in zip(names, params)}, ng)
+
+
+def _attempt(
     r: str,
-    items: Sequence[Formula],
+    pairs: Sequence[tuple[Formula, Polarity]],
     positive_case: bool,
     allow_r_in_def: bool,
-    ng: Optional[NameGen],
+    avoid: set[str],
     arity: int,
 ) -> Optional[_Extraction]:
-    resid_ok = Polarity.POSITIVE if positive_case else Polarity.NEGATIVE
+    """One Ackermann shape over the conjuncts, each paired with its polarity
+    in ``r``: a conjunct without ``r`` or of the residual's polarity joins
+    the residual, and every other one must be definitional.  When exactly
+    one is and its head applies ``r`` to distinct bound variables, those
+    name the parameters (matches the hand-derived shapes; purely
+    cosmetic)."""
+    keep = (Polarity.ABSENT, Polarity.POSITIVE if positive_case else Polarity.NEGATIVE)
+    residual = [c for c, pol in pairs if pol in keep]
+    heads = [_find_head(c, r, positive_case) for c, pol in pairs if pol not in keep]
+    if any(h is None for h in heads):
+        return None
+    # a 0-ary definition has no parameters to name
+    ng: Optional[NameGen] = None
+    params: tuple[str, ...] = ()
+    if arity:
+        nice = (heads[0][3] if len(heads) == 1 else None) or ()
+        ng = NameGen(avoid - set(nice))
+        ng.reserve(nice)
+        params = nice or tuple(ng.fresh("u") for _ in range(arity))
     a_ok = (Polarity.POSITIVE, Polarity.ABSENT) if allow_r_in_def else (Polarity.ABSENT,)
-    params = tuple(ng.fresh("u") for _ in range(arity))
     defs: list[Formula] = []
-    residual: list[Formula] = []
-    for c in items:
-        pol = polarity(c, r)
-        if pol in (Polarity.ABSENT, resid_ok):
-            residual.append(c)
-            continue
-        a = _def_from_clause(c, r, positive_case, params, ng)
-        if a is None or polarity(a, r) not in a_ok:
+    for head in heads:
+        a = _def_from_head(head, positive_case, params, ng)
+        if polarity(a, r) not in a_ok:
             return None
         defs.append(a)
     if defs:
@@ -253,67 +272,16 @@ def _extract(
     )
 
 
-def _extract_single_def_params(
-    r: str, items: Sequence[Formula], positive_case: bool, arity: int
-) -> Optional[tuple[str, ...]]:
-    """When exactly one conjunct is definitional and its head applies ``r``
-    to distinct bound variables, reuse those variable names as the canonical
-    parameters (matches the hand-derived shapes; purely cosmetic)."""
-    resid_ok = Polarity.POSITIVE if positive_case else Polarity.NEGATIVE
-    cands = [c for c in items if polarity(c, r) not in (Polarity.ABSENT, resid_ok)]
-    if len(cands) != 1:
-        return None
-    bvars, body = _strip_forall(cands[0])
-    for d in disjuncts(body):
-        args = _head_literal(d, r, positive=not positive_case)
-        if args is None:
-            continue
-        names = [t.name for t in args if isinstance(t, Var)]
-        if len(names) == len(args) == len(set(names)) and all(n in bvars for n in names):
-            return tuple(names)
-    return None
-
-
-def _attempt(
-    r: str,
-    items: Sequence[Formula],
-    positive_case: bool,
-    allow_r_in_def: bool,
-    avoid: set[str],
-    arity: int,
-) -> Optional[_Extraction]:
-    # a 0-ary definition has no parameters to name
-    ng: Optional[NameGen] = None
-    if arity:
-        nice = _extract_single_def_params(r, items, positive_case, arity)
-        ng = _FixedNames(nice, set(avoid)) if nice else NameGen(set(avoid))
-    return _extract(r, items, positive_case, allow_r_in_def, ng, arity)
-
-
-class _FixedNames(NameGen):
-    """Name generator that hands out a fixed parameter tuple first."""
-
-    def __init__(self, fixed: Sequence[str], avoid: set[str]):
-        super().__init__(avoid - set(fixed))
-        self._fixed = list(fixed)
-
-    def fresh(self, base: str) -> str:
-        if self._fixed:
-            name = self._fixed.pop(0)
-            self.reserve([name])
-            return name
-        return super().fresh(base)
-
-
 def _select_extraction(
     r: str, items: Sequence[Formula], avoid: set[str], arity: int, allow_fixpoint: bool
 ) -> Optional[_Extraction]:
     """Try the negative then the positive Ackermann shape with r-free
     definitions, then a tautological definition, then (optionally) the
-    fixpoint shapes."""
+    fixpoint shapes.  Each conjunct's polarity in ``r`` is computed once."""
+    pairs = [(c, polarity(c, r)) for c in items]
     fallback: list[_Extraction] = []
     for positive_case in (False, True):
-        ext = _attempt(r, items, positive_case, False, avoid, arity)
+        ext = _attempt(r, pairs, positive_case, False, avoid, arity)
         if ext is not None and not ext.artificial:
             return ext
         if ext is not None:
@@ -322,7 +290,7 @@ def _select_extraction(
         return fallback[0]
     if allow_fixpoint:
         for positive_case in (False, True):
-            ext = _attempt(r, items, positive_case, True, avoid, arity)
+            ext = _attempt(r, pairs, positive_case, True, avoid, arity)
             if ext is not None:
                 return ext
     return None
@@ -337,9 +305,10 @@ def to_ackermann_form(r: str, f: Formula) -> Optional[tuple[Formula, Formula, st
     Ackermann shape for ``r``; ``(definitional, residual, case)`` with case
     ``"Pos"`` for ``all u.(r(u) -> A)`` with a positive residual, ``"Neg"``
     for ``all u.(A -> r(u))`` with a negative one.  ``None`` when mixed
-    occurrences cannot be separated with an r-free definition."""
-    arity = rel_symbols(f).get(r)
-    if arity is None:
+    occurrences cannot be separated with an r-free definition, or when
+    ``r`` is no relation of ``f``."""
+    arity = free_symbols(f).get(r)
+    if not arity:
         return None
     items = conjuncts(normalize(f))
     ext = _select_extraction(r, items, all_names(f), arity, allow_fixpoint=False)
@@ -370,10 +339,12 @@ def apply_ackermann(r: str, definitional: Formula, residual: Formula, case: str)
 
 
 def fixpoint_eliminate(r: str, f: Formula) -> EliminationOutcome:
-    """Eliminate ``Ex2 r`` from ``f`` allowing the definition to mention
-    ``r`` positively; produces a least fixpoint for ``all u.(A(r) -> r(u))``
-    with a negative residual, a greatest fixpoint for the dual."""
-    arity = rel_symbols(f).get(r)
+    """Eliminate ``Ex2 r`` from ``f`` by the Ackermann rewrite.  Only a
+    relation gets the fixpoint form, where the definition may mention ``r``
+    positively: a least fixpoint for ``all u.(A(r) -> r(u))`` with a
+    negative residual, a greatest fixpoint for the dual.  A propositional
+    variable gets the 0-ary rewrite alone."""
+    arity = free_symbols(f).get(r)
     if arity is None:
         return success(f, [])
     steps: list[TraceStep] = []

@@ -47,6 +47,7 @@ from ..syntax import (
     Top,
     Var,
     free_ind_vars,
+    free_symbols,
     signature_of,
 )
 from . import kernel
@@ -141,8 +142,9 @@ def _eval(
     overlay: dict[str, object],
     allow_so: bool,
 ) -> bool:
-    # overlay: symbol -> frozenset of tuples (relation) or bool (prop var),
-    # for fixpoint iteration and second-order enumeration
+    # overlay: symbol -> frozenset of tuples, for fixpoint iteration and
+    # second-order enumeration; a propositional variable's is true when it
+    # holds the empty tuple
     if isinstance(f, Top):
         return True
     if isinstance(f, Bottom):
@@ -225,7 +227,8 @@ def _fixpoint_extension(
 
 
 def _so_guard(interp_size: int, arity: int, sym: str) -> None:
-    if interp_size > MAX_DOMAIN or arity > MAX_SO_ARITY:
+    # a propositional variable has two extensions over any domain
+    if arity > MAX_SO_ARITY or (arity and interp_size > MAX_DOMAIN):
         raise GuardError(
             f"second-order enumeration of {sym!r} (arity {arity}) over domain "
             f"size {interp_size} exceeds guards (domain <= {MAX_DOMAIN}, arity <= {MAX_SO_ARITY})"
@@ -238,18 +241,13 @@ def _eval_so_quant(
     env: dict[str, int],
     overlay: dict[str, object],
 ) -> bool:
-    from ..syntax import prop_symbols, rel_symbols
-
+    """Enumerate the extensions of the bound symbol; a propositional
+    variable is 0-ary, and its extensions ``{}`` and ``{()}`` read as False
+    and True."""
     want_all = isinstance(f, Forall2)
-    arity = rel_symbols(f.body).get(f.sym)
+    arity = free_symbols(f.body).get(f.sym)
     if arity is None:
-        if f.sym not in prop_symbols(f.body):
-            return _eval(f.body, interp, env, overlay, True)  # vacuous
-        for value in (False, True):
-            v = _eval(f.body, interp, env, {**overlay, f.sym: value}, True)
-            if v != want_all:
-                return not want_all
-        return want_all
+        return _eval(f.body, interp, env, overlay, True)  # vacuous
     _so_guard(interp.domain_size, arity, f.sym)
     space = _tuple_space(interp.domain_size, arity)
     for bits in range(1 << len(space)):
@@ -356,23 +354,17 @@ class _Grounder:
         return cur[elems]
 
     def so_quant(self, f: Forall2 | Exists2, env: Mapping[str, int], frames: Mapping[str, dict]) -> int:
-        from ..syntax import prop_symbols, rel_symbols
-
         b = self.builder
-        arity = rel_symbols(f.body).get(f.sym)
-        if arity is None and f.sym not in prop_symbols(f.body):
-            return self.ground(f.body, env, frames)  # vacuous
-        slots = []
+        arity = free_symbols(f.body).get(f.sym)
         if arity is None:
-            for value in (False, True):
-                frame = {(): b.const(value)}
-                slots.append(self.ground(f.body, env, {**frames, f.sym: frame}))
-        else:
-            _so_guard(self.d, arity, f.sym)
-            space = _tuple_space(self.d, arity)
-            for bits in range(1 << len(space)):
-                frame = {t: b.const(bool((bits >> j) & 1)) for j, t in enumerate(space)}
-                slots.append(self.ground(f.body, env, {**frames, f.sym: frame}))
+            return self.ground(f.body, env, frames)  # vacuous
+        _so_guard(self.d, arity, f.sym)
+        # a propositional variable is 0-ary: its frame has the one tuple ()
+        space = _tuple_space(self.d, arity)
+        slots = []
+        for bits in range(1 << len(space)):
+            frame = {t: b.const(bool((bits >> j) & 1)) for j, t in enumerate(space)}
+            slots.append(self.ground(f.body, env, {**frames, f.sym: frame}))
         return b.and_many(slots) if isinstance(f, Forall2) else b.or_many(slots)
 
 

@@ -464,55 +464,13 @@ def is_closed(f: Formula) -> bool:
     return not free_ind_vars(f)
 
 
-def prop_symbols(f: Formula) -> set[str]:
-    """Propositional variables occurring free (not bound by a second-order
-    quantifier)."""
-    out: set[str] = set()
-
-    def walk(g: Formula, shadow: frozenset[str]) -> None:
-        if isinstance(g, PropVar):
-            if g.name not in shadow:
-                out.add(g.name)
-            return
-        bound = _SO_BINDER.get(type(g))
-        if bound is not None:
-            shadow = shadow | {bound(g)}
-        for k in children(g):
-            walk(k, shadow)
-
-    walk(f, frozenset())
-    return out
-
-
-def rel_symbols(f: Formula) -> dict[str, int]:
-    """Relation symbols occurring free, with arities.  Conflicting arities
-    raise :class:`ArityError`.  A fixpoint binds its relation, so its
-    applied literal is no free occurrence of it."""
-    out: dict[str, int] = {}
-
-    def walk(g: Formula, shadow: frozenset[str]) -> None:
-        if isinstance(g, Atom):
-            if g.rel not in shadow and out.setdefault(g.rel, len(g.args)) != len(g.args):
-                raise ArityError(
-                    f"relation {g.rel} used with arities {out[g.rel]} and {len(g.args)}"
-                )
-            return
-        bound = _SO_BINDER.get(type(g))
-        if bound is not None:
-            shadow = shadow | {bound(g)}
-        for k in children(g):
-            walk(k, shadow)
-
-    walk(f, frozenset())
-    return out
-
-
 def free_symbols(f: Formula, seen: Optional[dict[str, int]] = None) -> dict[str, int]:
     """The vocabulary of ``f`` from one walk: each propositional variable
     (arity 0) and relation symbol occurring free, with its arity.  A name
     used with two arities, also as both kinds, or a relation applied to no
-    arguments raises :class:`ArityError`; ``seen`` collects the arities of several formulas checked against each
-    other."""
+    arguments raises :class:`ArityError`; ``seen`` collects the arities of
+    several formulas checked against each other.  A second-order quantifier
+    or a fixpoint binds its symbol, so an occurrence under it is not free."""
     out: dict[str, int] = {}
     known = out if seen is None else seen
 
@@ -537,6 +495,16 @@ def free_symbols(f: Formula, seen: Optional[dict[str, int]] = None) -> dict[str,
 
     walk(f, frozenset())
     return out
+
+
+def prop_symbols(f: Formula) -> set[str]:
+    """Propositional variables occurring free; see :func:`free_symbols`."""
+    return {name for name, arity in free_symbols(f).items() if not arity}
+
+
+def rel_symbols(f: Formula) -> dict[str, int]:
+    """Relation symbols occurring free, with arities; see :func:`free_symbols`."""
+    return {name: arity for name, arity in free_symbols(f).items() if arity}
 
 
 def const_symbols(f: Formula) -> set[str]:
@@ -582,15 +550,20 @@ def all_names(f: Formula) -> set[str]:
 
 
 def signature_of(*formulas: Formula, base: Optional[Signature] = None) -> Signature:
-    """Signature inferred from symbol usage, optionally merged over a base."""
-    sig = base or Signature()
+    """Signature inferred from symbol usage, optionally merged over a base.
+    A name used with two arities, also as both kinds, raises
+    :class:`ArityError`."""
+    base = base or Signature()
+    known = {**dict.fromkeys(base.prop_vars, 0), **base.relations}
+    consts = set(base.constants)
     for f in formulas:
-        sig = sig.merge(
-            Signature(
-                frozenset(prop_symbols(f)), rel_symbols(f), frozenset(const_symbols(f))
-            )
-        )
-    return sig
+        free_symbols(f, known)
+        consts |= const_symbols(f)
+    return Signature(
+        frozenset(name for name, arity in known.items() if not arity),
+        {name: arity for name, arity in known.items() if arity},
+        frozenset(consts),
+    )
 
 
 def contains_fixpoint(f: Formula) -> bool:

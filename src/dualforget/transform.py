@@ -34,9 +34,8 @@ from .syntax import (
     conj,
     disj,
     free_ind_vars,
-    prop_symbols,
+    free_symbols,
     rebuild,
-    rel_symbols,
     so_binder,
 )
 
@@ -189,7 +188,7 @@ def substitute_prop(f: Formula, p: str, e: Formula) -> Formula:
     are kept as the same objects."""
     if p in _binders_of(f):
         raise CaptureError(f"{p} is rebound inside the substitution target")
-    clash_syms = prop_symbols(e) | set(rel_symbols(e))
+    clash_syms = set(free_symbols(e))
     clash_vars = free_ind_vars(e)
     if clash_syms or clash_vars:
         ng = NameGen(all_names(f) | all_names(e))
@@ -222,7 +221,7 @@ def substitute_rel(f: Formula, r: str, params: Sequence[str], e: Formula) -> For
         raise CaptureError(f"parameter variables must be distinct: {params}")
     ng = NameGen(all_names(f) | all_names(e) | set(params))
     clash_vars = free_ind_vars(e) - set(params)
-    clash_syms = (prop_symbols(e) | set(rel_symbols(e))) - {r}
+    clash_syms = free_symbols(e).keys() - {r}
     if clash_vars or clash_syms:
         f = _freshen_binders(f, clash_vars, clash_syms, ng)
 
@@ -400,7 +399,7 @@ def _simp(f: Formula) -> Formula:
         return f if b is f.body else type(f)(f.var, b)
     if isinstance(f, (Forall2, Exists2)):
         b = _simp(f.body)
-        if f.sym not in prop_symbols(b) and f.sym not in rel_symbols(b):
+        if f.sym not in free_symbols(b):
             return b
         return f if b is f.body else type(f)(f.sym, b)
     if isinstance(f, (Lfp, Gfp)):

@@ -77,6 +77,13 @@ def test_check_equiv(capsys, theories_dir):
     assert "counterexample" in out
 
 
+def test_check_equiv_rejects_a_name_used_as_both_kinds(capsys):
+    code, out, err = run(capsys, "check-equiv", "p", "p(a)")
+    assert code == 3
+    assert out == ""
+    assert err == "error: symbol p used with arities 0 and 1\n"
+
+
 def test_check_equiv_fo(capsys):
     code, _, _ = run(capsys, "check-equiv", "all x. (a(x) -> a(x))", "T", "--domain-size", "2")
     assert code == 0

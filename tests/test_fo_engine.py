@@ -10,7 +10,7 @@ from dualforget.errors import ArityError, LogicError
 from dualforget.outcome import Status
 from dualforget.parser import parse_formula, parse_theory
 from dualforget.printer import format_formula
-from dualforget.semantics import counterexample, equiv_fo_finite, eval_fo, eval_so
+from dualforget.semantics import counterexample, equiv_fo_finite, equiv_prop, eval_fo, eval_so
 from dualforget.syntax import (
     BOT,
     TOP,
@@ -103,6 +103,22 @@ def test_apply_ackermann_trivial_residual():
 
 # ---------------------------------------------------------------------------
 # fixpoint elimination
+
+
+def test_fixpoint_eliminate_propositional_variable():
+    # the 0-ary Ackermann rewrite, without a fixpoint form
+    out = fo.fixpoint_eliminate("p", pf("p & (p -> q)"))
+    assert out.status is Status.FIRST_ORDER
+    assert out.result == PropVar("q")
+    f = pf("(p <-> q) & (p <-> r)")
+    out = fo.fixpoint_eliminate("p", f)
+    assert out.status is Status.FIRST_ORDER
+    assert equiv_prop(out.result, Exists2("p", f))
+    f = pf("(p & q | ~p & r) & (p | s)")
+    out = fo.fixpoint_eliminate("p", f)
+    assert out.status is Status.FAILED
+    assert out.failure_reason == "mixed-polarity occurrences of p not separable"
+    assert out.residual == f
 
 
 def test_fixpoint_eliminate_network():

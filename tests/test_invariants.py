@@ -10,7 +10,7 @@ import pytest
 
 from conftest import load_theory
 from gen import prop_formula
-from dualforget import fo
+from dualforget import fo, semantics
 from dualforget.errors import LogicError
 from dualforget.outcome import Status
 from dualforget.parser import parse_formula
@@ -124,3 +124,18 @@ def test_fo_imports_nothing_from_prop():
         else:
             continue
         assert all(n.split(".")[-1] != "prop" for n in names), ast.dump(node)
+
+
+def test_semantics_imports_nothing_from_engines():
+    # the oracle checks the engines, so it must not share their code
+    for path in sorted(Path(semantics.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            else:
+                continue
+            parts = {part for n in names for part in n.split(".")}
+            assert not parts & {"prop", "fo", "transform"}, f"{path.name}: {ast.dump(node)}"

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gen import PROP_VARS, fo_formula, prop_formula
-from dualforget.errors import EvalError, GuardError
+from dualforget.errors import ArityError, EvalError, GuardError
 from dualforget.parser import parse_formula
 from dualforget.semantics import (
     FiniteInterpretation,
@@ -196,6 +196,11 @@ def test_counterexample_examples():
     assert equiv_fo_finite(pf("p & q"), pf("p & q"), max_domain=3)
 
 
+def test_counterexample_rejects_a_name_used_as_both_kinds():
+    with pytest.raises(ArityError, match="symbol p used with arities 0 and 1"):
+        counterexample(PropVar("p"), parse_formula("p(a)"))
+
+
 def test_counterexample_is_deterministic_and_real():
     f = pf("all x. (a(x) -> b(x, x))")
     g = pf("ex x. a(x)")
@@ -206,7 +211,8 @@ def test_counterexample_is_deterministic_and_real():
 
 
 def _all_models(d: int):
-    """Every interpretation of a/1, b/2 over the domain {0..d-1}."""
+    """Every interpretation of a/1, b/2 and the propositional variable p
+    over the domain {0..d-1}."""
     from itertools import product
 
     tuples1 = list(product(range(d), repeat=1))
@@ -215,7 +221,8 @@ def _all_models(d: int):
         a_ext = frozenset(t for j, t in enumerate(tuples1) if (a_bits >> j) & 1)
         for b_bits in range(1 << len(tuples2)):
             b_ext = frozenset(t for j, t in enumerate(tuples2) if (b_bits >> j) & 1)
-            yield FiniteInterpretation(d, {}, {"a": a_ext, "b": b_ext})
+            for p in (False, True):
+                yield FiniteInterpretation(d, {}, {"a": a_ext, "b": b_ext}, {"p": p})
 
 
 def test_ground_path_agrees_with_recursive_eval():
@@ -233,15 +240,25 @@ def test_ground_path_agrees_with_recursive_eval():
 
 
 def test_so_quantifier_ground_vs_recursive():
+    # both oracle paths over each kind of bound symbol: the circuit must be
+    # valid, and satisfiable, exactly where the recursive evaluator says so
     rng = random.Random(41)
+    models = [m for d in (1, 2) for m in _all_models(d)]
+    p = PropVar("p")
     for _ in range(10):
         f = fo_formula(rng, depth=2)
-        q = Exists2("b", f)
-        valid_recursive = all(
-            eval_so(q, m) for d in (1, 2) for m in _all_models(d)
-        )
-        valid_ground = counterexample(q, pf("T"), max_domain=2) is None
-        assert valid_recursive == valid_ground
+        g = fo_formula(rng, depth=2)
+        for q in (
+            Exists2("b", f),
+            Exists2("s", f),  # vacuous
+            conj([disj([p, f]), Exists2("p", disj([conj([p, f]), conj([Not(p), g])]))]),
+            Forall2("b", f),
+            # the inner b rebinds: satisfiable iff f depends on b
+            Exists2("b", conj([f, Exists2("b", Not(f))])),
+        ):
+            values = {eval_so(q, m) for m in models}
+            assert (values == {True}) == (counterexample(q, pf("T"), max_domain=2) is None)
+            assert (values == {False}) == (counterexample(q, pf("F"), max_domain=2) is None)
 
 
 def test_domain_guard():
