@@ -7,10 +7,11 @@ Subcommands::
     dualforget wsc --theory FILE --query FORMULA --keep a,b [options]
     dualforget check-equiv A B [--domain-size N]
 
-Exit codes: 0 success / equivalent; 1 parse error; 2 elimination failed
-(reason on stderr, residual printed); 3 internal invariant breach or
-verification failure; 4 counterexample found.  Formulas go to stdout,
-diagnostics to stderr.  ``DF_TRACE=1`` is equivalent to ``--trace``.
+Exit codes: 0 success / equivalent; 1 parse error or a symbol used with
+two arities; 2 elimination failed (reason on stderr, residual printed); 3
+internal invariant breach or verification failure; 4 counterexample found;
+5 oracle guard exceeded.  Formulas go to stdout, diagnostics to stderr.
+``DF_TRACE=1`` is equivalent to ``--trace``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import fo
-from .errors import LogicError, ParseError
+from .errors import ArityError, GuardError, LogicError, ParseError
 from .outcome import EliminationOutcome
 from .parser import parse_formula, parse_theory
 from .printer import format_formula
@@ -43,6 +44,7 @@ EXIT_PARSE = 1
 EXIT_FAILED = 2
 EXIT_INTERNAL = 3
 EXIT_COUNTEREXAMPLE = 4
+EXIT_GUARD = 5
 
 _FRAGMENT_RANK = {"prop": 0, "fo": 1, "fixpoint": 2}
 
@@ -213,6 +215,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except ArityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except GuardError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     except LogicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

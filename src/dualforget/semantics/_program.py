@@ -3,7 +3,9 @@
 A program is a straight-line boolean circuit.  Slots ``0 .. n_vars-1`` are
 the inputs; instruction ``k`` (opcode plus up to two operand slot indices)
 writes slot ``n_vars + k``.  The kernel evaluates one designated output slot
-over every valuation of the inputs.
+over every valuation of the inputs.  ``OP_EXISTS`` projects an input out of
+its operand: its second operand is that input's index, which is also the
+input's slot.
 """
 
 from array import array
@@ -14,6 +16,7 @@ OP_NOT = 2
 OP_AND = 3
 OP_OR = 4
 OP_XOR = 5
+OP_EXISTS = 6
 
 
 class CircuitBuilder:
@@ -63,6 +66,10 @@ class CircuitBuilder:
         if a == b:
             return self.const(False)
         return self._emit(OP_XOR, a, b) if a < b else self._emit(OP_XOR, b, a)
+
+    def exists(self, a: int, var: int) -> int:
+        """``a`` with input ``var`` projected out: ``a[var:=0] | a[var:=1]``."""
+        return self._emit(OP_EXISTS, a, var)
 
     def and_many(self, slots) -> int:
         acc = None

@@ -15,12 +15,23 @@
   (relations sorted by name, tuples in lexicographic order, constants and
   free variables enumerated outermost).
 
+  A second-order quantifier is grounded by projection: its body is grounded
+  once, with each ground atom of the bound symbol as one more circuit input,
+  and the kernel projects those inputs out (``Ex2 r. F`` is
+  ``F[r(t):=T] | F[r(t):=F]`` for each tuple ``t`` in turn; ``All2`` is
+  ``~Ex2 ~``).  Inputs are taken stack-style, so nested binders take the
+  next ones and sibling binders reuse them.  Their number is the widest
+  chain of nested bound atoms, cut to what the 22-input guard leaves beside
+  the free atoms; tuples past that are enumerated as constants, grounding
+  the body once per assignment of them.
+
 Enumeration guards are hard errors, never silent truncation.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -46,6 +57,7 @@ from ..syntax import (
     Term,
     Top,
     Var,
+    children,
     free_ind_vars,
     free_symbols,
     signature_of,
@@ -272,11 +284,18 @@ class _Grounder:
         domain_size: int,
         const_map: Mapping[str, int],
         atom_slot: Mapping[tuple[str, tuple[int, ...]], int],
+        so_arity: Mapping[int, Optional[int]],
     ):
         self.builder = builder
         self.d = domain_size
         self.const_map = const_map
         self.atom_slot = atom_slot
+        # per second-order binder, by id: the arity of its bound symbol in
+        # its body, None when vacuous
+        self.so_arity = so_arity
+        # the next input a second-order binder may take; inputs below it
+        # are free atoms or held by enclosing binders
+        self.next_input = len(atom_slot)
 
     def resolve(self, t: Term, env: Mapping[str, int]) -> int:
         if isinstance(t, Var):
@@ -355,17 +374,54 @@ class _Grounder:
 
     def so_quant(self, f: Forall2 | Exists2, env: Mapping[str, int], frames: Mapping[str, dict]) -> int:
         b = self.builder
-        arity = free_symbols(f.body).get(f.sym)
+        arity = self.so_arity[id(f)]
         if arity is None:
             return self.ground(f.body, env, frames)  # vacuous
-        _so_guard(self.d, arity, f.sym)
         # a propositional variable is 0-ary: its frame has the one tuple ()
         space = _tuple_space(self.d, arity)
+        first = self.next_input
+        inputs = range(first, min(first + len(space), b.n_vars))
+        self.next_input = inputs.stop
+        frame = dict(zip(space, inputs))
+        rest = space[len(inputs):]
         slots = []
-        for bits in range(1 << len(space)):
-            frame = {t: b.const(bool((bits >> j) & 1)) for j, t in enumerate(space)}
+        for bits in range(1 << len(rest)):
+            frame.update((t, b.const(bool((bits >> j) & 1))) for j, t in enumerate(rest))
             slots.append(self.ground(f.body, env, {**frames, f.sym: frame}))
-        return b.and_many(slots) if isinstance(f, Forall2) else b.or_many(slots)
+        self.next_input = first
+        exists = isinstance(f, Exists2)
+        out = b.or_many(slots) if exists else b.not_(b.and_many(slots))
+        for i in inputs:
+            out = b.exists(out, i)
+        return out if exists else b.not_(out)
+
+
+def _scan_so_binders(
+    f: Formula,
+    domains: range,
+    so_arity: dict[int, Optional[int]],
+    chain: dict[int, tuple[int, ...]],
+) -> tuple[int, ...]:
+    """Record the bound arity of every second-order binder in ``f`` in
+    ``so_arity`` and return, per domain size, the most ground atoms that
+    nested binders bind at once.  Binders are visited in the order the
+    grounder meets them, so the first to break a guard raises, as when
+    each was checked on grounding."""
+    key = id(f)
+    if key in chain:
+        return chain[key]
+    widest = (0,) * len(domains)
+    if isinstance(f, (Forall2, Exists2)):
+        arity = free_symbols(f.body).get(f.sym)
+        so_arity[key] = arity
+        if arity is not None:
+            _so_guard(domains[0], arity, f.sym)
+            widest = tuple(d**arity for d in domains)
+    kids = [_scan_so_binders(k, domains, so_arity, chain) for k in children(f)]
+    if kids:
+        widest = tuple(map(operator.add, widest, map(max, zip(*kids))))
+    chain[key] = widest
+    return widest
 
 
 def _atom_order(sig: Signature, domain_size: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -396,23 +452,36 @@ def counterexample(
     sig = signature_of(f, g, base=sig)
     free = sorted((free_ind_vars(f) | free_ind_vars(g)) | set(free_vars))
     consts = sorted(sig.constants)
-    for d in range(1, max_domain + 1):
+    domains = range(1, max_domain + 1)
+    so_arity: dict[int, Optional[int]] = {}
+    chain: Optional[tuple[int, ...]] = None
+    for d in domains:
         atoms = _atom_order(sig, d)
         if len(atoms) > MAX_TT_VARS:
             raise GuardError(
                 f"{len(atoms)} ground atoms at domain size {d} exceed the "
                 f"{MAX_TT_VARS}-input guard"
             )
+        if chain is None:
+            # after the first atom guard, where grounding met the binders
+            memo: dict[int, tuple[int, ...]] = {}
+            chain = tuple(
+                map(max, _scan_so_binders(f, domains, so_arity, memo),
+                    _scan_so_binders(g, domains, so_arity, memo))
+            )
+        n_inputs = len(atoms) + min(chain[d - 1], MAX_TT_VARS - len(atoms))
         slot_of = {atom: i for i, atom in enumerate(atoms)}
         for const_vals in itertools.product(range(d), repeat=len(consts)):
             const_map = dict(zip(consts, const_vals))
             for env_vals in itertools.product(range(d), repeat=len(free)):
                 env = dict(zip(free, env_vals))
-                builder = CircuitBuilder(len(atoms))
-                grounder = _Grounder(builder, d, const_map, slot_of)
+                builder = CircuitBuilder(n_inputs)
+                grounder = _Grounder(builder, d, const_map, slot_of, so_arity)
                 out = builder.xor2(grounder.ground(f, env, {}), grounder.ground(g, env, {}))
                 diff = kernel.eval_table(builder, out)
                 if diff:
+                    # the projections leave the table constant along the
+                    # bound inputs, so its lowest set bit has them clear
                     v = (diff & -diff).bit_length() - 1
                     return Counterexample(_decode(v, atoms, sig, d, const_map), env)
     return None

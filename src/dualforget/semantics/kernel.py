@@ -8,7 +8,16 @@ table is the value under the valuation where input ``i`` is true iff
 
 from __future__ import annotations
 
-from ._program import OP_AND, OP_CONST0, OP_CONST1, OP_NOT, OP_OR, OP_XOR, CircuitBuilder
+from ._program import (
+    OP_AND,
+    OP_CONST0,
+    OP_CONST1,
+    OP_EXISTS,
+    OP_NOT,
+    OP_OR,
+    OP_XOR,
+    CircuitBuilder,
+)
 
 #: which kernel implementation runs; there is one, in pure Python
 BACKEND = "pure"
@@ -57,7 +66,10 @@ def eval_table(builder: CircuitBuilder, out: int) -> int:
     if n_vars >= FREE_FROM_VARS:
         # last[s]: the last instruction with s as an operand.  Constants and
         # NOT carry a dummy operand 0, which only keeps input 0 (cached by
-        # _var_mask anyway) a little longer.  ``out`` is never released.
+        # _var_mask anyway) a little longer.  OP_EXISTS's second operand is
+        # an input index read here as a slot: that keeps the input's table,
+        # also cached by _var_mask, until the projection at the latest.
+        # ``out`` is never released.
         last = [-1] * (n_vars + n_ops)
         for k in range(n_ops):
             last[arg1[k]] = k
@@ -81,6 +93,13 @@ def eval_table(builder: CircuitBuilder, out: int) -> int:
             slots.append(0)
         elif op == OP_CONST1:
             slots.append(full)
+        elif op == OP_EXISTS:
+            # the half where input b is set, and the half where it is clear,
+            # each copied onto the other and OR-ed in
+            t = slots[a]
+            hi = t & _var_mask(b, nbits)
+            s = 1 << b
+            slots.append(t | (hi >> s) | ((t ^ hi) << s))
         else:
             raise ValueError(f"bad opcode {op}")
         if last is not None:

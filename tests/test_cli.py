@@ -78,10 +78,22 @@ def test_check_equiv(capsys, theories_dir):
 
 
 def test_check_equiv_rejects_a_name_used_as_both_kinds(capsys):
+    # ill-formed input, like a parse error: not an internal invariant breach
     code, out, err = run(capsys, "check-equiv", "p", "p(a)")
-    assert code == 3
+    assert code == 1
     assert out == ""
     assert err == "error: symbol p used with arities 0 and 1\n"
+
+
+def test_check_equiv_past_an_oracle_guard_exits_5(capsys):
+    code, out, err = run(capsys, "check-equiv", "all x. a(x)", "T", "--domain-size", "4")
+    assert code == 5
+    assert out == ""
+    assert err == "error: domain size 4 exceeds the guard of 3\n"
+    many = " & ".join(f"v{i}" for i in range(23))
+    code, _, err = run(capsys, "check-equiv", many, "T")
+    assert code == 5
+    assert err.startswith("error: ") and "guard" in err
 
 
 def test_check_equiv_fo(capsys):

@@ -27,11 +27,22 @@ def random_circuit(rng: random.Random, max_vars: int = 10, min_vars: int = 0, ga
 
 
 def reference_eval(b: CircuitBuilder, out: int, v: int) -> bool:
-    from dualforget.semantics._program import OP_AND, OP_CONST0, OP_CONST1, OP_NOT, OP_OR, OP_XOR
+    from dualforget.semantics._program import (
+        OP_AND,
+        OP_CONST0,
+        OP_CONST1,
+        OP_EXISTS,
+        OP_NOT,
+        OP_OR,
+        OP_XOR,
+    )
 
     values = [bool((v >> i) & 1) for i in range(b.n_vars)]
-    for op, a1, a2 in zip(b.ops, b.arg1, b.arg2):
-        if op == OP_AND:
+    for op, a1, a2 in zip(b.ops[: max(0, out + 1 - b.n_vars)], b.arg1, b.arg2):
+        if op == OP_EXISTS:
+            # the OR of the two cofactors of a1 on input a2
+            values.append(values[a1] or reference_eval(b, a1, v ^ (1 << a2)))
+        elif op == OP_AND:
             values.append(values[a1] and values[a2])
         elif op == OP_OR:
             values.append(values[a1] or values[a2])
@@ -74,6 +85,25 @@ def test_freeing_path_matches_naive_evaluation(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(kernel, "FREE_FROM_VARS", 15)
             assert kernel.eval_table(b, out) == table
+
+
+def test_exists_matches_the_or_of_both_cofactors():
+    # below and from FREE_FROM_VARS inputs, so tables are also released;
+    # the projected input is read again after its projection
+    rng = random.Random(19)
+    for trial in range(12):
+        wide = trial % 2
+        b, out = random_circuit(rng, max_vars=13 if wide else 8, min_vars=12 if wide else 1, gates=50)
+        assert (b.n_vars >= kernel.FREE_FROM_VARS) == bool(wide)
+        i, j = rng.randrange(b.n_vars), rng.randrange(b.n_vars)
+        once = b.exists(out, i)
+        twice = b.exists(b.or2(once, b.not_(j)), j)
+        reader = b.xor2(b.and2(twice, i), out)
+        valuations = rng.sample(range(1 << b.n_vars), 150) if wide else range(1 << b.n_vars)
+        for slot in (once, twice, reader):
+            table = kernel.eval_table(b, slot)
+            for v in valuations:
+                assert bool((table >> v) & 1) == reference_eval(b, slot, v), (trial, slot, v)
 
 
 def test_input_masks_match_bitwise_construction():

@@ -264,3 +264,128 @@ def test_so_quantifier_ground_vs_recursive():
 def test_domain_guard():
     with pytest.raises(GuardError):
         counterexample(pf("p"), pf("q"), max_domain=4)
+
+
+# ---------------------------------------------------------------------------
+# second-order quantifiers by projection
+
+
+#: each pair at domain sizes 1-3; the free vocabulary is a/1, p and at most
+#: one constant, so the reference enumeration stays small
+_SO_PAIRS = [
+    # binary Ex2: every element has an a-element other than itself
+    ("Ex2 b. ((all x. ex y. (b(x, y) & a(y))) & all x. ~b(x, x))",
+     "(all x. a(x)) & ex x. ex y. ~x = y"),
+    # binary All2, equivalent to a(c)
+    ("All2 b. ((all x. (a(x) -> b(x, x))) -> ex x. b(x, c))", "a(c)"),
+    ("All2 b. ((all x. (a(x) -> b(x, x))) -> ex x. b(x, c))", "ex x. a(x)"),
+    ("All2 b. ((ex x. ex y. b(x, y)) | p)", "p"),
+    # 0-ary binders
+    ("Ex2 q. ((q -> a(c)) & (~q -> p) & (q | ex x. a(x)))", "a(c) | (p & ex x. ~x = c)"),
+    ("All2 q. (q | p | ex x. a(x))", "p"),
+    # Ex2 under an individual quantifier: equivalent to ~a(c)
+    ("all x. (a(x) -> Ex2 s. (s(x) & ~s(c)))", "~a(c)"),
+    ("all x. (a(x) -> Ex2 s. (s(x) & ~s(c)))", "all x. ~a(x)"),
+    # Ex2 inside a fixpoint body; Ex2 s. (s(v) & ~s(u)) is v != u
+    ("lfp r(u). (a(u) | ex v. ((Ex2 s. (s(v) & ~s(u))) & r(v) & p)) @(c)",
+     "a(c) | (p & ex v. a(v))"),
+    ("lfp r(u). (a(u) | ex v. ((Ex2 s. (s(v) & ~s(u))) & r(v) & p)) @(c)",
+     "a(c) | ex v. (a(v) & ~v = c)"),
+    # the inner b rebinds: (ex x. a(x)) & (ex x. ~a(x))
+    ("Ex2 b. ((all x. (b(x) -> a(x))) & (ex x. b(x)) & Ex2 b. ex x. (b(x) & ~a(x)))",
+     "(ex x. a(x)) & ex x. ~a(x)"),
+    ("Ex2 b. ((all x. (b(x) -> a(x))) & (ex x. b(x)) & Ex2 b. ex x. (b(x) & ~a(x)))",
+     "ex x. ex y. (a(x) & ~x = y)"),
+    # nested binders of two symbols, the inner body reading both: ex x. a(x)
+    ("Ex2 s. ((all x. (s(x) -> a(x))) & Ex2 t. ((all x. (t(x) <-> ~s(x))) & ex x. (t(x) & a(x))))",
+     "ex x. a(x)"),
+    ("Ex2 s. ((all x. (s(x) -> a(x))) & Ex2 t. ((all x. (t(x) <-> ~s(x))) & ex x. (t(x) & a(x))))",
+     "ex x. (a(x) & p)"),
+]
+
+
+def _first_difference(f, g, max_domain):
+    """The first interpretation in the documented enumeration order where
+    ``eval_so`` tells ``f`` and ``g`` apart: domain sizes ascending,
+    constants then free variables outermost, then the ground atoms as the
+    bits of a counter, relations by name and tuples in lexicographic order
+    first, propositional variables by name after them."""
+    from itertools import product
+
+    from dualforget.semantics.fo_oracle import Counterexample
+    from dualforget.syntax import free_ind_vars, signature_of
+
+    sig = signature_of(f, g)
+    consts = sorted(sig.constants)
+    free = sorted(free_ind_vars(f) | free_ind_vars(g))
+    for d in range(1, max_domain + 1):
+        atoms = [(n, t) for n in sorted(sig.relations) for t in _tuple_space(d, sig.relations[n])]
+        atoms += [(n, ()) for n in sorted(sig.prop_vars)]
+        for const_vals in product(range(d), repeat=len(consts)):
+            for env_vals in product(range(d), repeat=len(free)):
+                env = dict(zip(free, env_vals))
+                for v in range(1 << len(atoms)):
+                    on = [atom for i, atom in enumerate(atoms) if (v >> i) & 1]
+                    m = FiniteInterpretation(
+                        d,
+                        dict(zip(consts, const_vals)),
+                        {n: frozenset(t for m_, t in on if m_ == n) for n in sig.relations},
+                        {n: (n, ()) in on for n in sig.prop_vars},
+                    )
+                    if eval_so(f, m, env) != eval_so(g, m, env):
+                        return Counterexample(m, env)
+    return None
+
+
+@pytest.mark.parametrize("f_text,g_text", _SO_PAIRS)
+def test_projected_counterexample_is_the_first_difference(f_text, g_text):
+    f, g = pf(f_text), pf(g_text)
+    for max_domain in (1, 2, 3):
+        assert counterexample(f, g, max_domain=max_domain) == _first_difference(f, g, max_domain)
+
+
+def test_bound_tuples_past_the_input_guard_are_enumerated(monkeypatch):
+    # with the guard cut to 6 inputs some bound tuples get no input: they
+    # are enumerated as constants and the rest projected, with the same
+    # counterexamples as with every tuple projected
+    from collections import Counter
+
+    from dualforget.semantics import fo_oracle
+
+    pairs = [(pf(a), pf(b)) for a, b in _SO_PAIRS]
+    expected = [counterexample(f, g, max_domain=3) for f, g in pairs]
+    f, g = pairs[0]  # told apart at domain size 3 only
+    grounded = Counter()
+    ground = fo_oracle._Grounder.ground
+
+    def counting_ground(self, h, env, frames):
+        grounded[self.d] += h is f.body
+        return ground(self, h, env, frames)
+
+    monkeypatch.setattr(fo_oracle._Grounder, "ground", counting_ground)
+    counterexample(f, g, max_domain=3)
+    assert grounded == {1: 1, 2: 1, 3: 1}  # every tuple projected
+    grounded.clear()
+    monkeypatch.setattr(fo_oracle, "MAX_TT_VARS", 6)
+    assert [counterexample(f, g, max_domain=3) for f, g in pairs] == expected
+    grounded.clear()
+    counterexample(f, g, max_domain=3)
+    # d free atoms a(0..d-1) leave 6 - d inputs for the d**2 tuples of b
+    assert grounded == {1: 1, 2: 1, 3: 2 ** (9 - 3)}
+
+
+def test_counterexample_guards(monkeypatch):
+    from dualforget.semantics import fo_oracle
+
+    with pytest.raises(GuardError, match="23 ground atoms"):
+        counterexample(pf(" & ".join(f"v{i}" for i in range(23))), pf("T"), max_domain=1)
+    for max_domain in (1, 2, 3):
+        with pytest.raises(GuardError, match="arity 3"):
+            counterexample(pf("Ex2 r. r(a, b, c)"), pf("T"), max_domain=max_domain)
+    # the guard counts free atoms only: bound tuples that get no input are
+    # enumerated
+    monkeypatch.setattr(fo_oracle, "MAX_TT_VARS", 6)
+    fits = pf("Ex2 s. all x. (s(x) <-> a(x)) & (p | q | r)")
+    assert counterexample(fits, pf("p | q | r"), max_domain=3) is None
+    with pytest.raises(GuardError, match="7 ground atoms at domain size 3"):
+        counterexample(fits, pf("(p | q | r) & (t | ~t)"), max_domain=3)
