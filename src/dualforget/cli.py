@@ -7,16 +7,19 @@ Subcommands::
     dualforget wsc --theory FILE --query FORMULA --keep a,b [options]
     dualforget check-equiv A B [--domain-size N]
 
-Exit codes: 0 success / equivalent; 1 parse error or a symbol used with
-two arities; 2 elimination failed (reason on stderr, residual printed); 3
-internal invariant breach or verification failure; 4 counterexample found;
-5 oracle guard exceeded.  Formulas go to stdout, diagnostics to stderr.
+Exit codes: 0 success / equivalent; 1 parse error, a symbol used with two
+arities, or a file that cannot be read or written (``error: PATH: REASON``,
+also for a theory file that is not UTF-8); 2 elimination failed (reason on
+stderr, residual printed); 3 internal invariant breach or verification
+failure; 4 counterexample found; 5 oracle guard exceeded.  Formulas go to
+stdout, diagnostics to stderr.
 ``DF_TRACE=1`` is equivalent to ``--trace``.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from pathlib import Path
@@ -53,9 +56,18 @@ def _symbols(text: str) -> list[str]:
     return [s.strip() for s in text.split(",") if s.strip()]
 
 
+def _read_text(path: Path) -> str:
+    """The file's text.  Bytes that are not UTF-8 raise an ``OSError`` that
+    names the file, as a file that cannot be opened does."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        reason = f"not valid UTF-8 ({exc.reason} at byte {exc.start})"
+        raise OSError(errno.EILSEQ, reason, str(path)) from None
+
+
 def _load_theory(path: str) -> tuple[Signature, Theory]:
-    content = Path(path).read_text(encoding="utf-8")
-    return parse_theory(content, name=Path(path).stem)
+    return parse_theory(_read_text(Path(path)), name=Path(path).stem)
 
 
 def _emit(result: Formula, out_path: Optional[str]) -> None:
@@ -141,7 +153,7 @@ def _parse_operand(text: str) -> Formula:
     except OSError:  # not a usable path, e.g. longer than the system allows
         is_file = False
     if is_file:
-        _, th = parse_theory(path.read_text(encoding="utf-8"), name=path.stem)
+        _, th = parse_theory(_read_text(path), name=path.stem)
         return th.as_formula
     return parse_formula(text)
 
@@ -224,6 +236,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LogicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except OSError as exc:
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

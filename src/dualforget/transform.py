@@ -178,6 +178,12 @@ def _freshen_binders(f: Formula, clash_vars: set[str], clash_syms: set[str], ng:
 # ---------------------------------------------------------------------------
 # Propositional and relational substitution
 
+#: a memo for one call of a walk: ``id(node)`` -> ``(node, result)``; the
+#: node is kept so that its id is not reused within the call
+_Memo = dict[int, tuple[Formula, Formula]]
+
+_BINDERS = (ForallInd, ExistsInd, Forall2, Exists2, Lfp, Gfp)
+
 
 def substitute_prop(f: Formula, p: str, e: Formula) -> Formula:
     """Replace every occurrence of propositional variable ``p`` by ``e``.
@@ -185,26 +191,42 @@ def substitute_prop(f: Formula, p: str, e: Formula) -> Formula:
     Raises :class:`CaptureError` when ``p`` is itself bound by a second-order
     quantifier (or fixpoint) inside ``f``.  Binders in ``f`` that would
     capture a free name of ``e`` are renamed first.  Subtrees without ``p``
-    are kept as the same objects."""
-    if p in _binders_of(f):
-        raise CaptureError(f"{p} is rebound inside the substitution target")
-    clash_syms = set(free_symbols(e))
-    clash_vars = free_ind_vars(e)
-    if clash_syms or clash_vars:
-        ng = NameGen(all_names(f) | all_names(e))
-        f = _freshen_binders(f, clash_vars, clash_syms, ng)
+    are kept as the same objects, and a subtree shared in ``f`` is rewritten
+    once and stays shared in the result."""
+    memo: _Memo = {}
+    has_binder = False
 
     def walk(g: Formula) -> Formula:
+        nonlocal has_binder
         if isinstance(g, PropVar):
             return e if g.name == p else g
-        return rebuild(g, [walk(k) for k in children(g)])
+        kids = children(g)
+        if not kids:
+            return g
+        hit = memo.get(id(g))
+        if hit is not None:
+            return hit[1]
+        if isinstance(g, _BINDERS):
+            has_binder = True
+            if so_binder(g) == p:
+                raise CaptureError(f"{p} is rebound inside the substitution target")
+        out = rebuild(g, [walk(k) for k in kids])
+        memo[id(g)] = (g, out)
+        return out
 
-    return walk(f)
-
-
-def _binders_of(f: Formula) -> set[str]:
-    """Symbols bound by second-order quantifiers and fixpoints in ``f``."""
-    return {b for g in _subformulas(f) if (b := so_binder(g)) is not None}
+    out = walk(f)
+    if not has_binder:
+        return out
+    clash_syms = set(free_symbols(e))
+    clash_vars = free_ind_vars(e)
+    if not (clash_syms or clash_vars):
+        return out
+    ng = NameGen(all_names(f) | all_names(e))
+    fresh = _freshen_binders(f, clash_vars, clash_syms, ng)
+    # An unchanged first walk means ``p`` does not occur in ``f`` (or occurs
+    # only as ``e`` itself), so the renamed formula is the answer; walking it
+    # could meet a binder renamed to ``p``.
+    return fresh if out is f else walk(fresh)
 
 
 def substitute_rel(f: Formula, r: str, params: Sequence[str], e: Formula) -> Formula:
@@ -225,6 +247,8 @@ def substitute_rel(f: Formula, r: str, params: Sequence[str], e: Formula) -> For
     if clash_vars or clash_syms:
         f = _freshen_binders(f, clash_vars, clash_syms, ng)
 
+    bound_in_e = _ind_binders_of(e)
+
     def inst(args: tuple[Term, ...]) -> Formula:
         if len(args) != len(params):
             raise ArityError(
@@ -232,7 +256,6 @@ def substitute_rel(f: Formula, r: str, params: Sequence[str], e: Formula) -> For
             )
         body = e
         arg_vars = _term_vars(args)
-        bound_in_e = _ind_binders_of(e)
         if arg_vars & bound_in_e:
             body = _freshen_binders(body, arg_vars & bound_in_e, set(), ng)
         return subst_terms(body, dict(zip(params, args)), ng)
@@ -306,8 +329,8 @@ def _nnf(f: Formula, neg: bool) -> Formula:
 # ---------------------------------------------------------------------------
 # Simplifier
 #
-# A fixed, terminating, local rule set applied bottom-up to a syntactic
-# fixpoint.  The full rule list (everything the simplifier ever does):
+# A fixed, terminating, local rule set, applied in one bottom-up pass.  The
+# full rule list (everything the simplifier ever does):
 #
 #   truth constants    T&A=A  F|A=A  T|A=T  F&A=F  ~T=F  ~F=T
 #                      T->A=A  A->T=T  F->A=T  A->F=~A
@@ -324,37 +347,42 @@ def _nnf(f: Formula, neg: bool) -> Formula:
 # No tautology checking beyond these local rules: outputs stay predictable
 # and traces honest.  Golden comparisons go through the oracle instead.
 #
-# A pass returns each node itself when no rule fires at or below it, so an
+# One pass reaches the fixpoint.  Every rule builds its node from children
+# that are already simplified, and what it builds is one no rule applies to
+# again: a flattened level is deduplicated, and checked for complements and
+# absorption against all of its items, so the subset it keeps passes the
+# same checks; ``~~A`` and the vacuous binders return a child as it is.  A
+# pass returns each node itself when no rule fires at or below it, so an
 # unchanged formula comes back as the same object, with its cached hash.
+#
+# A memo for the one call, keyed on node identity, simplifies a subtree that
+# is shared (as in a two-point expansion ``F[p:=F] | F[p:=T]``) once.  Each
+# entry keeps the node beside its result, so the id of a temporary such as
+# ``Not(a)`` cannot be reused by another node within the call.  Leaves are
+# not memoized: looking one up costs more than rewriting it.
 
 
 @nesting_guard
 def simplify(f: Formula) -> Formula:
-    cur = f
-    rewrites = 0
-    while True:
-        nxt = _simp(cur)
-        if nxt is cur:
-            return cur
-        cur = nxt
-        rewrites += 1
-        # One rewriting pass is the rule, so the bound that guards
-        # termination, the input size, is only computed past it.
-        if rewrites > 1 and rewrites > _size(f) + 1:
-            raise InternalError("simplifier failed to reach a fixpoint")
+    return _simp(f, {})
 
 
-def _size(f: Formula) -> int:
-    return 1 + sum(_size(g) for g in children(f))
-
-
-def _simp(f: Formula) -> Formula:
+def _simp(f: Formula, memo: _Memo) -> Formula:
     if isinstance(f, (Top, Bottom, PropVar, Atom)):
         return f
     if isinstance(f, Equal):
         return TOP if f.left == f.right else f
+    hit = memo.get(id(f))
+    if hit is not None:
+        return hit[1]
+    out = _rewrite(f, memo)
+    memo[id(f)] = (f, out)
+    return out
+
+
+def _rewrite(f: Formula, memo: _Memo) -> Formula:
     if isinstance(f, Not):
-        b = _simp(f.body)
+        b = _simp(f.body, memo)
         if isinstance(b, Top):
             return BOT
         if isinstance(b, Bottom):
@@ -363,57 +391,57 @@ def _simp(f: Formula) -> Formula:
             return b.body
         return f if b is f.body else Not(b)
     if isinstance(f, And):
-        return _simp_nary(f, is_and=True)
+        return _simp_nary(f, True, memo)
     if isinstance(f, Or):
-        return _simp_nary(f, is_and=False)
+        return _simp_nary(f, False, memo)
     if isinstance(f, Implies):
-        a = _simp(f.antecedent)
-        b = _simp(f.consequent)
+        a = _simp(f.antecedent, memo)
+        b = _simp(f.consequent, memo)
         if isinstance(a, Top):
             return b
         if isinstance(a, Bottom) or isinstance(b, Top):
             return TOP
         if isinstance(b, Bottom):
-            return _simp(Not(a))
+            return _simp(Not(a), memo)
         if a == b:
             return TOP
         return f if a is f.antecedent and b is f.consequent else Implies(a, b)
     if isinstance(f, Iff):
-        a = _simp(f.left)
-        b = _simp(f.right)
+        a = _simp(f.left, memo)
+        b = _simp(f.right, memo)
         if isinstance(a, Top):
             return b
         if isinstance(b, Top):
             return a
         if isinstance(a, Bottom):
-            return _simp(Not(b))
+            return _simp(Not(b), memo)
         if isinstance(b, Bottom):
-            return _simp(Not(a))
+            return _simp(Not(a), memo)
         if a == b:
             return TOP
         return f if a is f.left and b is f.right else Iff(a, b)
     if isinstance(f, (ForallInd, ExistsInd)):
-        b = _simp(f.body)
+        b = _simp(f.body, memo)
         if f.var not in free_ind_vars(b):
             return b
         return f if b is f.body else type(f)(f.var, b)
     if isinstance(f, (Forall2, Exists2)):
-        b = _simp(f.body)
+        b = _simp(f.body, memo)
         if f.sym not in free_symbols(b):
             return b
         return f if b is f.body else type(f)(f.sym, b)
     if isinstance(f, (Lfp, Gfp)):
-        b = _simp(f.body)
+        b = _simp(f.body, memo)
         return f if b is f.body else type(f)(f.rel, f.argvars, b, f.applied)
     raise InternalError(f"unhandled formula in simplify: {type(f).__name__}")
 
 
-def _simp_nary(f: Union[And, Or], is_and: bool) -> Formula:
+def _simp_nary(f: Union[And, Or], is_and: bool, memo: _Memo) -> Formula:
     absorbing: Formula = BOT if is_and else TOP
     neutral: Formula = TOP if is_and else BOT
     items: list[Formula] = []
     for it in f.items:
-        s = _simp(it)
+        s = _simp(it, memo)
         if isinstance(s, And) and is_and:
             items.extend(s.items)
         elif isinstance(s, Or) and not is_and:

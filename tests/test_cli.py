@@ -109,6 +109,30 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "argv,path",
+    [
+        (["forget", "--mode", "strong", "--vars", "p", "{missing}"], "{missing}"),
+        (["snc", "--theory", "{missing}", "--query", "p", "--keep", "q"], "{missing}"),
+        (["forget", "--mode", "weak", "--vars", "lt", "-o", "{missing}/out", "{theory}"],
+         "{missing}/out"),
+        (["check-equiv", "{dir}", "p"], "{dir}"),
+        (["forget", "--mode", "strong", "--vars", "p", "{latin1}"], "{latin1}"),
+    ],
+    ids=["forget-missing", "snc-missing", "output-dir-missing", "check-equiv-dir", "not-utf8"],
+)
+def test_unusable_file_exits_1(capsys, theories_dir, tmp_path, argv, path):
+    latin1 = tmp_path / "latin1.th"
+    latin1.write_bytes("p & caf\xe9\n".encode("latin-1"))
+    names = {"missing": tmp_path / "missing", "dir": tmp_path, "latin1": latin1,
+             "theory": theories_dir / "maintain.th"}
+    code, out, err = run(capsys, *(a.format(**names) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path.format(**names)}: ")
+    assert "Traceback" not in err
+
+
 def test_verify_flag(capsys, theories_dir):
     code, out, err = run(capsys, "forget", "--mode", "weak", "--vars", "lt",
                          "--verify", str(theories_dir / "maintain.th"))

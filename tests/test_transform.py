@@ -11,6 +11,7 @@ from dualforget.semantics import equiv_fo_finite, equiv_prop, eval_prop, truth_t
 from dualforget.syntax import (
     BOT,
     TOP,
+    And,
     Polarity,
     PropVar,
     polarity,
@@ -141,7 +142,54 @@ def test_simplify_equivalent_fo_small_models():
         f = fo_formula(rng, depth=3)
         s = simplify(f)
         assert equiv_fo_finite(s, f, max_domain=2)
-        assert simplify(s) == s
+        assert simplify(s) is s
+
+
+# ---------------------------------------------------------------------------
+# shared subtrees: a DAG is rewritten once per node object, not per path
+
+
+def shared_chain(k):
+    """``g_{i+1} = (g_i | x_i) & (g_i | ~y_i)`` from ``g_0 = g``: about
+    ``2**k`` tree nodes, but only about ``3 * k`` distinct node objects.
+    ``==`` and the symbol walks on it follow the tree, so the tests below
+    check results only by identity and by their top levels."""
+    g = PropVar("g")
+    for i in range(k):
+        g = (g | PropVar(f"x{i}")) & (g | ~PropVar(f"y{i}"))
+    return g
+
+
+def test_simplify_and_substitute_walk_a_shared_formula_once():
+    k = 40
+    f = shared_chain(k)
+    assert simplify(f) is f
+    assert substitute_prop(f, "z", TOP) is f
+
+    h = PropVar("h")
+    out = substitute_prop(f, "g", h)
+    assert isinstance(out, And) and len(out.items) == 2
+    assert out.items[0].items[1] is f.items[0].items[1]
+    assert out.items[1].items[1] is f.items[1].items[1]
+    for _ in range(k):  # down the left branches to where g_0 was
+        out = out.items[0].items[0]
+    assert out is h
+
+    # x0 := T makes a rule fire on every level above it
+    s = simplify(substitute_prop(f, "x0", TOP))
+    assert isinstance(s, And) and len(s.items) == 2
+    assert s.items[0].items[-1] is f.items[0].items[1]
+    assert s.items[1].items[-1] is f.items[1].items[1]
+
+
+def test_substitute_keeps_a_shared_subtree_shared():
+    f = shared_chain(6)
+    out = substitute_prop(f, "g", PropVar("h"))
+    left, right = out.items
+    assert left.items[0] is right.items[0]
+    s = simplify(substitute_prop(f, "x0", TOP))
+    left, right = s.items
+    assert left.items[0] is right.items[0]
 
 
 # ---------------------------------------------------------------------------
