@@ -7,12 +7,16 @@ Subcommands::
     dualforget wsc --theory FILE --query FORMULA --keep a,b [options]
     dualforget check-equiv A B [--domain-size N]
 
-Exit codes: 0 success / equivalent; 1 parse error, a symbol used with two
-arities, or a file that cannot be read or written (``error: PATH: REASON``,
-also for a theory file that is not UTF-8); 2 elimination failed (reason on
-stderr, residual printed); 3 internal invariant breach or verification
-failure; 4 counterexample found; 5 oracle guard exceeded.  Formulas go to
-stdout, diagnostics to stderr.
+A ``check-equiv`` operand is formula text, or ``@PATH`` for the conjunction
+of a theory file; no formula starts with ``@``.
+
+Exit codes: 0 success / equivalent; 1 bad input: a usage error (a missing or
+unknown option, or ``--domain-size`` below 1), a parse error, a symbol used
+with two arities, or a file that cannot be read or written (``error: PATH:
+REASON``, also for a theory file that is not UTF-8); 2 elimination failed
+(reason on stderr, residual printed); 3 internal invariant breach or
+verification failure; 4 counterexample found; 5 oracle guard exceeded.
+Formulas go to stdout, diagnostics to stderr.
 ``DF_TRACE=1`` is equivalent to ``--trace``.
 """
 
@@ -147,13 +151,9 @@ def _cmd_snc_wsc(args, weakest: bool) -> int:
 
 
 def _parse_operand(text: str) -> Formula:
-    path = Path(text)
-    try:
-        is_file = path.exists()
-    except OSError:  # not a usable path, e.g. longer than the system allows
-        is_file = False
-    if is_file:
-        _, th = parse_theory(_read_text(path), name=path.stem)
+    """``@PATH``: the conjunction of a theory file; anything else: a formula."""
+    if text.startswith("@"):
+        _, th = _load_theory(text[1:])
         return th.as_formula
     return parse_formula(text)
 
@@ -174,19 +174,38 @@ def _cmd_check_equiv(args) -> int:
     return EXIT_COUNTEREXAMPLE
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any other bad input; exit code 2
+    means only that elimination failed."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+def _domain_size(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--emit", choices=["prop", "fo", "fixpoint"], default="fixpoint",
                    help="largest acceptable output fragment (default: fixpoint)")
     p.add_argument("--trace", action="store_true", help="print transformation steps to stderr")
     p.add_argument("--verify", action="store_true",
                    help="check the result against the brute-force oracle")
-    p.add_argument("--domain-size", type=int, default=2,
+    p.add_argument("--domain-size", type=_domain_size, default=2,
                    help="max domain size for first-order verification (default: 2)")
     p.add_argument("--output", "-o", help="write the result formula to a file instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="dualforget",
         description="Dual forgetting operators and strongest-necessary/weakest-sufficient "
         "conditions over propositional and first-order theories.",
@@ -213,9 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=lambda a, w=weakest: _cmd_snc_wsc(a, w))
 
     p = sub.add_parser("check-equiv", help="oracle equivalence of two formulas or theory files")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--domain-size", type=int, default=2)
+    p.add_argument("left", help="formula, or @PATH for a theory file")
+    p.add_argument("right", help="formula, or @PATH for a theory file")
+    p.add_argument("--domain-size", type=_domain_size, default=2,
+                   help="max domain size for first-order checks (default: 2)")
     p.set_defaults(func=_cmd_check_equiv)
     return ap
 

@@ -22,14 +22,19 @@ from ._program import (
 #: which kernel implementation runs; there is one, in pure Python
 BACKEND = "pure"
 
-#: From this many inputs on, each table is released after the last
-#: instruction that reads it.  Below it a table is at most 256 bytes and the
-#: bookkeeping costs more than the memory saves.  Measured on the circuits of
-#: one benchmark round on a 2-vCPU VM: the 3,000 prop_random circuits (at
-#: most 6 inputs) took 0.025 s keeping every table and 0.034 s freeing every
-#: table; the 66 prop_rules circuits (up to 20 inputs, 128 KiB tables) took
-#: 0.19 s keeping every table and 0.06 s freeing from 12 inputs, because
-#: freed tables are reused instead of growing the heap.
+#: The width at which tables get big.  Below it a table is at most 256
+#: bytes, and ``prop_oracle`` computes its tables in the compile walk and
+#: calls no kernel, because building the circuit cost more than evaluating
+#: it (3,000 prop_random checks on a 2-vCPU VM: 0.14 s as tables, 0.31 s as
+#: circuits); ``fo_oracle`` builds a circuit at every width.  From this many
+#: inputs on, each table is released after the last instruction that reads
+#: it; below it the bookkeeping costs more than the memory saves.  Measured
+#: on the circuits of one benchmark round: the 3,000 prop_random circuits
+#: took 0.025 s keeping every table and 0.034 s freeing every table; the 66
+#: prop_rules circuits (up to 20 inputs, 128 KiB tables) took 0.19 s keeping
+#: every table and 0.06 s freeing from 12 inputs, because freed tables are
+#: reused instead of growing the heap.  Computing the prop_rules tables in
+#: the compile walk instead raised the peak RSS from 32 to 184 MB.
 FREE_FROM_VARS = 12
 
 _mask_cache: dict[tuple[int, int], int] = {}

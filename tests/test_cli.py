@@ -116,7 +116,7 @@ def test_parse_error_exit_code(capsys, tmp_path):
         (["snc", "--theory", "{missing}", "--query", "p", "--keep", "q"], "{missing}"),
         (["forget", "--mode", "weak", "--vars", "lt", "-o", "{missing}/out", "{theory}"],
          "{missing}/out"),
-        (["check-equiv", "{dir}", "p"], "{dir}"),
+        (["check-equiv", "@{dir}", "p"], "{dir}"),
         (["forget", "--mode", "strong", "--vars", "p", "{latin1}"], "{latin1}"),
     ],
     ids=["forget-missing", "snc-missing", "output-dir-missing", "check-equiv-dir", "not-utf8"],
@@ -191,15 +191,61 @@ def test_verify_gate_on_shipped_theories(capsys, theories_dir, theory, mode, var
 
 
 def test_check_equiv_accepts_theory_files(capsys, theories_dir):
-    code, _, _ = run(capsys, "check-equiv", str(theories_dir / "maintain.th"),
+    code, _, _ = run(capsys, "check-equiv", "@" + str(theories_dir / "maintain.th"),
                      "lt | lp")
+    assert code == 0
+
+
+def test_check_equiv_reads_a_file_only_when_marked(capsys, tmp_path, monkeypatch):
+    # a file named p that holds q: the operand p is the formula p, and only
+    # @p names the file
+    (tmp_path / "p").write_text("q\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "check-equiv", "p", "q")
+    assert code == 4
+    assert out.startswith("counterexample: ")
+    code, _, _ = run(capsys, "check-equiv", "@p", "q")
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["forget", "--vars", "p", "{theory}"], "--mode"),
+        (["forget", "--mode", "strong", "{theory}"], "--vars"),
+        (["forget", "--mode", "strong", "--vars", "p", "--bogus", "{theory}"], "--bogus"),
+        (["check-equiv", "p"], "right"),
+        (["check-equiv", "p", "q", "--domain-size", "0"], "--domain-size"),
+        (["check-equiv", "all x. a(x)", "T", "--domain-size", "-1"], "--domain-size"),
+        (["check-equiv", "p", "q", "--domain-size", "two"], "--domain-size"),
+        (["forget", "--mode", "strong", "--vars", "p", "--verify",
+          "--domain-size", "0", "{theory}"], "--domain-size"),
+        (["snc", "--query", "p", "--domain-size", "0"], "--domain-size"),
+    ],
+    ids=["no-mode", "no-vars", "unknown-option", "one-operand", "domain-0",
+         "domain-negative-fo", "domain-not-int", "forget-domain-0", "snc-domain-0"],
+)
+def test_usage_error_exits_1(capsys, theories_dir, argv, flag):
+    # exit code 2 means only that elimination failed
+    argv = [a.format(theory=theories_dir / "maintain.th") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert "error: " in captured.err and flag in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_domain_size_one_is_accepted(capsys):
+    code, _, _ = run(capsys, "check-equiv", "all x. (a(x) -> a(x))", "T", "--domain-size", "1")
     assert code == 0
 
 
 @pytest.mark.parametrize(
     "operand,expected",
     [
-        # too long to probe as a file name: read as formula text
+        # longer than a file name may be: formula text all the same
         (" | ".join(["p"] * 200), 0),
         # nested deeper than the parser allows
         (" -> ".join(["p"] * 1000), 1),

@@ -17,8 +17,11 @@ from dualforget.semantics import (
     taut_prop,
     truth_table,
 )
+from dualforget.semantics import kernel
 from dualforget.semantics.fo_oracle import _tuple_space
 from dualforget.syntax import (
+    BOT,
+    TOP,
     Atom,
     Exists2,
     Forall2,
@@ -65,7 +68,22 @@ def test_truth_table_guard():
         taut_prop(pf(many))
 
 
-def test_eval_prop_agrees_with_table():
+@pytest.fixture(params=["tables", "circuit"])
+def oracle_path(request, monkeypatch):
+    """Below kernel.FREE_FROM_VARS inputs the oracle computes truth tables in
+    its compile walk; "circuit" moves the cut to 0 so that every check
+    builds and evaluates a circuit instead."""
+    if request.param == "circuit":
+        monkeypatch.setattr(kernel, "FREE_FROM_VARS", 0)
+    return request.param
+
+
+def _valuations(vocab):
+    for v in range(1 << len(vocab)):
+        yield v, {name: bool((v >> i) & 1) for i, name in enumerate(vocab)}
+
+
+def test_eval_prop_agrees_with_table(oracle_path):
     rng = random.Random(31)
     for _ in range(100):
         f = prop_formula(rng)
@@ -90,7 +108,7 @@ def _quantified_formula(rng):
     return f
 
 
-def test_quantified_checks_agree_with_eval_prop():
+def test_quantified_checks_agree_with_eval_prop(oracle_path):
     # the compile memo shares a subtree between binder copies only when no
     # bound variable free in it differs; each check is held to eval_prop
     rng = random.Random(47)
@@ -109,6 +127,69 @@ def test_quantified_checks_agree_with_eval_prop():
         assert equiv_prop(f, g) == (fv == gv)
         assert implies_prop(f, g) == all(b or not a for a, b in zip(fv, gv))
         assert implies_prop(g, f) == all(a or not b for a, b in zip(fv, gv))
+
+
+def test_checks_without_inputs(oracle_path):
+    for f, value in [(TOP, True), (BOT, False), (pf("Ex2 p. p"), True),
+                     (pf("All2 p. (p | ~p) & All2 q. q"), False)]:
+        assert truth_table(f, []) == int(value)
+        assert taut_prop(f) == value
+        assert equiv_prop(f, TOP) == value
+        assert implies_prop(TOP, f) == value
+        assert implies_prop(BOT, f)
+        assert implies_prop(f, TOP)
+
+
+def _wide_formula(rng, vocab):
+    """A random formula, quantified over one name, that mentions every name
+    of ``vocab`` free."""
+    f = prop_formula(rng, vocab, depth=4)
+    f = rng.choice([Exists2, Forall2])(vocab[0], disj([f, PropVar(vocab[0])]))
+    return disj([f, conj([PropVar(v) for v in vocab])])
+
+
+@pytest.mark.parametrize("n_vars", [11, 12])
+def test_checks_at_the_cut_agree_with_eval_prop(oracle_path, n_vars):
+    rng = random.Random(n_vars)
+    vocab = [f"v{i:02}" for i in range(n_vars)]
+    for _ in range(3):
+        f, g = _wide_formula(rng, vocab), _wide_formula(rng, vocab)
+        table = truth_table(f, vocab)
+        fv, gv = [], []
+        for v, val in _valuations(vocab):
+            fv.append(eval_prop(f, val))
+            gv.append(eval_prop(g, val))
+            assert bool((table >> v) & 1) == fv[-1]
+        assert taut_prop(f) == all(fv)
+        assert equiv_prop(f, g) == (fv == gv)
+        assert equiv_prop(f, Not(Not(f)))
+        assert implies_prop(f, g) == all(b or not a for a, b in zip(fv, gv))
+        assert implies_prop(conj([f, g]), f)
+
+
+@pytest.mark.parametrize("n_vars,circuits", [(0, 0), (11, 0), (12, 1), (22, 1)])
+def test_width_decides_the_evaluation_path(monkeypatch, n_vars, circuits):
+    # the truth tables come out of the compile walk below 12 inputs; from
+    # there on one circuit per check is evaluated by the kernel
+    calls = []
+    eval_table = kernel.eval_table
+    monkeypatch.setattr(kernel, "eval_table", lambda *a: calls.append(a) or eval_table(*a))
+    f = conj([PropVar(f"v{i:02}") for i in range(n_vars)])
+    assert equiv_prop(f, Not(Not(f)))
+    assert implies_prop(f, f)
+    assert taut_prop(f) == (n_vars == 0)
+    assert truth_table(f, sorted(prop_symbols(f))) == 1 << ((1 << n_vars) - 1)
+    assert len(calls) == 4 * circuits
+
+
+def test_truth_table_over_names_the_formula_does_not_use(oracle_path):
+    f = pf("(p -> q) & Ex2 r. (r & p | ~r & q)")
+    order = ["a", "p", "r", "q", "b"]
+    table = truth_table(f, order)
+    for v, val in _valuations(order):
+        assert bool((table >> v) & 1) == eval_prop(f, val)
+    with pytest.raises(EvalError):
+        truth_table(f, ["p", "a"])
 
 
 # ---------------------------------------------------------------------------
