@@ -11,9 +11,10 @@ A ``check-equiv`` operand is formula text, or ``@PATH`` for the conjunction
 of a theory file; no formula starts with ``@``.
 
 Exit codes: 0 success / equivalent; 1 bad input: a usage error (a missing or
-unknown option, or ``--domain-size`` below 1), a parse error, a symbol used
-with two arities, or a file that cannot be read or written (``error: PATH:
-REASON``, also for a theory file that is not UTF-8); 2 elimination failed
+unknown option, ``--domain-size`` below 1, or a ``--vars``/``--keep`` item
+that is not a symbol name), a parse error, a symbol used with two arities,
+or a file that cannot be read or written (``error: PATH: REASON``, also for
+a theory file that is not UTF-8); 2 elimination failed
 (reason on stderr, residual printed); 3 internal invariant breach or
 verification failure; 4 counterexample found; 5 oracle guard exceeded.
 Formulas go to stdout, diagnostics to stderr.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
 import sys
 from pathlib import Path
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 from . import fo
 from .errors import ArityError, GuardError, LogicError, ParseError
 from .outcome import EliminationOutcome
-from .parser import parse_formula, parse_theory
+from .parser import IDENT_RE, parse_formula, parse_theory
 from .printer import format_formula
 from .semantics import counterexample, equiv_prop
 from .syntax import (
@@ -57,7 +59,14 @@ _FRAGMENT_RANK = {"prop": 0, "fo": 1, "fixpoint": 2}
 
 
 def _symbols(text: str) -> list[str]:
-    return [s.strip() for s in text.split(",") if s.strip()]
+    """The comma-separated symbol names of ``--vars`` or ``--keep``; empty
+    items are skipped, and an item that cannot name a symbol is a usage
+    error, not a symbol that is silently never forgotten or kept."""
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    for name in names:
+        if not IDENT_RE.fullmatch(name):
+            raise argparse.ArgumentTypeError(f"not a symbol name: {name!r}")
+    return names
 
 
 def _read_text(path: Path) -> str:
@@ -127,10 +136,9 @@ def _finish(outcome: EliminationOutcome, args, spec_formula: Formula, prop_probl
 
 def _cmd_forget(args) -> int:
     sig, th = _load_theory(args.theory_file)
-    forget = _symbols(args.vars)
-    outcome = (fo.forget_strong if args.mode == "strong" else fo.forget_weak)(th, forget)
+    outcome = (fo.forget_strong if args.mode == "strong" else fo.forget_weak)(th, args.vars)
     quant = exists2 if args.mode == "strong" else forall2
-    return _finish(outcome, args, quant(forget, th.as_formula), _is_propositional_problem(th))
+    return _finish(outcome, args, quant(args.vars, th.as_formula), _is_propositional_problem(th))
 
 
 def _cmd_snc_wsc(args, weakest: bool) -> int:
@@ -139,13 +147,12 @@ def _cmd_snc_wsc(args, weakest: bool) -> int:
     else:
         sig, th = Signature(), Theory("theory", ())
     query = parse_formula(args.query, sig)
-    keep = _symbols(args.keep) if args.keep else []
-    forget_set = fo._partition(th, query, keep)
+    forget_set = fo._partition(th, query, args.keep)
     if weakest:
-        outcome = fo.wsc(th, query, keep)
+        outcome = fo.wsc(th, query, args.keep)
         spec_formula = forall2(forget_set, Implies(th.as_formula, query))
     else:
-        outcome = fo.snc(th, query, keep)
+        outcome = fo.snc(th, query, args.keep)
         spec_formula = exists2(forget_set, conj([th.as_formula, query]))
     return _finish(outcome, args, spec_formula, _is_propositional_problem(th, (query,)))
 
@@ -214,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forget", help="forget symbols in a theory")
     p.add_argument("--mode", choices=["strong", "weak"], required=True)
-    p.add_argument("--vars", required=True, help="comma-separated symbols to forget, in order")
+    p.add_argument("--vars", type=_symbols, required=True,
+                   help="comma-separated symbols to forget, in order")
     _add_common(p)
     p.add_argument("theory_file")
     p.set_defaults(func=_cmd_forget)
@@ -227,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--theory", help="theory file (omit for the empty theory)")
         p.add_argument("--query", required=True, help="query formula")
-        p.add_argument("--keep", default="", help="comma-separated vocabulary to keep")
+        p.add_argument("--keep", type=_symbols, default="",
+                       help="comma-separated vocabulary to keep")
         _add_common(p)
         p.set_defaults(func=lambda a, w=weakest: _cmd_snc_wsc(a, w))
 
@@ -240,8 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process: building it costs
+    more than most commands it parses, and parsing does not change it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

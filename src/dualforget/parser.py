@@ -62,10 +62,13 @@ from .syntax import (
 
 _MAX_DEPTH = 200
 
+#: A symbol name: a propositional variable, relation, constant or variable.
+IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
-  | (?P<ident>[a-z][a-zA-Z0-9_]*)
+  | (?P<ident>{IDENT_RE.pattern})
   | (?P<upper>[A-Z][a-zA-Z0-9_]*)
   | (?P<op><->|->|!=|[=~&|().,@])
     """,

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dualforget import fo
+from dualforget import cli, fo
 from dualforget.cli import main
 from dualforget.outcome import Status
 from dualforget.parser import parse_formula, parse_theory
@@ -221,9 +221,20 @@ def test_check_equiv_reads_a_file_only_when_marked(capsys, tmp_path, monkeypatch
         (["forget", "--mode", "strong", "--vars", "p", "--verify",
           "--domain-size", "0", "{theory}"], "--domain-size"),
         (["snc", "--query", "p", "--domain-size", "0"], "--domain-size"),
+        # an item that cannot name a symbol would be silently never forgotten
+        (["forget", "--mode", "strong", "--vars", "lt,ALL", "{theory}"],
+         "--vars: not a symbol name: 'ALL'"),
+        (["forget", "--mode", "weak", "--vars", "r(x)", "{theory}"],
+         "--vars: not a symbol name: 'r(x)'"),
+        (["forget", "--mode", "weak", "--vars", "lt, p q", "{theory}"],
+         "--vars: not a symbol name: 'p q'"),
+        (["wsc", "--theory", "{theory}", "--query", "lp", "--keep", "lp,Lt"],
+         "--keep: not a symbol name: 'Lt'"),
+        (["snc", "--query", "p", "--keep", "T"], "--keep: not a symbol name: 'T'"),
     ],
     ids=["no-mode", "no-vars", "unknown-option", "one-operand", "domain-0",
-         "domain-negative-fo", "domain-not-int", "forget-domain-0", "snc-domain-0"],
+         "domain-negative-fo", "domain-not-int", "forget-domain-0", "snc-domain-0",
+         "vars-upper", "vars-atom", "vars-space", "keep-upper", "keep-constant"],
 )
 def test_usage_error_exits_1(capsys, theories_dir, argv, flag):
     # exit code 2 means only that elimination failed
@@ -235,6 +246,49 @@ def test_usage_error_exits_1(capsys, theories_dir, argv, flag):
     assert captured.out == ""
     assert "error: " in captured.err and flag in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_symbol_lists_skip_empty_items_and_accept_every_name(capsys, theories_dir):
+    # all and ex are relation names to the parser, so they name symbols here
+    code, out, _ = run(capsys, "forget", "--mode", "weak", "--vars", ",lt,,",
+                       str(theories_dir / "maintain.th"))
+    assert (code, out.strip()) == (0, "lp")
+    code, out, _ = run(capsys, "snc", "--query", "all(a) & ex(a) & q", "--keep", " all , ex ")
+    assert (code, out.strip()) == (0, "all(a) & ex(a)")
+
+
+def test_main_builds_its_parser_once(capsys, theories_dir, monkeypatch):
+    # main reuses one parser across calls: a usage error, --help and flags
+    # given to one call leave nothing behind for the next
+    monkeypatch.delenv("DF_TRACE", raising=False)
+    build_parser = cli.build_parser
+    built = []
+
+    def counting_build_parser():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        theory = str(theories_dir / "maintain.th")
+        with pytest.raises(SystemExit) as exc:
+            main(["forget", "--vars", "lt", theory])
+        assert exc.value.code == 1
+        assert "required: --mode" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["forget", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dualforget forget ")
+        code3, out3, err3 = run(capsys, "forget", "--mode", "strong", "--vars", "lt",
+                                "--verify", "--trace", theory)
+        assert code3 == 0 and "verify: PASS" in err3 and "[  1]" in err3
+        code4, out4, err4 = run(capsys, "forget", "--mode", "strong", "--vars", "lt", theory)
+        assert (code4, out4, err4) == (0, out3, "")
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+    assert build_parser() is not build_parser()
 
 
 def test_domain_size_one_is_accepted(capsys):
