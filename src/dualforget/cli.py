@@ -100,12 +100,8 @@ def _print_trace(outcome: EliminationOutcome) -> None:
         )
 
 
-def _is_propositional_problem(th: Theory, extra: Sequence[Formula] = ()) -> bool:
-    return is_propositional(th.as_formula) and all(is_propositional(f) for f in extra)
-
-
-def _verify(outcome: EliminationOutcome, spec_formula: Formula, prop_problem: bool, domain: int) -> bool:
-    if prop_problem:
+def _verify(outcome: EliminationOutcome, spec_formula: Formula, domain: int) -> bool:
+    if is_propositional(spec_formula):
         ok = equiv_prop(outcome.result, spec_formula)
     else:
         ok = counterexample(outcome.result, spec_formula, max_domain=domain) is None
@@ -113,7 +109,7 @@ def _verify(outcome: EliminationOutcome, spec_formula: Formula, prop_problem: bo
     return ok
 
 
-def _finish(outcome: EliminationOutcome, args, spec_formula: Formula, prop_problem: bool) -> int:
+def _finish(outcome: EliminationOutcome, args, spec_formula: Formula) -> int:
     if args.trace or os.environ.get("DF_TRACE") == "1":
         _print_trace(outcome)
     if not outcome.ok:
@@ -128,7 +124,7 @@ def _finish(outcome: EliminationOutcome, args, spec_formula: Formula, prop_probl
             file=sys.stderr,
         )
         return EXIT_FAILED
-    if args.verify and not _verify(outcome, spec_formula, prop_problem, args.domain_size):
+    if args.verify and not _verify(outcome, spec_formula, args.domain_size):
         return EXIT_INTERNAL
     _emit(outcome.result, args.output)
     return EXIT_OK
@@ -138,7 +134,7 @@ def _cmd_forget(args) -> int:
     sig, th = _load_theory(args.theory_file)
     outcome = (fo.forget_strong if args.mode == "strong" else fo.forget_weak)(th, args.vars)
     quant = exists2 if args.mode == "strong" else forall2
-    return _finish(outcome, args, quant(args.vars, th.as_formula), _is_propositional_problem(th))
+    return _finish(outcome, args, quant(args.vars, th.as_formula))
 
 
 def _cmd_snc_wsc(args, weakest: bool) -> int:
@@ -154,7 +150,7 @@ def _cmd_snc_wsc(args, weakest: bool) -> int:
     else:
         outcome = fo.snc(th, query, args.keep)
         spec_formula = exists2(forget_set, conj([th.as_formula, query]))
-    return _finish(outcome, args, spec_formula, _is_propositional_problem(th, (query,)))
+    return _finish(outcome, args, spec_formula)
 
 
 def _parse_operand(text: str) -> Formula:

@@ -76,6 +76,7 @@ from .syntax import (
     forall,
     forall2,
     free_symbols,
+    literal,
     polarity,
     so_binder,
 )
@@ -125,6 +126,19 @@ def _strip_forall(f: Formula) -> tuple[list[str], Formula]:
     return vars, f
 
 
+#: a disjunct's literal view: symbol, sign, arguments; see ``syntax.literal``
+_Literal = tuple[str, bool, tuple[Term, ...]]
+
+
+def _clause(c: Formula) -> tuple[list[str], tuple[Formula, ...], list[Optional[_Literal]]]:
+    """A conjunct read as a clause: its ``all``-prefix variables, its
+    disjuncts, and each disjunct's literal view (``None`` for a disjunct
+    that is no literal)."""
+    bvars, body = _strip_forall(c)
+    ds = disjuncts(body)
+    return bvars, ds, [literal(d) for d in ds]
+
+
 def _strip_exists(f: Formula) -> tuple[list[str], Formula]:
     vars: list[str] = []
     while isinstance(f, ExistsInd):
@@ -165,20 +179,6 @@ class _Extraction:
     needs_fixpoint: bool     # A mentions r (positively)
 
 
-def _head_literal(d: Formula, r: str, positive: bool) -> Optional[tuple[Term, ...]]:
-    """Argument tuple when ``d`` is the r-literal of the requested sign; a
-    propositional variable is a 0-ary head with arguments ``()``."""
-    if not positive:
-        if not isinstance(d, Not):
-            return None
-        d = d.body
-    if isinstance(d, Atom) and d.rel == r:
-        return d.args
-    if isinstance(d, PropVar) and d.name == r:
-        return ()
-    return None
-
-
 #: bound variables, head arguments, other disjuncts, argument names or None
 _Head = tuple[list[str], tuple[Term, ...], tuple[Formula, ...], Optional[tuple[str, ...]]]
 
@@ -190,13 +190,13 @@ def _find_head(c: Formula, r: str, positive_case: bool) -> Optional[_Head]:
     ``None`` when the conjunct has no definitional shape.
 
     ``positive_case`` looks for a negative head ``~r(t)`` (definition
-    ``r -> A``); the negative case for a positive head."""
-    bvars, body = _strip_forall(c)
-    ds = disjuncts(body)
-    for i, d in enumerate(ds):
-        args = _head_literal(d, r, positive=not positive_case)
-        if args is None:
+    ``r -> A``); the negative case for a positive head.  A propositional
+    variable is a head without arguments."""
+    bvars, ds, lits = _clause(c)
+    for i, lit in enumerate(lits):
+        if lit is None or lit[0] != r or lit[1] == positive_case:
             continue
+        args = lit[2]
         names = tuple(t.name for t in args if isinstance(t, Var) and t.name in bvars)
         if len(set(names)) == len(args):
             return bvars, args, ds[:i] + ds[i + 1:], names
@@ -367,25 +367,22 @@ def clause_form_eliminate(r: str, f: Formula, *more: str) -> Optional[Formula]:
     disjunct must be a literal, while for ``r`` alone a disjunct without
     ``r`` may have any shape."""
     syms = (r,) + more
-    bvars, body = _strip_forall(f)
+    bvars, ds, lits = _clause(f)
     pos: dict[str, list[tuple[Term, ...]]] = {s: [] for s in syms}
     neg: dict[str, list[tuple[Term, ...]]] = {s: [] for s in syms}
     rest: list[Formula] = []
     signed: set[tuple[str, bool]] = set()  # the propositional literals
-    for d in disjuncts(body):
-        lit = d.body if isinstance(d, Not) else d
-        if isinstance(lit, Atom):
-            name, args = lit.rel, lit.args
-        elif isinstance(lit, PropVar):
-            name, args = lit.name, ()
-            signed.add((name, lit is d))
-        else:
+    for d, lit in zip(ds, lits):
+        if lit is None:
             if more or polarity(d, r) is not Polarity.ABSENT:
                 return None
             rest.append(d)
             continue
+        name, sign, args = lit
+        if not args:
+            signed.add((name, sign))
         if name in pos:
-            (pos if lit is d else neg)[name].append(args)
+            (pos if sign else neg)[name].append(args)
         else:
             rest.append(d)
     if not any(pos.values()) and not any(neg.values()):

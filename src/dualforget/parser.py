@@ -397,9 +397,9 @@ def parse_formula(
 
 
 _DIRECTIVE_RE = re.compile(r"#(sig|closure)\b")
-_SIG_PROP_RE = re.compile(r"#sig\s+prop\s+([a-z][a-zA-Z0-9_]*)\s*\Z")
-_SIG_CONST_RE = re.compile(r"#sig\s+const\s+([a-z][a-zA-Z0-9_]*)\s*\Z")
-_SIG_REL_RE = re.compile(r"#sig\s+rel\s+([a-z][a-zA-Z0-9_]*)\s*/\s*([0-9]+)\s*\Z")
+_SIG_PROP_RE = re.compile(rf"#sig\s+prop\s+({IDENT_RE.pattern})\s*\Z")
+_SIG_CONST_RE = re.compile(rf"#sig\s+const\s+({IDENT_RE.pattern})\s*\Z")
+_SIG_REL_RE = re.compile(rf"#sig\s+rel\s+({IDENT_RE.pattern})\s*/\s*([0-9]+)\s*\Z")
 
 
 def parse_theory(text: str, name: str = "theory") -> tuple[Signature, Theory]:

@@ -28,7 +28,6 @@ from .syntax import (
     PropVar,
     Term,
     Top,
-    Var,
 )
 
 _PREC_IFF = 1
@@ -36,7 +35,6 @@ _PREC_IMPLIES = 2
 _PREC_OR = 3
 _PREC_AND = 4
 _PREC_NOT = 5
-_PREC_ATOM = 6
 
 _QUANT_KEYWORD = {ForallInd: "all", ExistsInd: "ex", Forall2: "All2", Exists2: "Ex2"}
 

@@ -16,7 +16,7 @@ from .errors import InternalError
 from .fo import _eliminate_exists_rel, _expand, normalize
 from .fo import forget_strong, forget_weak, snc, wsc  # noqa: F401 (the operators)
 from .outcome import EliminationOutcome, TraceStep, success
-from .syntax import BOT, TOP, Bottom, Formula, Not, Or, PropVar, Top, conjuncts, disj
+from .syntax import BOT, TOP, Bottom, Formula, Not, PropVar, Top, conjuncts, disj, disjuncts, literal
 
 # Not called here: ``perfbench/tracing.py`` wraps these in this module's
 # namespace by name, so the names must stay importable from it.
@@ -55,17 +55,6 @@ def _literal(p: str, positive: bool) -> Formula:
     return PropVar(p) if positive else Not(PropVar(p))
 
 
-def _as_literal(d: Formula) -> Optional[tuple[str, bool]]:
-    """Literal view after stripping double negations; ``(name, positive)``."""
-    neg = False
-    while isinstance(d, Not):
-        d = d.body
-        neg = not neg
-    if isinstance(d, PropVar):
-        return d.name, not neg
-    return None
-
-
 def clause_forall_eliminate(vars: Sequence[str], clause: Formula) -> Optional[Formula]:
     """Eliminate ``All2 vars`` from a disjunction of propositional literals.
 
@@ -78,11 +67,11 @@ def clause_forall_eliminate(vars: Sequence[str], clause: Formula) -> Optional[Fo
     if isinstance(clause, Bottom):
         return BOT
     lits: list[tuple[str, bool]] = []
-    for d in (clause.items if isinstance(clause, Or) else (clause,)):
-        lit = _as_literal(d)
-        if lit is None:
+    for d in disjuncts(clause):
+        lit = literal(d)
+        if lit is None or lit[2]:
             return None
-        lits.append(lit)
+        lits.append(lit[:2])
     seen = set(lits)
     if any((name, not pos) in seen for name, pos in lits):
         return TOP

@@ -109,14 +109,14 @@ class Counterexample:
 # Recursive evaluation
 
 
-def _resolve(t: Term, interp: FiniteInterpretation, env: Mapping[str, int]) -> int:
+def _resolve(t: Term, const_map: Mapping[str, int], env: Mapping[str, int]) -> int:
     if isinstance(t, Var):
         try:
             return env[t.name]
         except KeyError:
             raise EvalError(f"unbound variable {t.name!r}") from None
     try:
-        return interp.const_map[t.name]
+        return const_map[t.name]
     except KeyError:
         raise EvalError(f"constant {t.name!r} not interpreted") from None
 
@@ -169,7 +169,7 @@ def _eval(
         except KeyError:
             raise EvalError(f"propositional variable {f.name!r} not interpreted") from None
     if isinstance(f, Atom):
-        elems = tuple(_resolve(t, interp, env) for t in f.args)
+        elems = tuple(_resolve(t, interp.const_map, env) for t in f.args)
         ext = overlay.get(f.rel)
         if ext is None:
             try:
@@ -178,7 +178,7 @@ def _eval(
                 raise EvalError(f"relation {f.rel!r} not interpreted") from None
         return elems in ext  # type: ignore[operator]
     if isinstance(f, Equal):
-        return _resolve(f.left, interp, env) == _resolve(f.right, interp, env)
+        return _resolve(f.left, interp.const_map, env) == _resolve(f.right, interp.const_map, env)
     if isinstance(f, Not):
         return not _eval(f.body, interp, env, overlay, allow_so)
     if isinstance(f, And):
@@ -202,7 +202,7 @@ def _eval(
         return want_all
     if isinstance(f, (Lfp, Gfp)):
         ext = _fixpoint_extension(f, interp, env, overlay, allow_so)
-        elems = tuple(_resolve(t, interp, env) for t in f.applied)
+        elems = tuple(_resolve(t, interp.const_map, env) for t in f.applied)
         return elems in ext
     if isinstance(f, (Forall2, Exists2)):
         if not allow_so:
@@ -297,17 +297,6 @@ class _Grounder:
         # are free atoms or held by enclosing binders
         self.next_input = len(atom_slot)
 
-    def resolve(self, t: Term, env: Mapping[str, int]) -> int:
-        if isinstance(t, Var):
-            try:
-                return env[t.name]
-            except KeyError:
-                raise EvalError(f"unbound variable {t.name!r}") from None
-        try:
-            return self.const_map[t.name]
-        except KeyError:
-            raise EvalError(f"constant {t.name!r} not interpreted") from None
-
     def atom(self, name: str, elems: tuple[int, ...], frames: Mapping[str, dict]) -> int:
         frame = frames.get(name)
         if frame is not None:
@@ -326,10 +315,11 @@ class _Grounder:
         if isinstance(f, PropVar):
             return self.atom(f.name, (), frames)
         if isinstance(f, Atom):
-            elems = tuple(self.resolve(t, env) for t in f.args)
+            elems = tuple(_resolve(t, self.const_map, env) for t in f.args)
             return self.atom(f.rel, elems, frames)
         if isinstance(f, Equal):
-            return b.const(self.resolve(f.left, env) == self.resolve(f.right, env))
+            cm = self.const_map
+            return b.const(_resolve(f.left, cm, env) == _resolve(f.right, cm, env))
         if isinstance(f, Not):
             return b.not_(self.ground(f.body, env, frames))
         if isinstance(f, And):
@@ -369,7 +359,7 @@ class _Grounder:
                 )
                 for t in space
             }
-        elems = tuple(self.resolve(t, env) for t in f.applied)
+        elems = tuple(_resolve(t, self.const_map, env) for t in f.applied)
         return cur[elems]
 
     def so_quant(self, f: Forall2 | Exists2, env: Mapping[str, int], frames: Mapping[str, dict]) -> int:

@@ -11,19 +11,10 @@ from __future__ import annotations
 
 import enum
 import operator
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ArityError, InternalError
-
-IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
-
-
-def _check_ident(name: str) -> str:
-    if not IDENT_RE.match(name):
-        raise InternalError(f"not a valid identifier: {name!r}")
-    return name
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +293,21 @@ def conjuncts(f: Formula) -> tuple[Formula, ...]:
 
 def disjuncts(f: Formula) -> tuple[Formula, ...]:
     return f.items if isinstance(f, Or) else (f,)
+
+
+def literal(d: Formula) -> Optional[tuple[str, bool, tuple[Term, ...]]]:
+    """The literal view of ``d``: ``(symbol, sign, args)`` for an atom or a
+    propositional variable (``args == ()``) under any number of negations,
+    positive when their number is even; ``None`` for any other formula."""
+    sign = True
+    while isinstance(d, Not):
+        d = d.body
+        sign = not sign
+    if isinstance(d, Atom):
+        return d.rel, sign, d.args
+    if isinstance(d, PropVar):
+        return d.name, sign, ()
+    return None
 
 
 # ---------------------------------------------------------------------------

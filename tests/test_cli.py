@@ -148,6 +148,43 @@ def test_verify_fo(capsys, theories_dir):
     assert "verify: PASS" in err
 
 
+@pytest.mark.parametrize(
+    "theory,argv,oracle",
+    [
+        ("pressure_rules.th", ["snc", "--query", "lp", "--keep", "mt,lp"], "equiv_prop"),
+        ("pressure_rules.th", ["wsc", "--query", "lp", "--keep", "mt,ht"], "equiv_prop"),
+        ("symptoms.th", ["snc", "--query", "ms(a)", "--keep", "h,t,ich"], "counterexample"),
+        ("symptoms.th", ["wsc", "--query", "ich(a)", "--keep", "ms,ss"], "counterexample"),
+    ],
+)
+def test_verify_picks_the_oracle_from_the_spec(capsys, theories_dir, monkeypatch, theory, argv, oracle):
+    # --verify checks a propositional spec with equiv_prop and a first-order
+    # one with counterexample; without --verify no oracle runs and the
+    # problem is not classified at all
+    monkeypatch.delenv("DF_TRACE", raising=False)
+    calls = {"equiv_prop": 0, "counterexample": 0, "is_propositional": 0}
+
+    def counting(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    argv = argv + ["--theory", str(theories_dir / theory)]
+    code, plain, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert calls == {"equiv_prop": 0, "counterexample": 0, "is_propositional": 0}
+    code, out, err = run(capsys, *argv, "--verify")
+    assert (code, out, err) == (0, plain, "verify: PASS\n")
+    other = "counterexample" if oracle == "equiv_prop" else "equiv_prop"
+    assert (calls[oracle], calls[other]) == (1, 0)
+
+
 def test_trace_env_var(capsys, theories_dir, monkeypatch):
     monkeypatch.setenv("DF_TRACE", "1")
     code, out, err = run(capsys, "forget", "--mode", "weak", "--vars", "mt,ht",
@@ -317,7 +354,7 @@ def test_byte_identical_runs(theories_dir):
         "forget", "--mode", "weak", "--vars", "loan",
         str(theories_dir / "consultant.th"),
     ]
-    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
+    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"}
     a = subprocess.run(cmd, capture_output=True, env=env)
     b = subprocess.run(cmd, capture_output=True, env=env)
     assert a.returncode == b.returncode == 0

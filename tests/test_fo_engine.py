@@ -169,6 +169,14 @@ def test_clause_form_no_negative_literals():
     assert fo.clause_form_eliminate("r", f) == pf("all x. a(x)")
 
 
+def test_clause_form_reads_literal_signs_by_parity():
+    # a double negation is a positive literal, as in the propositional rule
+    f = pf("all x. (~~r(x) | a(x))")
+    out = fo.clause_form_eliminate("r", f)
+    assert out == pf("all x. a(x)")
+    assert equiv_fo_finite(out, Forall2("r", f), max_domain=2)
+
+
 def test_clause_form_quadratic_size():
     # |equality disjuncts| = m * (n - m), each of `arity` component equalities
     f = pf("all x. all y. (r(x, y) | r(y, x) | ~r(x, x) | ~r(y, y) | b(x, y))")

@@ -31,6 +31,7 @@ from dualforget.syntax import (
     disj,
     free_ind_vars,
     is_closed,
+    literal,
     polarity,
     prop_symbols,
     rebuild,
@@ -101,6 +102,27 @@ def test_polarity_examples():
     assert polarity(parse_formula("p <-> q"), "p") == Polarity.BOTH
     assert polarity(parse_formula("q | r"), "p") == Polarity.ABSENT
     assert polarity(parse_formula("~(q -> p)"), "p") == Polarity.NEGATIVE
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("p", ("p", True, ())),
+        ("~p", ("p", False, ())),
+        ("~~p", ("p", True, ())),
+        ("r(x, a)", ("r", True, (Var("x"), Const("a")))),
+        ("~r(x, a)", ("r", False, (Var("x"), Const("a")))),
+        ("x = y", None),
+        ("x != y", None),
+        ("p & q", None),
+        ("T", None),
+        ("all x. r(x)", None),
+    ],
+)
+def test_literal_view(text, expected):
+    # sign by the parity of the negations; a propositional variable has no
+    # arguments; equalities, connectives and quantifiers are no literals
+    assert literal(parse_formula(text, free_vars=["x", "y"])) == expected
 
 
 def test_polarity_through_fixpoint_literal():
