@@ -8,16 +8,25 @@
   every extension of the quantified symbol.
 * :func:`counterexample` / :func:`equiv_fo_finite` -- exhaustive equivalence
   check over all interpretations up to a domain size.  Internally each ground
-  atom becomes one boolean circuit input, so one kernel truth table covers
-  every interpretation at once.  Both sides share one circuit, whose
-  ``f XOR g`` output marks where they differ; the reported counterexample
-  is the lowest index in the documented lexicographic enumeration order
-  (relations sorted by name, tuples in lexicographic order, constants and
-  free variables enumerated outermost).
+  atom becomes one input, so one truth table covers every interpretation at
+  once, and ``f XOR g`` marks where the sides differ; the reported
+  counterexample is the lowest index in the documented lexicographic
+  enumeration order (relations sorted by name, tuples in lexicographic
+  order, constants and free variables enumerated outermost).
+
+  The width picks how a side is grounded, as in ``prop_oracle``.  Below
+  ``kernel.FREE_FROM_VARS`` (12) inputs, each node grounds straight to its
+  truth table, at most 256 bytes.  From 12 inputs on, both sides ground
+  into one hash-consed circuit, which shares repeated sub-groundings, and
+  the kernel evaluates its ``f XOR g`` output.  Measured on a 2-vCPU VM:
+  the benchmark's fo_cli checks (all but 11 of 496 groundings below 12
+  inputs) ran 1.5 times as fast this way as with circuits at every width,
+  while grounding a 22-input check to tables instead of a circuit took 4
+  times as long.
 
   A second-order quantifier is grounded by projection: its body is grounded
-  once, with each ground atom of the bound symbol as one more circuit input,
-  and the kernel projects those inputs out (``Ex2 r. F`` is
+  once, with each ground atom of the bound symbol as one more input, and
+  those inputs are projected out by ``kernel.project`` (``Ex2 r. F`` is
   ``F[r(t):=T] | F[r(t):=F]`` for each tuple ``t`` in turn; ``All2`` is
   ``~Ex2 ~``).  Inputs are taken stack-style, so nested binders take the
   next ones and sibling binders reuse them.  Their number is the widest
@@ -271,40 +280,183 @@ def _eval_so_quant(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive equivalence over all interpretations (ground circuits)
+# Exhaustive equivalence over all interpretations (grounded to tables or circuits)
 
 
 class _Grounder:
-    """Compiles a formula over a fixed domain into a boolean circuit whose
-    inputs are the ground atoms of the free vocabulary."""
+    """Grounds a formula over a fixed domain; the ground atoms of the free
+    vocabulary are the inputs.  A subclass says what a grounded formula
+    is, a truth table or a circuit slot, and grounds each node."""
 
     def __init__(
         self,
-        builder: CircuitBuilder,
+        n_inputs: int,
         domain_size: int,
         const_map: Mapping[str, int],
-        atom_slot: Mapping[tuple[str, tuple[int, ...]], int],
+        atom_value: Mapping[tuple[str, tuple[int, ...]], int],
         so_arity: Mapping[int, Optional[int]],
     ):
-        self.builder = builder
+        self.n_inputs = n_inputs
         self.d = domain_size
         self.const_map = const_map
-        self.atom_slot = atom_slot
+        # each free ground atom's grounding: the input that stands for it
+        self.atom_value = atom_value
         # per second-order binder, by id: the arity of its bound symbol in
         # its body, None when vacuous
         self.so_arity = so_arity
         # the next input a second-order binder may take; inputs below it
         # are free atoms or held by enclosing binders
-        self.next_input = len(atom_slot)
+        self.next_input = len(atom_value)
 
     def atom(self, name: str, elems: tuple[int, ...], frames: Mapping[str, dict]) -> int:
         frame = frames.get(name)
         if frame is not None:
             return frame[elems]
         try:
-            return self.atom_slot[(name, elems)]
+            return self.atom_value[(name, elems)]
         except KeyError:
             raise EvalError(f"symbol {name!r} missing from grounding signature") from None
+
+    def fixpoint(self, f: Lfp | Gfp, env: Mapping[str, int], frames: Mapping[str, dict]) -> int:
+        space = _tuple_space(self.d, len(f.argvars))
+        seed = self.const(isinstance(f, Gfp))
+        cur = {t: seed for t in space}
+        for _ in range(len(space)):
+            cur = {
+                t: self.ground(
+                    f.body,
+                    {**env, **dict(zip(f.argvars, t))},
+                    {**frames, f.rel: cur},
+                )
+                for t in space
+            }
+        elems = tuple(_resolve(t, self.const_map, env) for t in f.applied)
+        return cur[elems]
+
+    def so_quant(self, f: Forall2 | Exists2, env: Mapping[str, int], frames: Mapping[str, dict]) -> int:
+        arity = self.so_arity[id(f)]
+        if arity is None:
+            return self.ground(f.body, env, frames)  # vacuous
+        # a propositional variable is 0-ary: its frame has the one tuple ()
+        space = _tuple_space(self.d, arity)
+        first = self.next_input
+        inputs = range(first, min(first + len(space), self.n_inputs))
+        self.next_input = inputs.stop
+        frame = dict(zip(space, map(self.input, inputs)))
+        rest = space[len(inputs):]
+        slots = []
+        for bits in range(1 << len(rest)):
+            frame.update((t, self.const(bool((bits >> j) & 1))) for j, t in enumerate(rest))
+            slots.append(self.ground(f.body, env, {**frames, f.sym: frame}))
+        self.next_input = first
+        return self.project(slots, inputs, isinstance(f, Exists2))
+
+
+class _TableGrounder(_Grounder):
+    """Grounds straight to truth tables over ``2**n_inputs`` bits."""
+
+    def __init__(self, n_inputs, domain_size, const_map, atom_value, so_arity):
+        super().__init__(n_inputs, domain_size, const_map, atom_value, so_arity)
+        self.nbits = 1 << n_inputs
+        self.full = (1 << self.nbits) - 1
+
+    def input(self, i: int) -> int:
+        return kernel._var_mask(i, self.nbits)
+
+    def const(self, value: bool) -> int:
+        return self.full if value else 0
+
+    def project(self, tables: list[int], inputs: range, exists: bool) -> int:
+        """``Ex2`` (or, with ``exists`` false, ``All2``) over the enumerated
+        tuples, whose groundings are ``tables``, then over ``inputs``."""
+        full = self.full
+        if exists:
+            out = 0
+            for t in tables:
+                out |= t
+        else:
+            out = full
+            for t in tables:
+                out &= t
+            out ^= full
+        for i in inputs:
+            out = kernel.project(out, i, self.nbits)
+        return out if exists else out ^ full
+
+    def ground(self, f: Formula, env: Mapping[str, int], frames: Mapping[str, dict]) -> int:
+        t = type(f)
+        if t is Atom:
+            cm = self.const_map
+            try:
+                elems = tuple([env[a.name] if type(a) is Var else cm[a.name] for a in f.args])
+            except KeyError:  # raise the error _resolve gives
+                elems = tuple(_resolve(a, cm, env) for a in f.args)
+            return self.atom(f.rel, elems, frames)
+        if t is And:
+            r = self.full
+            for it in f.items:
+                r &= self.ground(it, env, frames)
+            return r
+        if t is Or:
+            r = 0
+            for it in f.items:
+                r |= self.ground(it, env, frames)
+            return r
+        if t is Not:
+            return self.ground(f.body, env, frames) ^ self.full
+        if t is ForallInd:
+            r = self.full
+            for e in range(self.d):
+                r &= self.ground(f.body, {**env, f.var: e}, frames)
+            return r
+        if t is ExistsInd:
+            r = 0
+            for e in range(self.d):
+                r |= self.ground(f.body, {**env, f.var: e}, frames)
+            return r
+        if t is Implies:
+            a = self.ground(f.antecedent, env, frames)
+            return (a ^ self.full) | self.ground(f.consequent, env, frames)
+        if t is Iff:
+            a = self.ground(f.left, env, frames)
+            return a ^ self.ground(f.right, env, frames) ^ self.full
+        if t is PropVar:
+            return self.atom(f.name, (), frames)
+        if t is Equal:
+            cm = self.const_map
+            return self.full if _resolve(f.left, cm, env) == _resolve(f.right, cm, env) else 0
+        if t is Top:
+            return self.full
+        if t is Bottom:
+            return 0
+        if t is Lfp or t is Gfp:
+            return self.fixpoint(f, env, frames)
+        if t is Forall2 or t is Exists2:
+            return self.so_quant(f, env, frames)
+        raise EvalError(f"unhandled formula in grounding: {t.__name__}")
+
+
+class _CircuitGrounder(_Grounder):
+    """Grounds into one hash-consed circuit, whose input ``i`` is slot ``i``,
+    for the kernel to evaluate."""
+
+    def __init__(self, builder: CircuitBuilder, domain_size, const_map, atom_value, so_arity):
+        super().__init__(builder.n_vars, domain_size, const_map, atom_value, so_arity)
+        self.builder = builder
+
+    def input(self, i: int) -> int:
+        return i
+
+    def const(self, value: bool) -> int:
+        return self.builder.const(value)
+
+    def project(self, slots: list[int], inputs: range, exists: bool) -> int:
+        """As ``_TableGrounder.project``, emitting gates."""
+        b = self.builder
+        out = b.or_many(slots) if exists else b.not_(b.and_many(slots))
+        for i in inputs:
+            out = b.exists(out, i)
+        return out if exists else b.not_(out)
 
     def ground(self, f: Formula, env: Mapping[str, int], frames: Mapping[str, dict]) -> int:
         b = self.builder
@@ -345,45 +497,6 @@ class _Grounder:
         if isinstance(f, (Forall2, Exists2)):
             return self.so_quant(f, env, frames)
         raise EvalError(f"unhandled formula in grounding: {type(f).__name__}")
-
-    def fixpoint(self, f: Lfp | Gfp, env: Mapping[str, int], frames: Mapping[str, dict]) -> int:
-        space = _tuple_space(self.d, len(f.argvars))
-        seed = self.builder.const(isinstance(f, Gfp))
-        cur = {t: seed for t in space}
-        for _ in range(len(space)):
-            cur = {
-                t: self.ground(
-                    f.body,
-                    {**env, **dict(zip(f.argvars, t))},
-                    {**frames, f.rel: cur},
-                )
-                for t in space
-            }
-        elems = tuple(_resolve(t, self.const_map, env) for t in f.applied)
-        return cur[elems]
-
-    def so_quant(self, f: Forall2 | Exists2, env: Mapping[str, int], frames: Mapping[str, dict]) -> int:
-        b = self.builder
-        arity = self.so_arity[id(f)]
-        if arity is None:
-            return self.ground(f.body, env, frames)  # vacuous
-        # a propositional variable is 0-ary: its frame has the one tuple ()
-        space = _tuple_space(self.d, arity)
-        first = self.next_input
-        inputs = range(first, min(first + len(space), b.n_vars))
-        self.next_input = inputs.stop
-        frame = dict(zip(space, inputs))
-        rest = space[len(inputs):]
-        slots = []
-        for bits in range(1 << len(rest)):
-            frame.update((t, b.const(bool((bits >> j) & 1))) for j, t in enumerate(rest))
-            slots.append(self.ground(f.body, env, {**frames, f.sym: frame}))
-        self.next_input = first
-        exists = isinstance(f, Exists2)
-        out = b.or_many(slots) if exists else b.not_(b.and_many(slots))
-        for i in inputs:
-            out = b.exists(out, i)
-        return out if exists else b.not_(out)
 
 
 def _scan_so_binders(
@@ -460,15 +573,24 @@ def counterexample(
                     _scan_so_binders(g, domains, so_arity, memo))
             )
         n_inputs = len(atoms) + min(chain[d - 1], MAX_TT_VARS - len(atoms))
-        slot_of = {atom: i for i, atom in enumerate(atoms)}
+        tables = n_inputs < kernel.FREE_FROM_VARS
+        if tables:
+            nbits = 1 << n_inputs
+            atom_value = {atom: kernel._var_mask(i, nbits) for i, atom in enumerate(atoms)}
+        else:
+            atom_value = {atom: i for i, atom in enumerate(atoms)}
         for const_vals in itertools.product(range(d), repeat=len(consts)):
             const_map = dict(zip(consts, const_vals))
             for env_vals in itertools.product(range(d), repeat=len(free)):
                 env = dict(zip(free, env_vals))
-                builder = CircuitBuilder(n_inputs)
-                grounder = _Grounder(builder, d, const_map, slot_of, so_arity)
-                out = builder.xor2(grounder.ground(f, env, {}), grounder.ground(g, env, {}))
-                diff = kernel.eval_table(builder, out)
+                if tables:
+                    grounder = _TableGrounder(n_inputs, d, const_map, atom_value, so_arity)
+                    diff = grounder.ground(f, env, {}) ^ grounder.ground(g, env, {})
+                else:
+                    builder = CircuitBuilder(n_inputs)
+                    grounder = _CircuitGrounder(builder, d, const_map, atom_value, so_arity)
+                    out = builder.xor2(grounder.ground(f, env, {}), grounder.ground(g, env, {}))
+                    diff = kernel.eval_table(builder, out)
                 if diff:
                     # the projections leave the table constant along the
                     # bound inputs, so its lowest set bit has them clear

@@ -23,18 +23,20 @@ from ._program import (
 BACKEND = "pure"
 
 #: The width at which tables get big.  Below it a table is at most 256
-#: bytes, and ``prop_oracle`` computes its tables in the compile walk and
-#: calls no kernel, because building the circuit cost more than evaluating
-#: it (3,000 prop_random checks on a 2-vCPU VM: 0.14 s as tables, 0.31 s as
-#: circuits); ``fo_oracle`` builds a circuit at every width.  From this many
-#: inputs on, each table is released after the last instruction that reads
-#: it; below it the bookkeeping costs more than the memory saves.  Measured
-#: on the circuits of one benchmark round: the 3,000 prop_random circuits
-#: took 0.025 s keeping every table and 0.034 s freeing every table; the 66
-#: prop_rules circuits (up to 20 inputs, 128 KiB tables) took 0.19 s keeping
-#: every table and 0.06 s freeing from 12 inputs, because freed tables are
-#: reused instead of growing the heap.  Computing the prop_rules tables in
-#: the compile walk instead raised the peak RSS from 32 to 184 MB.
+#: bytes, and both oracles compute their tables as they walk the formulas
+#: and call no kernel, because building the circuit cost more than
+#: evaluating it (3,000 prop_random checks on a 2-vCPU VM: 0.14 s as
+#: tables, 0.31 s as circuits; the first-order figures are in the
+#: ``fo_oracle`` docstring).  From this many inputs on, the oracles build
+#: circuits, and each table is released after the last instruction that
+#: reads it; below it the bookkeeping costs more than the memory saves.
+#: Measured on the circuits of one benchmark round: the 3,000 prop_random
+#: circuits took 0.025 s keeping every table and 0.034 s freeing every
+#: table; the 66 prop_rules circuits (up to 20 inputs, 128 KiB tables) took
+#: 0.19 s keeping every table and 0.06 s freeing from 12 inputs, because
+#: freed tables are reused instead of growing the heap.  Computing the
+#: prop_rules tables in the compile walk instead raised the peak RSS from
+#: 32 to 184 MB.
 FREE_FROM_VARS = 12
 
 _mask_cache: dict[tuple[int, int], int] = {}
@@ -58,6 +60,15 @@ def _var_mask(i: int, nbits: int) -> int:
             width <<= 1
     _mask_cache[key] = m
     return m
+
+
+def project(t: int, i: int, nbits: int) -> int:
+    """Table ``t`` over ``nbits`` bits with input ``i`` projected out:
+    ``t[i:=0] | t[i:=1]``.  The half where input ``i`` is set and the half
+    where it is clear are each copied onto the other and OR-ed in."""
+    hi = t & _var_mask(i, nbits)
+    s = 1 << i
+    return t | (hi >> s) | ((t ^ hi) << s)
 
 
 def eval_table(builder: CircuitBuilder, out: int) -> int:
@@ -99,12 +110,7 @@ def eval_table(builder: CircuitBuilder, out: int) -> int:
         elif op == OP_CONST1:
             slots.append(full)
         elif op == OP_EXISTS:
-            # the half where input b is set, and the half where it is clear,
-            # each copied onto the other and OR-ed in
-            t = slots[a]
-            hi = t & _var_mask(b, nbits)
-            s = 1 << b
-            slots.append(t | (hi >> s) | ((t ^ hi) << s))
+            slots.append(project(slots[a], b, nbits))
         else:
             raise ValueError(f"bad opcode {op}")
         if last is not None:

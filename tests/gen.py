@@ -10,7 +10,6 @@ from dualforget.syntax import (
     BOT,
     TOP,
     Atom,
-    Const,
     Equal,
     ExistsInd,
     ForallInd,

@@ -14,16 +14,15 @@ from gen import PROP_VARS, clause_fragment_theory, forget_split, prop_formula, p
 from dualforget import fo, prop
 from dualforget.errors import LogicError
 from dualforget.outcome import Status
-from dualforget.parser import parse_formula, parse_theory
+from dualforget.parser import parse_formula
 from dualforget.printer import format_formula
-from dualforget.semantics import counterexample, equiv_fo_finite, equiv_prop, truth_table
+from dualforget.semantics import equiv_fo_finite, equiv_prop, truth_table
 from dualforget.syntax import (
     BOT,
     TOP,
     Exists2,
     Forall2,
     Not,
-    PropVar,
     Theory,
     conj,
     contains_fixpoint,
@@ -33,7 +32,6 @@ from dualforget.syntax import (
     prop_symbols,
     rel_symbols,
 )
-from dualforget.transform import simplify
 
 
 def pf(text, **kw):

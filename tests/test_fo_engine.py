@@ -9,19 +9,14 @@ from dualforget import fo
 from dualforget.errors import ArityError, LogicError
 from dualforget.outcome import Status
 from dualforget.parser import parse_formula, parse_theory
-from dualforget.printer import format_formula
-from dualforget.semantics import counterexample, equiv_fo_finite, equiv_prop, eval_fo, eval_so
+from dualforget.semantics import counterexample, equiv_fo_finite, equiv_prop
 from dualforget.syntax import (
-    BOT,
     TOP,
     Atom,
-    Equal,
     Exists2,
     Forall2,
     ForallInd,
-    Gfp,
     Implies,
-    Lfp,
     Not,
     PropVar,
     Theory,

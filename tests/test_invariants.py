@@ -13,7 +13,6 @@ from gen import prop_formula
 from dualforget import fo, semantics
 from dualforget.errors import LogicError
 from dualforget.outcome import Status
-from dualforget.parser import parse_formula
 from dualforget.printer import format_formula
 from dualforget.semantics import (
     FiniteInterpretation,
@@ -139,3 +138,23 @@ def test_semantics_imports_nothing_from_engines():
                 continue
             parts = {part for n in names for part in n.split(".")}
             assert not parts & {"prop", "fo", "transform"}, f"{path.name}: {ast.dump(node)}"
+
+
+def test_test_modules_read_every_name_they_import():
+    # an import that a test module never reads is dead weight, and hides
+    # which parts of the package the module really exercises
+    unread = {}
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        read = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        if imported - read:
+            unread[path.name] = sorted(imported - read)
+    assert not unread

@@ -22,14 +22,12 @@ from dualforget.semantics.fo_oracle import _tuple_space
 from dualforget.syntax import (
     BOT,
     TOP,
-    Atom,
     Exists2,
     Forall2,
     Iff,
     Implies,
     Not,
     PropVar,
-    Var,
     conj,
     disj,
     prop_symbols,
@@ -70,12 +68,21 @@ def test_truth_table_guard():
 
 @pytest.fixture(params=["tables", "circuit"])
 def oracle_path(request, monkeypatch):
-    """Below kernel.FREE_FROM_VARS inputs the oracle computes truth tables in
-    its compile walk; "circuit" moves the cut to 0 so that every check
-    builds and evaluates a circuit instead."""
+    """Below kernel.FREE_FROM_VARS inputs both oracles compute truth tables
+    as they walk the formulas; "circuit" moves the cut to 0 so that every
+    check builds and evaluates a circuit instead."""
     if request.param == "circuit":
         monkeypatch.setattr(kernel, "FREE_FROM_VARS", 0)
     return request.param
+
+
+def _each_path(monkeypatch):
+    """The two paths of ``oracle_path`` in turn, inside one test, for tests
+    whose names and reference values stay those of one run: tables below
+    the cut as shipped first, then circuits only, until the test ends."""
+    yield "tables"
+    monkeypatch.setattr(kernel, "FREE_FROM_VARS", 0)
+    yield "circuit"
 
 
 def _valuations(vocab):
@@ -282,13 +289,17 @@ def test_counterexample_rejects_a_name_used_as_both_kinds():
         counterexample(PropVar("p"), parse_formula("p(a)"))
 
 
-def test_counterexample_is_deterministic_and_real():
+def test_counterexample_is_deterministic_and_real(monkeypatch):
     f = pf("all x. (a(x) -> b(x, x))")
     g = pf("ex x. a(x)")
-    ce1 = counterexample(f, g, max_domain=2)
-    ce2 = counterexample(f, g, max_domain=2)
-    assert ce1 == ce2
-    assert eval_fo(f, ce1.interp, ce1.env) != eval_fo(g, ce1.interp, ce1.env)
+    found = []
+    for _ in _each_path(monkeypatch):
+        ce1 = counterexample(f, g, max_domain=2)
+        ce2 = counterexample(f, g, max_domain=2)
+        assert ce1 == ce2
+        assert eval_fo(f, ce1.interp, ce1.env) != eval_fo(g, ce1.interp, ce1.env)
+        found.append(ce1)
+    assert found[0] == found[1]
 
 
 def _all_models(d: int):
@@ -306,40 +317,61 @@ def _all_models(d: int):
                 yield FiniteInterpretation(d, {}, {"a": a_ext, "b": b_ext}, {"p": p})
 
 
-def test_ground_path_agrees_with_recursive_eval():
-    # the circuit-based equivalence check and the direct recursive evaluator
-    # are two independent implementations; they must agree on whether a
-    # formula is valid over all small models
+def test_ground_path_agrees_with_recursive_eval(monkeypatch):
+    # the grounded equivalence check, as tables or as a circuit, and the
+    # direct recursive evaluator are independent implementations; they must
+    # agree on whether a formula is valid over all small models
     rng = random.Random(37)
-    for _ in range(30):
-        f = fo_formula(rng, depth=2)
-        valid_recursive = all(
-            eval_fo(f, m) for d in (1, 2) for m in _all_models(d)
-        )
-        valid_ground = counterexample(f, pf("T"), max_domain=2) is None
-        assert valid_recursive == valid_ground
+    fs = [fo_formula(rng, depth=2) for _ in range(30)]
+    valid = [all(eval_fo(f, m) for d in (1, 2) for m in _all_models(d)) for f in fs]
+    for _ in _each_path(monkeypatch):
+        assert [counterexample(f, pf("T"), max_domain=2) is None for f in fs] == valid
 
 
-def test_so_quantifier_ground_vs_recursive():
-    # both oracle paths over each kind of bound symbol: the circuit must be
-    # valid, and satisfiable, exactly where the recursive evaluator says so
+def test_so_quantifier_ground_vs_recursive(monkeypatch):
+    # grounding and recursive evaluation over each kind of bound symbol: the
+    # grounding, as tables or as a circuit, must be valid, and satisfiable,
+    # exactly where the recursive evaluator says so
     rng = random.Random(41)
     models = [m for d in (1, 2) for m in _all_models(d)]
     p = PropVar("p")
+    qs = []
     for _ in range(10):
         f = fo_formula(rng, depth=2)
         g = fo_formula(rng, depth=2)
-        for q in (
+        qs += [
             Exists2("b", f),
             Exists2("s", f),  # vacuous
             conj([disj([p, f]), Exists2("p", disj([conj([p, f]), conj([Not(p), g])]))]),
             Forall2("b", f),
             # the inner b rebinds: satisfiable iff f depends on b
             Exists2("b", conj([f, Exists2("b", Not(f))])),
-        ):
-            values = {eval_so(q, m) for m in models}
-            assert (values == {True}) == (counterexample(q, pf("T"), max_domain=2) is None)
-            assert (values == {False}) == (counterexample(q, pf("F"), max_domain=2) is None)
+        ]
+    values = [{eval_so(q, m) for m in models} for q in qs]
+    for _ in _each_path(monkeypatch):
+        for q, vs in zip(qs, values):
+            assert (vs == {True}) == (counterexample(q, pf("T"), max_domain=2) is None)
+            assert (vs == {False}) == (counterexample(q, pf("F"), max_domain=2) is None)
+
+
+@pytest.mark.parametrize(
+    "n_props,so,calls",
+    [(0, False, 0), (11, False, 0), (12, False, 1 + 4), (22, False, 1 + 4), (10, True, 4)],
+)
+def test_width_decides_the_first_order_path(monkeypatch, n_props, so, calls):
+    # the truth tables come out of the grounding walk below 12 inputs; from
+    # there on the kernel evaluates one circuit per assignment of the
+    # constant and the free variable: one at domain size 1, four at 2.
+    # With so, the bound atoms b(y, y) take 1 input at size 1 and 4 at 2.
+    seen = []
+    eval_table = kernel.eval_table
+    monkeypatch.setattr(kernel, "eval_table", lambda *a: seen.append(a) or eval_table(*a))
+    parts = [f"v{i:02}" for i in range(n_props)] + ["(x = c | ~x = c)"]
+    if so:
+        parts.append("Ex2 b. ex y. b(y, y)")
+    f = pf(" & ".join(parts), free_vars=["x"])
+    assert counterexample(f, Not(Not(f)), max_domain=2) is None
+    assert len(seen) == calls
 
 
 def test_domain_guard():
@@ -364,6 +396,8 @@ _SO_PAIRS = [
     # 0-ary binders
     ("Ex2 q. ((q -> a(c)) & (~q -> p) & (q | ex x. a(x)))", "a(c) | (p & ex x. ~x = c)"),
     ("All2 q. (q | p | ex x. a(x))", "p"),
+    # an Iff under the binder
+    ("Ex2 s. ((all x. (s(x) -> a(x))) & (p <-> ex x. s(x)))", "p -> ex x. a(x)"),
     # Ex2 under an individual quantifier: equivalent to ~a(c)
     ("all x. (a(x) -> Ex2 s. (s(x) & ~s(c)))", "~a(c)"),
     ("all x. (a(x) -> Ex2 s. (s(x) & ~s(c)))", "all x. ~a(x)"),
@@ -419,10 +453,11 @@ def _first_difference(f, g, max_domain):
 
 
 @pytest.mark.parametrize("f_text,g_text", _SO_PAIRS)
-def test_projected_counterexample_is_the_first_difference(f_text, g_text):
+def test_projected_counterexample_is_the_first_difference(monkeypatch, f_text, g_text):
     f, g = pf(f_text), pf(g_text)
-    for max_domain in (1, 2, 3):
-        assert counterexample(f, g, max_domain=max_domain) == _first_difference(f, g, max_domain)
+    expected = [_first_difference(f, g, max_domain) for max_domain in (1, 2, 3)]
+    for _ in _each_path(monkeypatch):
+        assert [counterexample(f, g, max_domain=d) for d in (1, 2, 3)] == expected
 
 
 def test_bound_tuples_past_the_input_guard_are_enumerated(monkeypatch):
@@ -437,13 +472,18 @@ def test_bound_tuples_past_the_input_guard_are_enumerated(monkeypatch):
     expected = [counterexample(f, g, max_domain=3) for f, g in pairs]
     f, g = pairs[0]  # told apart at domain size 3 only
     grounded = Counter()
-    ground = fo_oracle._Grounder.ground
 
-    def counting_ground(self, h, env, frames):
-        grounded[self.d] += h is f.body
-        return ground(self, h, env, frames)
+    def counting(ground):
+        def counting_ground(self, h, env, frames):
+            grounded[self.d] += h is f.body
+            return ground(self, h, env, frames)
 
-    monkeypatch.setattr(fo_oracle._Grounder, "ground", counting_ground)
+        return counting_ground
+
+    # 2, 6 and 12 inputs: tables at domain sizes 1 and 2, a circuit at 3;
+    # under the 6-input guard, tables at every size
+    for grounder in (fo_oracle._TableGrounder, fo_oracle._CircuitGrounder):
+        monkeypatch.setattr(grounder, "ground", counting(grounder.ground))
     counterexample(f, g, max_domain=3)
     assert grounded == {1: 1, 2: 1, 3: 1}  # every tuple projected
     grounded.clear()

@@ -7,12 +7,11 @@ from gen import forget_split, prop_formula, prop_theory
 from dualforget import fo, prop
 from dualforget.errors import LogicError
 from dualforget.parser import parse_formula
-from dualforget.semantics import equiv_prop, eval_prop, implies_prop
+from dualforget.semantics import equiv_prop, implies_prop
 from dualforget.syntax import (
     BOT,
     TOP,
     Exists2,
-    Forall2,
     Not,
     PropVar,
     Theory,

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from gen import fo_formula, prop_formula, prop_theory
 from dualforget.errors import CaptureError
 from dualforget.parser import parse_formula
-from dualforget.printer import format_formula
-from dualforget.semantics import equiv_fo_finite, equiv_prop, eval_prop, truth_table
+from dualforget.semantics import equiv_fo_finite, equiv_prop, truth_table
 from dualforget.syntax import (
     BOT,
     TOP,
