@@ -23,7 +23,9 @@ class ArityError(LogicError):
 
 
 class CaptureError(LogicError):
-    """A substitution would capture (or rebind) a symbol."""
+    """The parameters of a relational substitution are not pairwise
+    distinct.  Substitution renames binders instead of capturing, and an
+    occurrence under a binder of the substituted symbol is not free."""
 
 
 class GuardError(LogicError):

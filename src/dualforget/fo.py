@@ -426,10 +426,7 @@ def _eliminate_exists_rel(
     if ext.needs_fixpoint:
         e = (Gfp if ext.positive_case else Lfp)(r, ext.params, e, pvars)
     residual = conj(ext.residual)
-    if arity:
-        raw = substitute_rel(residual, r, ext.params, e)
-    else:
-        raw = substitute_prop(residual, r, e)
+    raw = substitute_rel(residual, r, ext.params, e)
     steps.append(TraceStep("AckermannPos" if ext.positive_case else "AckermannNeg", Exists2(r, g), raw))
     out = simplify(raw)
     if out != raw:

@@ -527,22 +527,24 @@ def const_symbols(f: Formula) -> set[str]:
 
 def all_names(f: Formula) -> set[str]:
     """Every identifier appearing anywhere (bound or free); used to pick
-    fresh names."""
+    fresh names.  Visits each node object once, so a shared subtree costs
+    one visit."""
     out: set[str] = set()
-
-    def term(t: Term) -> None:
-        out.add(t.name)
-
-    for g in _subformulas(f):
+    seen: set[int] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
         if isinstance(g, PropVar):
             out.add(g.name)
         elif isinstance(g, Atom):
             out.add(g.rel)
-            for t in g.args:
-                term(t)
+            out.update(t.name for t in g.args)
         elif isinstance(g, Equal):
-            term(g.left)
-            term(g.right)
+            out.add(g.left.name)
+            out.add(g.right.name)
         elif isinstance(g, (ForallInd, ExistsInd)):
             out.add(g.var)
         elif isinstance(g, (Forall2, Exists2)):
@@ -550,8 +552,8 @@ def all_names(f: Formula) -> set[str]:
         elif isinstance(g, (Lfp, Gfp)):
             out.add(g.rel)
             out.update(g.argvars)
-            for t in g.applied:
-                term(t)
+            out.update(t.name for t in g.applied)
+        stack.extend(_CHILDREN[type(g)](g))
     return out
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ArityError, CaptureError, InternalError, nesting_guard
 from .syntax import (
@@ -28,7 +28,6 @@ from .syntax import (
     Term,
     Top,
     Var,
-    _subformulas,
     all_names,
     children,
     conj,
@@ -63,17 +62,34 @@ class NameGen:
 
 
 # ---------------------------------------------------------------------------
-# Term-level substitution (capture-avoiding)
+# Capture-avoiding substitution
+#
+# Two walks serve every substitution.  ``_rename`` is the only one that
+# knows about binders: it replaces free individual variables by terms and
+# gives a binder a fresh name where it would capture.  ``substitute_rel``
+# finds the free occurrences of one symbol and inserts its instances.
+
+#: a memo for one call of a walk: ``id(node)`` -> ``(node, result)``; the
+#: node is kept so that its id is not reused within the call
+_Memo = dict[int, tuple[Formula, Formula]]
+
+_BINDERS = (ForallInd, ExistsInd, Forall2, Exists2, Lfp, Gfp)
 
 
-def _term_sub(t: Term, mapping: Mapping[str, Term]) -> Term:
-    if isinstance(t, Var) and t.name in mapping:
-        return mapping[t.name]
-    return t
+def _terms_sub(ts: tuple[Term, ...], m: Mapping[str, Term]) -> tuple[Term, ...]:
+    """``ts`` with ``m`` applied; the same tuple when no term changes."""
+    out = tuple(m.get(t.name, t) if isinstance(t, Var) else t for t in ts)
+    return ts if out == ts else out
 
 
 def _term_vars(ts: Iterable[Term]) -> set[str]:
     return {t.name for t in ts if isinstance(t, Var)}
+
+
+def _without(m: dict, names: Iterable[str]) -> dict:
+    """``m`` less the keys ``names``; ``m`` itself when it has none of them."""
+    drop = [n for n in names if n in m]
+    return {k: v for k, v in m.items() if k not in drop} if drop else m
 
 
 def subst_terms(f: Formula, mapping: Mapping[str, Term], ng: Optional[NameGen] = None) -> Formula:
@@ -83,123 +99,133 @@ def subst_terms(f: Formula, mapping: Mapping[str, Term], ng: Optional[NameGen] =
         return f
     if ng is None:
         ng = NameGen(all_names(f) | {t.name for t in mapping.values()} | set(mapping))
+    return _rename(f, dict(mapping), ng)
 
-    def walk(g: Formula, m: Mapping[str, Term]) -> Formula:
+
+def _rename(
+    f: Formula,
+    terms: dict[str, Term],
+    ng: NameGen,
+    clash_vars: AbstractSet[str] = frozenset(),
+    clash_syms: AbstractSet[str] = frozenset(),
+) -> Formula:
+    """Replace the free individual variables of ``terms`` by their terms.
+    In pre-order, a binder whose name is in ``clash_vars``/``clash_syms``,
+    or would capture a variable of an inserted term, takes a fresh name
+    from ``ng``, and its bound occurrences follow it.  Under the starting
+    maps each node object is rewritten once."""
+    memo: _Memo = {}
+    first_terms = terms
+    first_syms: dict[str, str] = {}
+
+    def walk(g: Formula, terms: dict[str, Term], syms: dict[str, str]) -> Formula:
+        if isinstance(g, PropVar):
+            return PropVar(syms[g.name]) if g.name in syms else g
         if isinstance(g, Atom):
-            args = _terms_sub(g.args, m)
-            return g if args is g.args else Atom(g.rel, args)
+            args = _terms_sub(g.args, terms)
+            rel = syms.get(g.rel, g.rel)
+            return g if args is g.args and rel is g.rel else Atom(rel, args)
         if isinstance(g, Equal):
             pair = (g.left, g.right)
-            new = _terms_sub(pair, m)
+            new = _terms_sub(pair, terms)
             return g if new is pair else Equal(*new)
-        if isinstance(g, (ForallInd, ExistsInd)):
-            m2 = {k: v for k, v in m.items() if k != g.var}
-            if not m2:
-                return g
-            if g.var not in _term_vars(m2.values()):
-                return rebuild(g, [walk(g.body, m2)])
-            var = ng.fresh(g.var)
-            body = subst_terms(g.body, {g.var: Var(var)}, ng)
-            return type(g)(var, walk(body, m2))
-        if isinstance(g, (Lfp, Gfp)):
-            applied = _terms_sub(g.applied, m)
-            m2 = {k: v for k, v in m.items() if k not in g.argvars}
-            body = g.body
-            argvars = g.argvars
-            clash = set(argvars) & _term_vars(m2.values())
-            if m2 and clash:
-                renaming = {v: Var(ng.fresh(v)) for v in clash}
-                argvars = tuple(renaming.get(v, Var(v)).name for v in argvars)
-                body = subst_terms(body, renaming, ng)
-            if m2:
-                body = walk(body, m2)
-            if body is g.body and argvars is g.argvars and applied is g.applied:
-                return g
-            return type(g)(g.rel, argvars, body, applied)
-        return rebuild(g, [walk(k, m) for k in children(g)])
-
-    return walk(f, dict(mapping))
-
-
-def _terms_sub(ts: tuple[Term, ...], m: Mapping[str, Term]) -> tuple[Term, ...]:
-    """``ts`` with ``m`` applied; the same tuple when no term changes."""
-    out = tuple(_term_sub(t, m) for t in ts)
-    return ts if out == ts else out
-
-
-# ---------------------------------------------------------------------------
-# Renaming of bound symbols (used for capture avoidance before substitution)
-
-
-def _rename_symbol(f: Formula, old: str, new: str) -> Formula:
-    """Rename free occurrences of a propositional/relation symbol."""
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, PropVar):
-            return PropVar(new) if g.name == old else g
-        if isinstance(g, Atom):
-            return Atom(new, g.args) if g.rel == old else g
-        if so_binder(g) == old:
+        if isinstance(g, (Top, Bottom)) or not (terms or syms or clash_vars or clash_syms):
             return g
-        return rebuild(g, [walk(k) for k in children(g)])
-
-    return walk(f)
-
-
-def _freshen_binders(f: Formula, clash_vars: set[str], clash_syms: set[str], ng: NameGen) -> Formula:
-    """Rename binders in ``f`` whose bound name collides with a free name of
-    the formula being substituted in."""
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, (ForallInd, ExistsInd)) and g.var in clash_vars:
-            var = ng.fresh(g.var)
-            return type(g)(var, walk(subst_terms(g.body, {g.var: Var(var)}, ng)))
-        if isinstance(g, (Forall2, Exists2)) and g.sym in clash_syms:
-            sym = ng.fresh(g.sym)
-            return type(g)(sym, walk(_rename_symbol(g.body, g.sym, sym)))
-        if isinstance(g, (Lfp, Gfp)):
-            body = g.body
+        at_start = terms is first_terms and syms is first_syms
+        if at_start:
+            hit = memo.get(id(g))
+            if hit is not None:
+                return hit[1]
+        if isinstance(g, (ForallInd, ExistsInd)):
+            inner = _without(terms, (g.var,))
+            if g.var in clash_vars or g.var in _term_vars(inner.values()):
+                var = ng.fresh(g.var)
+                out = type(g)(var, walk(g.body, {**inner, g.var: Var(var)}, syms))
+            else:
+                out = rebuild(g, [walk(g.body, inner, syms)])
+        elif isinstance(g, (Forall2, Exists2)):
+            inner_syms = _without(syms, (g.sym,))
+            if g.sym in clash_syms:
+                sym = ng.fresh(g.sym)
+                out = type(g)(sym, walk(g.body, terms, {**inner_syms, g.sym: sym}))
+            else:
+                out = rebuild(g, [walk(g.body, terms, inner_syms)])
+        elif isinstance(g, (Lfp, Gfp)):
+            inner_syms = _without(syms, (g.rel,))
             rel = g.rel
-            argvars = g.argvars
             if rel in clash_syms:
                 rel = ng.fresh(g.rel)
-                body = _rename_symbol(body, g.rel, rel)
-            renaming = {v: Var(ng.fresh(v)) for v in argvars if v in clash_vars}
-            if renaming:
-                argvars = tuple(renaming[v].name if v in renaming else v for v in argvars)
-                body = subst_terms(body, renaming, ng)
-            if rel != g.rel or renaming:
-                return type(g)(rel, argvars, walk(body), g.applied)
-        return rebuild(g, [walk(k) for k in children(g)])
+                inner_syms = {**inner_syms, g.rel: rel}
+            inner = _without(terms, g.argvars)
+            capture = clash_vars | _term_vars(inner.values())
+            argvars = tuple(ng.fresh(v) if v in capture else v for v in g.argvars)
+            renamed = {v: Var(n) for v, n in zip(g.argvars, argvars) if n != v}
+            body = walk(g.body, {**inner, **renamed} if renamed else inner, inner_syms)
+            applied = _terms_sub(g.applied, terms)
+            if rel is g.rel and not renamed and body is g.body and applied is g.applied:
+                out = g
+            else:
+                out = type(g)(rel, argvars, body, applied)
+        else:
+            out = rebuild(g, [walk(k, terms, syms) for k in children(g)])
+        if at_start:
+            memo[id(g)] = (g, out)
+        return out
 
-    return walk(f)
-
-
-# ---------------------------------------------------------------------------
-# Propositional and relational substitution
-
-#: a memo for one call of a walk: ``id(node)`` -> ``(node, result)``; the
-#: node is kept so that its id is not reused within the call
-_Memo = dict[int, tuple[Formula, Formula]]
-
-_BINDERS = (ForallInd, ExistsInd, Forall2, Exists2, Lfp, Gfp)
+    return walk(f, first_terms, first_syms)
 
 
+@nesting_guard
 def substitute_prop(f: Formula, p: str, e: Formula) -> Formula:
-    """Replace every occurrence of propositional variable ``p`` by ``e``.
+    """Replace every free occurrence of propositional variable ``p`` by
+    ``e``: :func:`substitute_rel` without parameters."""
+    return substitute_rel(f, p, (), e)
 
-    Raises :class:`CaptureError` when ``p`` is itself bound by a second-order
-    quantifier (or fixpoint) inside ``f``.  Binders in ``f`` that would
-    capture a free name of ``e`` are renamed first.  Subtrees without ``p``
+
+@nesting_guard
+def substitute_rel(f: Formula, r: str, params: Sequence[str], e: Formula) -> Formula:
+    """Replace every free occurrence ``r(args)`` by ``e`` with ``params``
+    simultaneously instantiated to ``args``; a propositional variable is the
+    case without parameters.
+
+    An occurrence under a second-order quantifier or fixpoint of ``r`` is
+    not free and stays.  ``params`` must be pairwise distinct, else
+    :class:`CaptureError`.  Capture-avoiding in both directions: an instance
+    of ``e`` renames its binders that would capture a variable of the
+    occurrence's arguments, and binders in ``f`` are renamed when they would
+    capture a name ``e`` uses freely beyond ``params`` (the definition may
+    be guarded by variables of an enclosing prefix).  Subtrees without ``r``
     are kept as the same objects, and a subtree shared in ``f`` is rewritten
     once and stays shared in the result."""
+    params = tuple(params)
+    if len(set(params)) != len(params):
+        raise CaptureError(f"parameter variables must be distinct: {params}")
+
+    def fresh_names() -> NameGen:
+        return NameGen(all_names(f) | all_names(e) | set(params))
+
+    # without parameters no instance renames anything
+    ng = fresh_names() if params else None
     memo: _Memo = {}
-    has_binder = False
+    met_binder = False
+
+    def inst(args: tuple[Term, ...]) -> Formula:
+        if len(args) != len(params):
+            raise ArityError(
+                f"{r} used with {len(args)} arguments, substitution expects {len(params)}"
+            )
+        if not args:
+            return e
+        # every binder of ``e`` named like an argument variable is renamed,
+        # whether or not a parameter occurs below it
+        return _rename(e, dict(zip(params, args)), ng, _term_vars(args))
 
     def walk(g: Formula) -> Formula:
-        nonlocal has_binder
+        nonlocal met_binder
         if isinstance(g, PropVar):
-            return e if g.name == p else g
+            return inst(()) if g.name == r else g
+        if isinstance(g, Atom):
+            return inst(g.args) if g.rel == r else g
         kids = children(g)
         if not kids:
             return g
@@ -207,78 +233,28 @@ def substitute_prop(f: Formula, p: str, e: Formula) -> Formula:
         if hit is not None:
             return hit[1]
         if isinstance(g, _BINDERS):
-            has_binder = True
-            if so_binder(g) == p:
-                raise CaptureError(f"{p} is rebound inside the substitution target")
+            met_binder = True
+            if so_binder(g) == r:
+                return g
         out = rebuild(g, [walk(k) for k in kids])
         memo[id(g)] = (g, out)
         return out
 
     out = walk(f)
-    if not has_binder:
+    if out is f or not met_binder:
         return out
-    clash_syms = set(free_symbols(e))
-    clash_vars = free_ind_vars(e)
-    if not (clash_syms or clash_vars):
-        return out
-    ng = NameGen(all_names(f) | all_names(e))
-    fresh = _freshen_binders(f, clash_vars, clash_syms, ng)
-    # An unchanged first walk means ``p`` does not occur in ``f`` (or occurs
-    # only as ``e`` itself), so the renamed formula is the answer; walking it
-    # could meet a binder renamed to ``p``.
-    return fresh if out is f else walk(fresh)
-
-
-def substitute_rel(f: Formula, r: str, params: Sequence[str], e: Formula) -> Formula:
-    """Replace every atom ``r(args)`` by ``e`` with ``params`` simultaneously
-    instantiated to ``args`` (per-occurrence instantiation).
-
-    ``params`` must be pairwise distinct.  Fully capture-avoiding in both
-    directions: binders inside ``e`` are renamed when they would capture a
-    variable of the occurrence's arguments, and binders in ``f`` are renamed
-    when they would capture a name ``e`` uses freely beyond ``params`` (the
-    definition may be guarded by variables of an enclosing prefix)."""
-    params = tuple(params)
-    if len(set(params)) != len(params):
-        raise CaptureError(f"parameter variables must be distinct: {params}")
-    ng = NameGen(all_names(f) | all_names(e) | set(params))
     clash_vars = free_ind_vars(e) - set(params)
     clash_syms = free_symbols(e).keys() - {r}
-    if clash_vars or clash_syms:
-        f = _freshen_binders(f, clash_vars, clash_syms, ng)
-
-    bound_in_e = _ind_binders_of(e)
-
-    def inst(args: tuple[Term, ...]) -> Formula:
-        if len(args) != len(params):
-            raise ArityError(
-                f"{r} used with {len(args)} arguments, substitution expects {len(params)}"
-            )
-        body = e
-        arg_vars = _term_vars(args)
-        if arg_vars & bound_in_e:
-            body = _freshen_binders(body, arg_vars & bound_in_e, set(), ng)
-        return subst_terms(body, dict(zip(params, args)), ng)
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            return inst(g.args) if g.rel == r else g
-        if so_binder(g) == r:
-            return g
-        return rebuild(g, [walk(k) for k in children(g)])
-
-    return walk(f)
-
-
-def _ind_binders_of(f: Formula) -> set[str]:
-    """Individual variables bound by quantifiers and fixpoints in ``f``."""
-    out: set[str] = set()
-    for g in _subformulas(f):
-        if isinstance(g, (ForallInd, ExistsInd)):
-            out.add(g.var)
-        elif isinstance(g, (Lfp, Gfp)):
-            out.update(g.argvars)
-    return out
+    if not (clash_vars or clash_syms):
+        return out
+    # Rename ``f``'s binders with a new supply, then substitute again, so
+    # that no instance of ``e`` takes a fresh name before they do.
+    ng = fresh_names()
+    renamed = _rename(f, {}, ng, clash_vars, clash_syms)
+    if renamed is f:
+        return out
+    memo.clear()
+    return walk(renamed)
 
 
 # ---------------------------------------------------------------------------

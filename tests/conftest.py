@@ -3,6 +3,9 @@ from pathlib import Path
 
 import pytest
 
+# a run leaves no bytecode under src/, where it would change what the
+# benchmark measures (CI sets PYTHONDONTWRITEBYTECODE for the same reason)
+sys.dont_write_bytecode = True
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dualforget.parser import parse_theory

@@ -397,3 +397,18 @@ def test_second_order_quantifier_in_input_fails_with_residual(capsys, tmp_path):
         assert code == 2, err
         assert "second-order quantifier left in result" in err
         assert contains_so_quantifier_and_fixpoint(parse_formula(out.strip()))[0]
+
+    # a forgotten symbol that the input also rebinds: only its free
+    # occurrences are substituted, and the quantifier stays
+    rebound = tmp_path / "rebound.th"
+    rebound.write_text("p | q\n~p | (Ex2 p. (p & r))\n", encoding="utf-8")
+    _, th = parse_theory(rebound.read_text(encoding="utf-8"), name="rebound")
+    for out in (fo.forget_strong(th, ["p"]), fo.forget_weak(th, ["p"])):
+        assert out.status is Status.FAILED
+        assert out.failure_reason.startswith("second-order quantifier left in result")
+        assert contains_so_quantifier_and_fixpoint(out.residual)[0]
+    for mode in ("strong", "weak"):
+        code, out, err = run(capsys, "forget", "--mode", mode, "--vars", "p", str(rebound))
+        assert code == 2, err
+        assert "second-order quantifier left in result" in err
+        assert contains_so_quantifier_and_fixpoint(parse_formula(out.strip()))[0]

@@ -26,8 +26,8 @@ from dualforget.semantics import (
     taut_prop,
     truth_table,
 )
-from dualforget.syntax import Exists2, Not, PropVar, exists2, prop_symbols
-from dualforget.transform import nnf, simplify
+from dualforget.syntax import TOP, Exists2, Not, PropVar, exists2, prop_symbols
+from dualforget.transform import nnf, simplify, substitute_prop, substitute_rel
 
 
 def test_eval_prop_agrees_with_eval_fo_on_prop_formulas():
@@ -80,6 +80,8 @@ def test_fixpoint_matches_so_enumeration_at_domain_three():
 _DEEP_ENTRY_POINTS = {
     "simplify": simplify,
     "nnf": nnf,
+    "substitute_prop": lambda f: substitute_prop(f, "p", TOP),
+    "substitute_rel": lambda f: substitute_rel(f, "p", (), TOP),
     "format_formula": format_formula,
     "taut_prop": taut_prop,
     "equiv_prop": lambda f: equiv_prop(f, PropVar("p")),

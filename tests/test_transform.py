@@ -33,9 +33,16 @@ def test_substitute_prop_examples():
     assert substitute_prop(pf("p & ~p"), "p", pf("r | s")) == pf("(r | s) & ~(r | s)")
 
 
-def test_substitute_prop_capture_error():
-    with pytest.raises(CaptureError):
-        substitute_prop(pf("Ex2 p. (p & q)"), "p", TOP)
+def test_substitute_prop_keeps_rebound_occurrences():
+    # an occurrence under a binder of the same symbol is not free
+    f = pf("Ex2 p. (p & q)")
+    assert substitute_prop(f, "p", TOP) is f
+    # free and rebound: only the free occurrence is replaced
+    f = pf("p | (Ex2 p. (p & q))")
+    assert substitute_prop(f, "p", pf("r")) == pf("r | (Ex2 p. (p & q))")
+    # a binder that would capture a symbol of the inserted formula is renamed
+    f = pf("p | (Ex2 q. (q & p))")
+    assert substitute_prop(f, "p", pf("q")) == pf("q | (Ex2 q_1. (q_1 & q))")
 
 
 def test_substitute_prop_removes_symbol():
@@ -66,6 +73,9 @@ def test_substitute_rel_renames_captured_binder():
     e = pf("ex z. b(x, z)", free_vars=["x"])
     out = substitute_rel(f, "r", ["x"], e)
     assert equiv_fo_finite(out, pf("all z. ex w. b(z, w)"), max_domain=2)
+    # the one capture no renaming avoids: two parameters of the same name
+    with pytest.raises(CaptureError):
+        substitute_rel(pf("r(a, b)"), "r", ["x", "x"], TOP)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +189,26 @@ def test_simplify_and_substitute_walk_a_shared_formula_once():
     assert isinstance(s, And) and len(s.items) == 2
     assert s.items[0].items[-1] is f.items[0].items[1]
     assert s.items[1].items[-1] is f.items[1].items[1]
+
+    # beside a binder, which makes both substitutions look for names that
+    # an inserted formula would have captured
+    bound = pf("all x. r(x)")
+    fb = f & bound
+    out = substitute_prop(fb, "g", h)
+    assert isinstance(out, And) and len(out.items) == 3
+    assert out.items[2] is bound
+    # (a failed ``is`` on a whole chain would print all 2**k paths of it)
+    shared = out.items[0].items[0] is out.items[1].items[0]
+    assert shared
+    chain = out.items[0].items[0]
+    for _ in range(k - 1):
+        chain = chain.items[0].items[0]
+    assert chain is h
+    out = substitute_rel(fb, "r", ["u"], h)
+    assert isinstance(out, And) and len(out.items) == 3
+    kept = out.items[0] is f.items[0] and out.items[1] is f.items[1]
+    assert kept
+    assert out.items[2] == pf("all x. h")
 
 
 def test_substitute_keeps_a_shared_subtree_shared():
