@@ -43,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InternalError, nesting_guard
+from .errors import nesting_guard
 from .outcome import EliminationOutcome, TraceStep, failure, success
 from .syntax import (
     BOT,
@@ -300,44 +300,7 @@ def _select_extraction(
 # Public single-symbol operations
 
 
-def to_ackermann_form(r: str, f: Formula) -> Optional[tuple[Formula, Formula, str]]:
-    """Best-effort rewrite of ``f`` (NNF) into definitional-plus-residual
-    Ackermann shape for ``r``; ``(definitional, residual, case)`` with case
-    ``"Pos"`` for ``all u.(r(u) -> A)`` with a positive residual, ``"Neg"``
-    for ``all u.(A -> r(u))`` with a negative one.  ``None`` when mixed
-    occurrences cannot be separated with an r-free definition, or when
-    ``r`` is no relation of ``f``."""
-    arity = free_symbols(f).get(r)
-    if not arity:
-        return None
-    items = conjuncts(normalize(f))
-    ext = _select_extraction(r, items, all_names(f), arity, allow_fixpoint=False)
-    if ext is None or ext.needs_fixpoint:
-        return None
-    pvars = tuple(Var(p) for p in ext.params)
-    head = Atom(r, pvars)
-    impl = Implies(head, ext.a) if ext.positive_case else Implies(ext.a, head)
-    definitional = forall(list(ext.params), impl)
-    return definitional, conj(ext.residual), "Pos" if ext.positive_case else "Neg"
-
-
-def apply_ackermann(r: str, definitional: Formula, residual: Formula, case: str) -> Formula:
-    """Instantiate the residual with the definition: ``B(r(u) = A(u))``,
-    simplified.  Defensive checks reject definitions that mention ``r``."""
-    params_names, impl = _strip_forall(definitional)
-    if not isinstance(impl, Implies):
-        raise InternalError("definitional part must be a guarded implication")
-    head, a = (impl.antecedent, impl.consequent) if case == "Pos" else (impl.consequent, impl.antecedent)
-    if not (isinstance(head, Atom) and head.rel == r):
-        raise InternalError(f"definitional head must be an {r} atom")
-    params = [t.name for t in head.args if isinstance(t, Var)]
-    if len(params) != len(head.args) or len(set(params)) != len(params):
-        raise InternalError("definitional head needs distinct variable arguments")
-    if polarity(a, r) is not Polarity.ABSENT:
-        raise InternalError(f"defining formula still mentions {r}")
-    return simplify(substitute_rel(residual, r, params, a))
-
-
+@nesting_guard
 def fixpoint_eliminate(r: str, f: Formula) -> EliminationOutcome:
     """Eliminate ``Ex2 r`` from ``f`` by the Ackermann rewrite.  Only a
     relation gets the fixpoint form, where the definition may mention ``r``

@@ -3,17 +3,15 @@ symbol, and every elimination rule is ``fo``'s, written once for both
 kinds.
 
 ``forget_strong``, ``forget_weak``, ``snc`` and ``wsc`` here are the same
-function objects as in ``fo``.  ``ackermann_eliminate`` and
-``shannon_eliminate`` run ``fo``'s Ackermann rewrite and two-point expansion
-on one variable.  ``clause_forall_eliminate`` and ``normalize_conjuncts``
-are helpers that the driver does not call."""
+function objects as in ``fo``.  ``ackermann_eliminate`` (``fo``'s Ackermann
+rewrite on one variable), ``clause_forall_eliminate`` and
+``normalize_conjuncts`` are helpers that the driver does not call."""
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import InternalError
-from .fo import _eliminate_exists_rel, _expand, normalize
+from .fo import _eliminate_exists_rel, normalize
 from .fo import forget_strong, forget_weak, snc, wsc  # noqa: F401 (the operators)
 from .outcome import EliminationOutcome, TraceStep, success
 from .syntax import BOT, TOP, Bottom, Formula, Not, PropVar, Top, conjuncts, disj, disjuncts, literal
@@ -21,15 +19,6 @@ from .syntax import BOT, TOP, Bottom, Formula, Not, PropVar, Top, conjuncts, dis
 # Not called here: ``perfbench/tracing.py`` wraps these in this module's
 # namespace by name, so the names must stay importable from it.
 from .transform import nnf, simplify, substitute_prop  # noqa: F401
-
-
-def shannon_eliminate(kind: str, p: str, f: Formula) -> Formula:
-    """Eliminate one propositional quantifier by two-point expansion:
-    ``A(p=F) | A(p=T)`` for ``"exists"``, ``A(p=F) & A(p=T)`` for
-    ``"forall"``; simplified, hence free of ``p``."""
-    if kind not in ("exists", "forall"):
-        raise InternalError(f"unknown quantifier kind {kind!r}")
-    return _expand(p, f, [], universal=kind == "forall")
 
 
 def ackermann_eliminate(p: str, f: Formula) -> Optional[EliminationOutcome]:

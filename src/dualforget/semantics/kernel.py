@@ -28,15 +28,7 @@ BACKEND = "pure"
 #: evaluating it (3,000 prop_random checks on a 2-vCPU VM: 0.14 s as
 #: tables, 0.31 s as circuits; the first-order figures are in the
 #: ``fo_oracle`` docstring).  From this many inputs on, the oracles build
-#: circuits, and each table is released after the last instruction that
-#: reads it; below it the bookkeeping costs more than the memory saves.
-#: Measured on the circuits of one benchmark round: the 3,000 prop_random
-#: circuits took 0.025 s keeping every table and 0.034 s freeing every
-#: table; the 66 prop_rules circuits (up to 20 inputs, 128 KiB tables) took
-#: 0.19 s keeping every table and 0.06 s freeing from 12 inputs, because
-#: freed tables are reused instead of growing the heap.  Computing the
-#: prop_rules tables in the compile walk instead raised the peak RSS from
-#: 32 to 184 MB.
+#: circuits for :func:`eval_table`.
 FREE_FROM_VARS = 12
 
 _mask_cache: dict[tuple[int, int], int] = {}
@@ -79,20 +71,20 @@ def eval_table(builder: CircuitBuilder, out: int) -> int:
     slots: list = [_var_mask(i, nbits) for i in range(n_vars)]
     ops, arg1, arg2 = builder.ops, builder.arg1, builder.arg2
     n_ops = len(ops)
-    if n_vars >= FREE_FROM_VARS:
-        # last[s]: the last instruction with s as an operand.  Constants and
-        # NOT carry a dummy operand 0, which only keeps input 0 (cached by
-        # _var_mask anyway) a little longer.  OP_EXISTS's second operand is
-        # an input index read here as a slot: that keeps the input's table,
-        # also cached by _var_mask, until the projection at the latest.
-        # ``out`` is never released.
-        last = [-1] * (n_vars + n_ops)
-        for k in range(n_ops):
-            last[arg1[k]] = k
-            last[arg2[k]] = k
-        last[out] = n_ops
-    else:
-        last = None
+    # last[s]: the last instruction with s as an operand, after which its
+    # table is released; freed tables are reused instead of growing the
+    # heap (the 66 prop_rules circuits of one benchmark round, up to 20
+    # inputs, took 0.19 s keeping every table and 0.06 s freeing them).
+    # Constants and NOT carry a dummy operand 0, which only keeps
+    # input 0 (cached by _var_mask anyway) a little longer.  OP_EXISTS's
+    # second operand is an input index read here as a slot: that keeps the
+    # input's table, also cached by _var_mask, until the projection at the
+    # latest.  ``out`` is never released.
+    last = [-1] * (n_vars + n_ops)
+    for k in range(n_ops):
+        last[arg1[k]] = k
+        last[arg2[k]] = k
+    last[out] = n_ops
     for k in range(n_ops):
         op = ops[k]
         a = arg1[k]
@@ -113,9 +105,8 @@ def eval_table(builder: CircuitBuilder, out: int) -> int:
             slots.append(project(slots[a], b, nbits))
         else:
             raise ValueError(f"bad opcode {op}")
-        if last is not None:
-            if last[a] == k:
-                slots[a] = None
-            if last[b] == k:
-                slots[b] = None
+        if last[a] == k:
+            slots[a] = None
+        if last[b] == k:
+            slots[b] = None
     return slots[out]

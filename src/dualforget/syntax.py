@@ -12,9 +12,9 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import ArityError, InternalError
+from .errors import ArityError, InternalError, nesting_guard
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +176,23 @@ class Exists2(Formula):
 
 
 class _FixpointBase(Formula):
+    """What :class:`Lfp` and :class:`Gfp` share: the fields are normalized
+    and checked when a node is built."""
+
     __slots__ = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "argvars", tuple(self.argvars))
+        object.__setattr__(self, "applied", tuple(self.applied))
+        if len(set(self.argvars)) != len(self.argvars):
+            raise InternalError(f"fixpoint argument variables must be distinct: {self.argvars}")
+        if len(self.argvars) != len(self.applied):
+            raise ArityError(
+                f"fixpoint over {self.rel} applied to {len(self.applied)} arguments, "
+                f"declares {len(self.argvars)}"
+            )
+        if polarity(self.body, self.rel) not in (Polarity.POSITIVE, Polarity.ABSENT):
+            raise InternalError(f"fixpoint body must be positive in {self.rel}")
 
 
 @_node
@@ -192,11 +208,6 @@ class Lfp(_FixpointBase):
     body: Formula
     applied: tuple[Term, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "argvars", tuple(self.argvars))
-        object.__setattr__(self, "applied", tuple(self.applied))
-        _check_fixpoint(self)
-
 
 @_node
 class Gfp(_FixpointBase):
@@ -206,23 +217,6 @@ class Gfp(_FixpointBase):
     argvars: tuple[str, ...]
     body: Formula
     applied: tuple[Term, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "argvars", tuple(self.argvars))
-        object.__setattr__(self, "applied", tuple(self.applied))
-        _check_fixpoint(self)
-
-
-def _check_fixpoint(f: Union[Lfp, Gfp]) -> None:
-    if len(set(f.argvars)) != len(f.argvars):
-        raise InternalError(f"fixpoint argument variables must be distinct: {f.argvars}")
-    if len(f.argvars) != len(f.applied):
-        raise ArityError(
-            f"fixpoint over {f.rel} applied to {len(f.applied)} arguments, "
-            f"declares {len(f.argvars)}"
-        )
-    if polarity(f.body, f.rel) not in (Polarity.POSITIVE, Polarity.ABSENT):
-        raise InternalError(f"fixpoint body must be positive in {f.rel}")
 
 
 TOP = Top()
@@ -435,6 +429,7 @@ def free_ind_vars(f: Formula) -> set[str]:
     return set(free_ind_vars_ordered(f))
 
 
+@nesting_guard
 def free_ind_vars_ordered(f: Formula) -> list[str]:
     """Free individual variables in order of first occurrence (left to right)."""
     out: list[str] = []
@@ -470,6 +465,7 @@ def is_closed(f: Formula) -> bool:
     return not free_ind_vars(f)
 
 
+@nesting_guard
 def free_symbols(f: Formula, seen: Optional[dict[str, int]] = None) -> dict[str, int]:
     """The vocabulary of ``f`` from one walk: each propositional variable
     (arity 0) and relation symbol occurring free, with its arity.  A name
@@ -574,10 +570,6 @@ def signature_of(*formulas: Formula, base: Optional[Signature] = None) -> Signat
     )
 
 
-def contains_fixpoint(f: Formula) -> bool:
-    return any(isinstance(g, (Lfp, Gfp)) for g in _subformulas(f))
-
-
 def contains_so_quantifier_and_fixpoint(f: Formula) -> tuple[bool, bool]:
     """Whether ``f`` contains a second-order quantifier, and whether it
     contains a fixpoint literal, from one walk."""
@@ -615,6 +607,7 @@ class Polarity(enum.Enum):
 _CHILD_SIGNS = {Not: (-1,), Implies: (-1, 1), Iff: (0, 0)}
 
 
+@nesting_guard
 def polarity(f: Formula, sym: str) -> Polarity:
     """Polarity of a propositional variable or relation symbol in ``f``.
 

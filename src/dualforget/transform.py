@@ -398,18 +398,49 @@ def _rewrite(f: Formula, memo: _Memo) -> Formula:
         return f if a is f.left and b is f.right else Iff(a, b)
     if isinstance(f, (ForallInd, ExistsInd)):
         b = _simp(f.body, memo)
-        if f.var not in free_ind_vars(b):
+        if not _occurs_free(f.var, b, symbol=False):
             return b
         return f if b is f.body else type(f)(f.var, b)
     if isinstance(f, (Forall2, Exists2)):
         b = _simp(f.body, memo)
-        if f.sym not in free_symbols(b):
+        if not _occurs_free(f.sym, b, symbol=True):
             return b
         return f if b is f.body else type(f)(f.sym, b)
     if isinstance(f, (Lfp, Gfp)):
         b = _simp(f.body, memo)
         return f if b is f.body else type(f)(f.rel, f.argvars, b, f.applied)
     raise InternalError(f"unhandled formula in simplify: {type(f).__name__}")
+
+
+def _occurs_free(name: str, f: Formula, symbol: bool) -> bool:
+    """Whether ``name`` occurs free in ``f``, as a propositional variable or
+    relation when ``symbol``, else as an individual variable.  Whether a name
+    is free in a node does not depend on where the node sits, so each node
+    object is visited once, and never below a binder of ``name``."""
+    seen: set[int] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        if symbol:
+            if isinstance(g, PropVar) and g.name == name or isinstance(g, Atom) and g.rel == name:
+                return True
+            if so_binder(g) == name:
+                continue
+        elif isinstance(g, (Atom, Equal)):
+            if name in _term_vars(g.args if isinstance(g, Atom) else (g.left, g.right)):
+                return True
+        elif isinstance(g, (Lfp, Gfp)):
+            if name in _term_vars(g.applied):
+                return True
+            if name in g.argvars:
+                continue
+        elif isinstance(g, (ForallInd, ExistsInd)) and g.var == name:
+            continue
+        stack.extend(children(g))
+    return False
 
 
 def _simp_nary(f: Union[And, Or], is_and: bool, memo: _Memo) -> Formula:

@@ -23,7 +23,6 @@ from dualforget.syntax import (
     Var,
     conj,
     conjuncts,
-    contains_fixpoint,
     disj,
     exists2,
     forall,
@@ -37,63 +36,53 @@ def pf(text, **kw):
 
 
 # ---------------------------------------------------------------------------
-# to_ackermann_form
+# the Ackermann rewrite, through fixpoint_eliminate
+
+
+def _rules(out):
+    return [step.rule for step in out.trace]
 
 
 def test_ackermann_form_symptoms_is_negative_case():
+    # the definition all x. (ms(x) -> t(x)) with a negative residual
     _, theory = load_theory("symptoms.th")
-    got = fo.to_ackermann_form("t", theory.as_formula)
-    assert got is not None
-    definitional, residual, case = got
-    assert case == "Neg"
-    assert definitional == pf("all x. (ms(x) -> t(x))")
-    from dualforget.syntax import Polarity, polarity
-
-    assert polarity(residual, "t") is Polarity.NEGATIVE
+    out = fo.fixpoint_eliminate("t", theory.as_formula)
+    assert _rules(out) == ["NNF", "AckermannNeg"]
+    assert out.result == pf(
+        "(all x. (~ms(x) | h(x))) & (all x. (~ss(x) | ich(x))) & all x. (~ms(x) | ich(x))"
+    )
 
 
 def test_ackermann_form_isolates_bare_negative_literal():
+    # isolated as all u1. all u2. (r(u1,u2) -> u1 != x | u2 != y), residual T
     f = Not(Atom("r", (Var("x"), Var("y"))))
-    got = fo.to_ackermann_form("r", f)
-    assert got is not None
-    definitional, residual, case = got
-    assert case == "Pos"
-    assert residual == TOP
-    # definitional is  all u1. all u2. (r(u1,u2) -> u1 != x | u2 != y)
-    vars_, impl = [], definitional
-    while isinstance(impl, ForallInd):
-        vars_.append(impl.var)
-        impl = impl.body
-    assert len(vars_) == 2
-    assert isinstance(impl, Implies) and isinstance(impl.antecedent, Atom)
-    assert impl.antecedent.rel == "r"
-    # sound: Ex2 r (def & residual) is equivalent to Ex2 r f
-    assert equiv_fo_finite(
-        Exists2("r", conj([definitional, residual])),
-        Exists2("r", f),
-        max_domain=2,
-    )
+    out = fo.fixpoint_eliminate("r", f)
+    assert _rules(out) == ["AckermannPos"]
+    assert out.result == TOP
+    assert equiv_fo_finite(out.result, Exists2("r", f), max_domain=2)
 
 
 def test_ackermann_form_rejects_inseparable_mix():
     f = pf("r(a) <-> q(a)")
-    assert fo.to_ackermann_form("r", f) is None
+    out = fo.fixpoint_eliminate("r", f)
+    assert out.status is Status.FAILED
+    assert out.failure_reason == "mixed-polarity occurrences of r not separable"
 
 
-def test_apply_ackermann_symptoms():
+def test_ackermann_rewrite_symptoms():
     _, theory = load_theory("symptoms.th")
-    definitional, residual, case = fo.to_ackermann_form("t", theory.as_formula)
-    out = fo.apply_ackermann("t", definitional, residual, case)
+    out = fo.fixpoint_eliminate("t", theory.as_formula)
     assert equiv_fo_finite(
-        out,
+        out.result,
         pf("(all x. (ms(x) -> h(x))) & (all x. ((ss(x) | ms(x)) -> ich(x)))"),
         max_domain=2,
     )
 
 
-def test_apply_ackermann_trivial_residual():
-    definitional = pf("all u. (r(u) -> a(u))")
-    assert fo.apply_ackermann("r", definitional, TOP, "Pos") == TOP
+def test_ackermann_rewrite_trivial_residual():
+    out = fo.fixpoint_eliminate("r", pf("all u. (r(u) -> a(u))"))
+    assert "AckermannPos" in _rules(out)
+    assert out.result == TOP
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +117,6 @@ def test_fixpoint_degenerates_without_recursion():
     _, theory = load_theory("symptoms.th")
     out = fo.fixpoint_eliminate("t", theory.as_formula)
     assert out.status is Status.FIRST_ORDER
-    assert not contains_fixpoint(out.result)
     assert equiv_fo_finite(out.result, Exists2("t", theory.as_formula), max_domain=2)
 
 
@@ -210,7 +198,6 @@ def test_forget_strong_network_fixpoint():
     _, theory = load_theory("network.th")
     out = fo.forget_strong(theory, ["r"])
     assert out.status is Status.FIXPOINT
-    assert contains_fixpoint(out.result)
     assert equiv_fo_finite(out.result, Exists2("r", theory.as_formula), max_domain=2)
 
 

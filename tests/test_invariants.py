@@ -26,7 +26,19 @@ from dualforget.semantics import (
     taut_prop,
     truth_table,
 )
-from dualforget.syntax import TOP, Exists2, Not, PropVar, exists2, prop_symbols
+from dualforget.syntax import (
+    TOP,
+    Exists2,
+    Not,
+    PropVar,
+    exists2,
+    free_ind_vars,
+    is_closed,
+    polarity,
+    prop_symbols,
+    rel_symbols,
+    signature_of,
+)
 from dualforget.transform import nnf, simplify, substitute_prop, substitute_rel
 
 
@@ -91,6 +103,13 @@ _DEEP_ENTRY_POINTS = {
     "eval_prop": lambda f: eval_prop(f, {"p": True}),
     "eval_fo": lambda f: eval_fo(f, FiniteInterpretation(1, {}, {}, {"p": True})),
     "eval_so": lambda f: eval_so(f, FiniteInterpretation(1, {}, {}, {"p": True})),
+    "fixpoint_eliminate": lambda f: fo.fixpoint_eliminate("p", f),
+    "polarity": lambda f: polarity(f, "p"),
+    "prop_symbols": prop_symbols,
+    "rel_symbols": rel_symbols,
+    "signature_of": signature_of,
+    "free_ind_vars": free_ind_vars,
+    "is_closed": is_closed,
 }
 
 

@@ -41,9 +41,9 @@ def test_operators_are_the_one_driver(op):
 
 
 def test_shannon_examples():
-    assert prop.shannon_eliminate("exists", "lt", pf("lt | lp")) == TOP
-    assert prop.shannon_eliminate("forall", "lt", pf("lt | lp")) == pf("lp")
-    assert prop.shannon_eliminate("exists", "p", pf("q")) == pf("q")
+    assert fo._expand("lt", pf("lt | lp"), [], universal=False) == TOP
+    assert fo._expand("lt", pf("lt | lp"), [], universal=True) == pf("lp")
+    assert fo._expand("p", pf("q"), [], universal=False) == pf("q")
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,7 @@ def test_ackermann_biconditional():
     # the two-point expansion
     f = pf("p <-> q")
     out = prop.ackermann_eliminate("p", f)
-    expected = prop.shannon_eliminate("exists", "p", f)
+    expected = fo._expand("p", f, [], universal=False)
     if out is None:
         assert expected == TOP
     else:
@@ -84,7 +84,7 @@ def test_ackermann_biconditional():
 def test_ackermann_not_applicable_falls_back():
     f = pf("((~p & q) | s) & ((p & u) | v)")
     assert prop.ackermann_eliminate("p", f) is None
-    assert equiv_prop(prop.shannon_eliminate("exists", "p", f), Exists2("p", f))
+    assert equiv_prop(fo._expand("p", f, [], universal=False), Exists2("p", f))
 
 
 def test_ackermann_random_agrees_with_expansion():

@@ -11,8 +11,12 @@ from dualforget.syntax import (
     BOT,
     TOP,
     And,
+    Atom,
+    Exists2,
+    ForallInd,
     Polarity,
     PropVar,
+    Var,
     polarity,
     prop_symbols,
 )
@@ -209,6 +213,14 @@ def test_simplify_and_substitute_walk_a_shared_formula_once():
     kept = out.items[0] is f.items[0] and out.items[1] is f.items[1]
     assert kept
     assert out.items[2] == pf("all x. h")
+
+    # the vacuous-binder test looks for the bound name in the body once per
+    # node, whether or not it finds it
+    rx, q = Atom("r", (Var("x"),)), PropVar("q")
+    for g in (ForallInd("x", f & rx), Exists2("q", f & q)):
+        assert simplify(g) is g
+    for g in (ForallInd("z", f & rx), Exists2("w", f & q)):
+        assert simplify(g) is g.body
 
 
 def test_substitute_keeps_a_shared_subtree_shared():
