@@ -376,24 +376,27 @@ class _Parser:
         return Signature(frozenset(props), rels, frozenset(consts))
 
 
+def _parse(parser: _Parser) -> Formula:
+    """The one formula that makes up all of ``parser``'s input."""
+    f = parser.formula()
+    tok = parser.peek()
+    if tok.kind != "eof":
+        parser.error(f"unexpected trailing input {tok.text!r}", tok)
+    return f
+
+
 def parse_formula(
     text: str,
     sig: Optional[Signature] = None,
     *,
     strict: bool = False,
     free_vars: Sequence[str] = (),
-    line_offset: int = 0,
 ) -> Formula:
     """Parse a single formula.  With ``strict`` every symbol must be declared
     in ``sig``; otherwise undeclared symbols are inferred (bare identifier ->
     propositional variable, applied -> relation, term position -> constant).
     """
-    parser = _Parser(_tokenize(text, line_offset), sig, strict, frozenset(free_vars))
-    f = parser.formula()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        parser.error(f"unexpected trailing input {tok.text!r}", tok)
-    return f
+    return _parse(_Parser(_tokenize(text), sig, strict, frozenset(free_vars)))
 
 
 _DIRECTIVE_RE = re.compile(r"#(sig|closure)\b")
@@ -450,12 +453,8 @@ def parse_theory(text: str, name: str = "theory") -> tuple[Signature, Theory]:
     formulas: list[Formula] = []
     for lineno, raw in pending:
         parser = _Parser(_tokenize(raw, lineno - 1), sig, False, frozenset(), terms_as_vars=True)
-        f = parser.formula()
-        tok = parser.peek()
-        if tok.kind != "eof":
-            parser.error(f"unexpected trailing input {tok.text!r}", tok)
-        inferred = parser.inferred_signature()
-        sig = sig.merge(inferred)
+        f = _parse(parser)
+        sig = sig.merge(parser.inferred_signature())
         free = free_ind_vars_ordered(f)
         if free:
             if not closure_auto:

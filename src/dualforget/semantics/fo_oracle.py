@@ -14,15 +14,16 @@
   enumeration order (relations sorted by name, tuples in lexicographic
   order, constants and free variables enumerated outermost).
 
-  The width picks how a side is grounded, as in ``prop_oracle``.  Below
+  The width picks what a side grounds to, as in ``prop_oracle``: one walk
+  computes with the values of ``kernel._space``.  Below
   ``kernel.FREE_FROM_VARS`` (12) inputs, each node grounds straight to its
-  truth table, at most 256 bytes.  From 12 inputs on, both sides ground
-  into one hash-consed circuit, which shares repeated sub-groundings, and
-  the kernel evaluates its ``f XOR g`` output.  Measured on a 2-vCPU VM:
-  the benchmark's fo_cli checks (all but 11 of 496 groundings below 12
-  inputs) ran 1.5 times as fast this way as with circuits at every width,
-  while grounding a 22-input check to tables instead of a circuit took 4
-  times as long.
+  truth table, at most 256 bytes.  From 12 inputs on, the same walk builds
+  one hash-consed circuit for both sides, which shares repeated
+  sub-groundings, and the kernel evaluates its ``f XOR g`` output.
+  Measured on a 2-vCPU VM: the benchmark's fo_cli checks (all but 11 of
+  496 groundings below 12 inputs) ran 1.5 times as fast this way as with
+  circuits at every width, while grounding a 22-input check to tables
+  instead of a circuit took 4 times as long.
 
   A second-order quantifier is grounded by projection: its body is grounded
   once, with each ground atom of the bound symbol as one more input, and
@@ -72,7 +73,6 @@ from ..syntax import (
     signature_of,
 )
 from . import kernel
-from ._program import CircuitBuilder
 from .prop_oracle import MAX_TT_VARS
 
 MAX_DOMAIN = 3
@@ -280,35 +280,36 @@ def _eval_so_quant(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive equivalence over all interpretations (grounded to tables or circuits)
+# Exhaustive equivalence over all interpretations (grounded to tables or gates)
 
 
 class _Grounder:
-    """Grounds a formula over a fixed domain; the ground atoms of the free
-    vocabulary are the inputs.  A subclass says what a grounded formula
-    is, a truth table or a circuit slot, and grounds each node."""
+    """Grounds a formula over a fixed domain to a value of ``space``, a
+    truth table or a gate; the ground atoms of the free vocabulary are the
+    first inputs."""
 
     def __init__(
         self,
-        n_inputs: int,
+        space,
+        atoms: list[tuple[str, tuple[int, ...]]],
         domain_size: int,
         const_map: Mapping[str, int],
-        atom_value: Mapping[tuple[str, tuple[int, ...]], int],
         so_arity: Mapping[int, Optional[int]],
     ):
-        self.n_inputs = n_inputs
+        self.space = space
+        self.full = space.full
         self.d = domain_size
         self.const_map = const_map
         # each free ground atom's grounding: the input that stands for it
-        self.atom_value = atom_value
+        self.atom_value = dict(zip(atoms, space.inputs))
         # per second-order binder, by id: the arity of its bound symbol in
         # its body, None when vacuous
         self.so_arity = so_arity
         # the next input a second-order binder may take; inputs below it
         # are free atoms or held by enclosing binders
-        self.next_input = len(atom_value)
+        self.next_input = len(atoms)
 
-    def atom(self, name: str, elems: tuple[int, ...], frames: Mapping[str, dict]) -> int:
+    def atom(self, name: str, elems: tuple[int, ...], frames: Mapping[str, dict]):
         frame = frames.get(name)
         if frame is not None:
             return frame[elems]
@@ -317,7 +318,7 @@ class _Grounder:
         except KeyError:
             raise EvalError(f"symbol {name!r} missing from grounding signature") from None
 
-    def fixpoint(self, f: Lfp | Gfp, env: Mapping[str, int], frames: Mapping[str, dict]) -> int:
+    def fixpoint(self, f: Lfp | Gfp, env: Mapping[str, int], frames: Mapping[str, dict]):
         space = _tuple_space(self.d, len(f.argvars))
         seed = self.const(isinstance(f, Gfp))
         cur = {t: seed for t in space}
@@ -333,57 +334,45 @@ class _Grounder:
         elems = tuple(_resolve(t, self.const_map, env) for t in f.applied)
         return cur[elems]
 
-    def so_quant(self, f: Forall2 | Exists2, env: Mapping[str, int], frames: Mapping[str, dict]) -> int:
+    def so_quant(self, f: Forall2 | Exists2, env: Mapping[str, int], frames: Mapping[str, dict]):
         arity = self.so_arity[id(f)]
         if arity is None:
             return self.ground(f.body, env, frames)  # vacuous
         # a propositional variable is 0-ary: its frame has the one tuple ()
-        space = _tuple_space(self.d, arity)
+        tuples = _tuple_space(self.d, arity)
         first = self.next_input
-        inputs = range(first, min(first + len(space), self.n_inputs))
+        inputs = range(first, min(first + len(tuples), len(self.space.inputs)))
         self.next_input = inputs.stop
-        frame = dict(zip(space, map(self.input, inputs)))
-        rest = space[len(inputs):]
-        slots = []
+        frame = dict(zip(tuples, self.space.inputs[first:]))
+        rest = tuples[len(inputs):]
+        values = []
         for bits in range(1 << len(rest)):
             frame.update((t, self.const(bool((bits >> j) & 1))) for j, t in enumerate(rest))
-            slots.append(self.ground(f.body, env, {**frames, f.sym: frame}))
+            values.append(self.ground(f.body, env, {**frames, f.sym: frame}))
         self.next_input = first
-        return self.project(slots, inputs, isinstance(f, Exists2))
+        return self.project(values, inputs, isinstance(f, Exists2))
 
-
-class _TableGrounder(_Grounder):
-    """Grounds straight to truth tables over ``2**n_inputs`` bits."""
-
-    def __init__(self, n_inputs, domain_size, const_map, atom_value, so_arity):
-        super().__init__(n_inputs, domain_size, const_map, atom_value, so_arity)
-        self.nbits = 1 << n_inputs
-        self.full = (1 << self.nbits) - 1
-
-    def input(self, i: int) -> int:
-        return kernel._var_mask(i, self.nbits)
-
-    def const(self, value: bool) -> int:
+    def const(self, value: bool):
         return self.full if value else 0
 
-    def project(self, tables: list[int], inputs: range, exists: bool) -> int:
+    def project(self, values: list, inputs: range, exists: bool):
         """``Ex2`` (or, with ``exists`` false, ``All2``) over the enumerated
-        tuples, whose groundings are ``tables``, then over ``inputs``."""
+        tuples, whose groundings are ``values``, then over ``inputs``."""
         full = self.full
         if exists:
             out = 0
-            for t in tables:
+            for t in values:
                 out |= t
         else:
             out = full
-            for t in tables:
+            for t in values:
                 out &= t
             out ^= full
         for i in inputs:
-            out = kernel.project(out, i, self.nbits)
+            out = self.space.exists(out, i)
         return out if exists else out ^ full
 
-    def ground(self, f: Formula, env: Mapping[str, int], frames: Mapping[str, dict]) -> int:
+    def ground(self, f: Formula, env: Mapping[str, int], frames: Mapping[str, dict]):
         t = type(f)
         if t is Atom:
             cm = self.const_map
@@ -435,68 +424,6 @@ class _TableGrounder(_Grounder):
             return self.so_quant(f, env, frames)
         raise EvalError(f"unhandled formula in grounding: {t.__name__}")
 
-
-class _CircuitGrounder(_Grounder):
-    """Grounds into one hash-consed circuit, whose input ``i`` is slot ``i``,
-    for the kernel to evaluate."""
-
-    def __init__(self, builder: CircuitBuilder, domain_size, const_map, atom_value, so_arity):
-        super().__init__(builder.n_vars, domain_size, const_map, atom_value, so_arity)
-        self.builder = builder
-
-    def input(self, i: int) -> int:
-        return i
-
-    def const(self, value: bool) -> int:
-        return self.builder.const(value)
-
-    def project(self, slots: list[int], inputs: range, exists: bool) -> int:
-        """As ``_TableGrounder.project``, emitting gates."""
-        b = self.builder
-        out = b.or_many(slots) if exists else b.not_(b.and_many(slots))
-        for i in inputs:
-            out = b.exists(out, i)
-        return out if exists else b.not_(out)
-
-    def ground(self, f: Formula, env: Mapping[str, int], frames: Mapping[str, dict]) -> int:
-        b = self.builder
-        if isinstance(f, Top):
-            return b.const(True)
-        if isinstance(f, Bottom):
-            return b.const(False)
-        if isinstance(f, PropVar):
-            return self.atom(f.name, (), frames)
-        if isinstance(f, Atom):
-            elems = tuple(_resolve(t, self.const_map, env) for t in f.args)
-            return self.atom(f.rel, elems, frames)
-        if isinstance(f, Equal):
-            cm = self.const_map
-            return b.const(_resolve(f.left, cm, env) == _resolve(f.right, cm, env))
-        if isinstance(f, Not):
-            return b.not_(self.ground(f.body, env, frames))
-        if isinstance(f, And):
-            return b.and_many(self.ground(it, env, frames) for it in f.items)
-        if isinstance(f, Or):
-            return b.or_many(self.ground(it, env, frames) for it in f.items)
-        if isinstance(f, Implies):
-            return b.or2(
-                b.not_(self.ground(f.antecedent, env, frames)),
-                self.ground(f.consequent, env, frames),
-            )
-        if isinstance(f, Iff):
-            x = self.ground(f.left, env, frames)
-            y = self.ground(f.right, env, frames)
-            return b.not_(b.xor2(x, y))
-        if isinstance(f, (ForallInd, ExistsInd)):
-            slots = [
-                self.ground(f.body, {**env, f.var: e}, frames) for e in range(self.d)
-            ]
-            return b.and_many(slots) if isinstance(f, ForallInd) else b.or_many(slots)
-        if isinstance(f, (Lfp, Gfp)):
-            return self.fixpoint(f, env, frames)
-        if isinstance(f, (Forall2, Exists2)):
-            return self.so_quant(f, env, frames)
-        raise EvalError(f"unhandled formula in grounding: {type(f).__name__}")
 
 
 def _scan_so_binders(
@@ -573,24 +500,13 @@ def counterexample(
                     _scan_so_binders(g, domains, so_arity, memo))
             )
         n_inputs = len(atoms) + min(chain[d - 1], MAX_TT_VARS - len(atoms))
-        tables = n_inputs < kernel.FREE_FROM_VARS
-        if tables:
-            nbits = 1 << n_inputs
-            atom_value = {atom: kernel._var_mask(i, nbits) for i, atom in enumerate(atoms)}
-        else:
-            atom_value = {atom: i for i, atom in enumerate(atoms)}
         for const_vals in itertools.product(range(d), repeat=len(consts)):
             const_map = dict(zip(consts, const_vals))
             for env_vals in itertools.product(range(d), repeat=len(free)):
                 env = dict(zip(free, env_vals))
-                if tables:
-                    grounder = _TableGrounder(n_inputs, d, const_map, atom_value, so_arity)
-                    diff = grounder.ground(f, env, {}) ^ grounder.ground(g, env, {})
-                else:
-                    builder = CircuitBuilder(n_inputs)
-                    grounder = _CircuitGrounder(builder, d, const_map, atom_value, so_arity)
-                    out = builder.xor2(grounder.ground(f, env, {}), grounder.ground(g, env, {}))
-                    diff = kernel.eval_table(builder, out)
+                space = kernel._space(n_inputs)
+                grounder = _Grounder(space, atoms, d, const_map, so_arity)
+                diff = kernel._table(space, grounder.ground(f, env, {}) ^ grounder.ground(g, env, {}))
                 if diff:
                     # the projections leave the table constant along the
                     # bound inputs, so its lowest set bit has them clear

@@ -4,9 +4,16 @@ Evaluates a boolean circuit over all 2**n_vars valuations at once, using
 arbitrary-precision integers as bit-parallel truth tables: bit ``v`` of a
 table is the value under the valuation where input ``i`` is true iff
 ``(v >> i) & 1``.
+
+The oracles compute with the values of :func:`_space`: int truth tables
+below ``FREE_FROM_VARS`` inputs, and from there on gates of a circuit, which
+:func:`eval_table` evaluates once per check.  The same expressions compute
+both, and :func:`_table` reads either back as a table.
 """
 
 from __future__ import annotations
+
+import functools
 
 from ._program import (
     OP_AND,
@@ -17,18 +24,20 @@ from ._program import (
     OP_OR,
     OP_XOR,
     CircuitBuilder,
+    Gate,
 )
 
 #: which kernel implementation runs; there is one, in pure Python
 BACKEND = "pure"
 
 #: The width at which tables get big.  Below it a table is at most 256
-#: bytes, and both oracles compute their tables as they walk the formulas
-#: and call no kernel, because building the circuit cost more than
-#: evaluating it (3,000 prop_random checks on a 2-vCPU VM: 0.14 s as
-#: tables, 0.31 s as circuits; the first-order figures are in the
-#: ``fo_oracle`` docstring).  From this many inputs on, the oracles build
-#: circuits for :func:`eval_table`.
+#: bytes, and the oracles' walks compute every node's table, calling no
+#: kernel, because building the circuit cost more than evaluating it
+#: (3,000 prop_random checks on a 2-vCPU VM: 0.14 s as tables, 0.31 s as
+#: circuits; the first-order figures are in the ``fo_oracle`` docstring).
+#: From this many inputs on, the same walks build gates, and one circuit
+#: per check is evaluated by :func:`eval_table`.  Read by :func:`_space`
+#: at each call.
 FREE_FROM_VARS = 12
 
 _mask_cache: dict[tuple[int, int], int] = {}
@@ -64,7 +73,8 @@ def project(t: int, i: int, nbits: int) -> int:
 
 
 def eval_table(builder: CircuitBuilder, out: int) -> int:
-    """Truth table of slot ``out`` as an integer over 2**n_vars bits."""
+    """Truth table of slot ``out`` (an index or its gate) as an integer
+    over 2**n_vars bits."""
     n_vars = builder.n_vars
     nbits = 1 << n_vars
     full = (1 << nbits) - 1
@@ -110,3 +120,37 @@ def eval_table(builder: CircuitBuilder, out: int) -> int:
         if last[b] == k:
             slots[b] = None
     return slots[out]
+
+
+class _Tables:
+    """The values below the cut: each value is its own truth table.  Has
+    the builder's ``n_vars``, ``inputs``, ``full`` and ``exists``."""
+
+    __slots__ = ("n_vars", "nbits", "inputs", "full")
+
+    def __init__(self, n_vars: int):
+        self.n_vars = n_vars
+        self.nbits = 1 << n_vars
+        self.inputs = [_var_mask(i, self.nbits) for i in range(n_vars)]
+        self.full = (1 << self.nbits) - 1
+
+    def exists(self, t: int, i: int) -> int:
+        return project(t, i, self.nbits)
+
+
+_tables = functools.cache(_Tables)
+
+
+def _space(n_vars: int):
+    """What the oracles compute with over ``n_vars`` inputs: int truth
+    tables below ``FREE_FROM_VARS``, from there on the gates of a fresh
+    circuit."""
+    return _tables(n_vars) if n_vars < FREE_FROM_VARS else CircuitBuilder(n_vars)
+
+
+def _table(space, value) -> int:
+    """The truth table of ``value``, a value of ``space``.  A circuit's
+    constant 1 (its ``full``) stands for the all-true table."""
+    if type(value) is Gate:
+        return eval_table(space, value)
+    return (1 << (1 << space.n_vars)) - 1 if value == space.full else value

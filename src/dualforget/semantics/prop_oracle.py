@@ -5,15 +5,16 @@ Independent of the elimination engines by design; only the syntax module is
 imported.  Second-order quantifiers are evaluated by their defining
 two-point expansion.
 
-Each check walks its formulas once to find their vocabulary, and the width
-then picks one of two evaluations.  Below ``kernel.FREE_FROM_VARS`` (12)
-inputs a table is at most 256 bytes: the compile walk computes every
-node's truth table as it goes, and the check compares the tables.  From 12
-inputs on, the walk builds one hash-consed circuit for all the formulas,
-and the kernel evaluates its ``f XOR g`` (or ``f & ~g``, ``~f``) output
-once, releasing each table after its last reader.  Measured on a 2-vCPU
-VM, the 3,000 checks of one prop_random round (seed 13, at most 6 inputs)
-take 0.14 s as tables and 0.31 s as circuits; evaluating the 66 prop_rules
+Each check walks its formulas once to find their vocabulary, and once to
+compute the value of every node.  Below ``kernel.FREE_FROM_VARS`` (12)
+inputs a value is the node's truth table, at most 256 bytes, and the check
+compares the tables.  From 12 inputs on, the same walk over the same
+expressions builds one hash-consed circuit for all the formulas, whose
+values are gates, and the kernel evaluates its ``f XOR g`` (or ``f & ~g``,
+``~f``) output once, releasing each table after its last reader; an output
+that folds to a constant needs no kernel call.  Measured on a 2-vCPU VM,
+the 3,000 checks of one prop_random round (seed 13, at most 6 inputs) take
+0.14 s as tables and 0.31 s as circuits; evaluating the 66 prop_rules
 checks (14 to 20 inputs) as tables is 25% faster than as circuits but
 raises the peak RSS from 32 to 184 MB, because the memo holds every
 128 KiB table."""
@@ -37,7 +38,6 @@ from ..syntax import (
     Top,
 )
 from . import kernel
-from ._program import CircuitBuilder
 
 MAX_TT_VARS = 22
 
@@ -132,13 +132,10 @@ def _scan(fs: tuple[Formula, ...]) -> tuple[dict[int, int], dict[str, int]]:
     return masks, bits
 
 
-def _compile(
-    fs: tuple[Formula, ...], var_order: Optional[Sequence[str]] = None
-) -> tuple[Optional[CircuitBuilder], list[int], Optional[int]]:
+def _compile(fs: tuple[Formula, ...], var_order: Optional[Sequence[str]] = None):
     """Compile ``fs`` over ``var_order`` (by default their free vocabulary,
-    sorted).  Below ``kernel.FREE_FROM_VARS`` inputs, returns ``None``, the
-    truth table of each formula and the all-true table; from there on, the
-    circuit, the output slot of each formula and ``None``.
+    sorted): returns the ``kernel._space`` of the check and the value of
+    each formula there, a truth table or a gate.
 
     A node is compiled once per key: the node and the values of the
     quantified variables free in it.  A node with no bound variable free in
@@ -157,39 +154,24 @@ def _compile(
             f"truth-table enumeration over {n_vars} variables exceeds "
             f"the {MAX_TT_VARS}-variable guard"
         )
-    inputs = {name: i for i, name in enumerate(var_order)}
+    space = kernel._space(n_vars)
+    inputs = dict(zip(var_order, space.inputs))
+    if len(inputs) < n_vars:
+        repeated = next(name for i, name in enumerate(var_order) if name in var_order[:i])
+        raise EvalError(f"variable order repeats {repeated!r}")
     for name in vocab:
         if name not in inputs:
             raise EvalError(f"variable order does not list {name!r}")
-    if n_vars < kernel.FREE_FROM_VARS:
-        nbits = 1 << n_vars
-        full = (1 << nbits) - 1
-        tables = {name: kernel._var_mask(i, nbits) for name, i in inputs.items()}
-        return None, _tables(fs, masks, bits, tables, full), full
-    # no all-true table here: the kernel makes its own, and one at 20 inputs
-    # takes 0.1 ms to build (prop_rules checks average 2.3 ms)
-    builder = CircuitBuilder(n_vars)
-    return builder, _circuit(fs, masks, bits, inputs, builder), None
+    full = space.full
+    memo: dict[object, object] = {}
 
-
-def _tables(
-    fs: tuple[Formula, ...],
-    masks: dict[int, int],
-    bits: dict[str, int],
-    tables: dict[str, int],
-    full: int,
-) -> list[int]:
-    """The truth table of each of ``fs``, computed node by node as the walk
-    goes: ``tables`` holds each input's table, ``full`` the all-true one."""
-    memo: dict[object, int] = {}
-
-    def comp(f: Formula, bound: int, vals: int) -> int:
+    def comp(f: Formula, bound: int, vals: int):
         # bound: the quantified names in scope; vals: those bound to true
         i = id(f)
         m = masks[i] & bound
         t = type(f)
         if t is PropVar:
-            return (full if vals & m else 0) if m else tables[f.name]
+            return (full if vals & m else 0) if m else inputs[f.name]
         key = (i, m, vals & m) if m else i
         r = memo.get(key)
         if r is not None:
@@ -218,91 +200,36 @@ def _tables(
         memo[key] = r
         return r
 
-    return [comp(f, 0, 0) for f in fs]
-
-
-def _circuit(
-    fs: tuple[Formula, ...],
-    masks: dict[int, int],
-    bits: dict[str, int],
-    inputs: dict[str, int],
-    builder: CircuitBuilder,
-) -> list[int]:
-    """The output slot of each of ``fs`` in ``builder``, whose input ``i`` is
-    the name that ``inputs`` maps to ``i``.  The same walk as ``_tables``,
-    emitting a gate where that one computes a table."""
-    const, not_, and2, or2, xor2 = (
-        builder.const, builder.not_, builder.and2, builder.or2, builder.xor2
-    )
-    memo: dict[object, int] = {}
-
-    def comp(f: Formula, bound: int, vals: int) -> int:
-        # bound: the quantified names in scope; vals: those bound to true
-        i = id(f)
-        m = masks[i] & bound
-        t = type(f)
-        if t is PropVar:
-            return const(bool(vals & m)) if m else inputs[f.name]
-        key = (i, m, vals & m) if m else i
-        slot = memo.get(key)
-        if slot is not None:
-            return slot
-        if t is And:
-            slot = builder.and_many([comp(it, bound, vals) for it in f.items])
-        elif t is Or:
-            slot = builder.or_many([comp(it, bound, vals) for it in f.items])
-        elif t is Not:
-            slot = not_(comp(f.body, bound, vals))
-        elif t is Implies:
-            slot = or2(not_(comp(f.antecedent, bound, vals)), comp(f.consequent, bound, vals))
-        elif t is Iff:
-            slot = not_(xor2(comp(f.left, bound, vals), comp(f.right, bound, vals)))
-        elif t is Exists2 or t is Forall2:
-            b = bits[f.sym]
-            lo = comp(f.body, bound | b, vals & ~b)
-            hi = comp(f.body, bound | b, vals | b)
-            slot = or2(lo, hi) if t is Exists2 else and2(lo, hi)
-        else:  # Top or Bottom: _scan admits nothing else
-            slot = const(t is Top)
-        memo[key] = slot
-        return slot
-
-    return [comp(f, 0, 0) for f in fs]
+    return space, [comp(f, 0, 0) for f in fs]
 
 
 @nesting_guard
 def truth_table(f: Formula, var_order: Sequence[str]) -> int:
     """Truth table of ``f`` over the given variable order, as an integer
     (bit v = value where variable i is true iff ``(v >> i) & 1``)."""
-    builder, (out,), _ = _compile((f,), var_order)
-    return out if builder is None else kernel.eval_table(builder, out)
+    space, (a,) = _compile((f,), var_order)
+    return kernel._table(space, a)
 
 
 @nesting_guard
 def taut_prop(f: Formula) -> bool:
     """Exhaustive truth-table tautology check: ``~f`` is false everywhere."""
-    builder, (a,), full = _compile((f,))
-    if builder is None:
-        return a == full
-    return kernel.eval_table(builder, builder.not_(a)) == 0
+    space, (a,) = _compile((f,))
+    return kernel._table(space, a ^ space.full) == 0
 
 
 @nesting_guard
 def equiv_prop(f: Formula, g: Formula) -> bool:
     """Exhaustive equivalence check over the combined vocabulary: ``f XOR
-    g`` is false everywhere.  On the circuit path both sides are one
-    circuit, evaluated once."""
-    builder, (a, b), _ = _compile((f, g))
-    if builder is None:
-        return a == b
-    return kernel.eval_table(builder, builder.xor2(a, b)) == 0
+    g`` is false everywhere.  On a circuit both sides are one circuit,
+    evaluated once."""
+    space, (a, b) = _compile((f, g))
+    return kernel._table(space, a ^ b) == 0
 
 
 @nesting_guard
 def implies_prop(f: Formula, g: Formula) -> bool:
     """Exhaustive check of the entailment ``|= f -> g``: ``f & ~g`` is false
     everywhere."""
-    builder, (a, b), _ = _compile((f, g))
-    if builder is None:
-        return a & ~b == 0
-    return kernel.eval_table(builder, builder.and2(a, builder.not_(b))) == 0
+    space, (a, b) = _compile((f, g))
+    return kernel._table(space, a & (b ^ space.full)) == 0

@@ -5,6 +5,7 @@ import ast
 import importlib
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,11 +27,14 @@ from dualforget.semantics import (
     taut_prop,
     truth_table,
 )
+from dualforget.semantics import kernel
+from dualforget.semantics._program import CircuitBuilder
 from dualforget.syntax import (
     TOP,
     Exists2,
     Not,
     PropVar,
+    conj,
     exists2,
     free_ind_vars,
     is_closed,
@@ -130,6 +134,30 @@ def test_benchmark_tracer_targets_are_module_level_names(monkeypatch):
     for _layer, name, namespaces in tracing._PATCHES:
         for ns in namespaces:
             assert callable(vars(ns).get(name)), f"{ns.__name__}.{name}"
+
+
+def test_benchmark_circuit_interface(monkeypatch):
+    # perfbench/run.py warms the kernel up by evaluating
+    # CircuitBuilder(w).const(True) at each width, and the tracer counts
+    # len(builder) gates over builder.n_vars inputs for every circuit the
+    # kernel evaluates, the oracles' included
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    run = importlib.import_module("run")
+    tracing = importlib.import_module("tracing")
+    assert run._warm_up(SimpleNamespace(widths={0, 3, 12}, calls=[])) >= 0
+    tracer = tracing.Tracer()
+    for width in (0, 3, 12):
+        builder = CircuitBuilder(width)
+        assert kernel.eval_table(builder, builder.const(True)) == (1 << (1 << width)) - 1
+        tracer._count_circuit(builder)
+    assert (tracer.gates, tracer.max_vars, tracer.bitops) == (3, 12, 1 + 8 + 4096)
+    seen = []
+    eval_table = kernel.eval_table
+    monkeypatch.setattr(kernel, "eval_table", lambda b, out: seen.append(b) or eval_table(b, out))
+    f = conj([PropVar(f"v{i:02}") for i in range(kernel.FREE_FROM_VARS)])
+    assert equiv_prop(f, Not(Not(f)))
+    tracer._count_circuit(seen.pop())
+    assert tracer.max_vars == 12 and tracer.gates > 3
 
 
 def test_fo_imports_nothing_from_prop():

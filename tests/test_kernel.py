@@ -1,29 +1,35 @@
-"""The truth-table kernel against a naive per-valuation evaluation, and its
-input masks against a bit-by-bit construction."""
+"""The truth-table kernel against a naive per-valuation evaluation, its
+input masks against a bit-by-bit construction, and gates against the int
+truth tables whose operators they share."""
 
 import random
 
 from dualforget.semantics import kernel
-from dualforget.semantics._program import CircuitBuilder
+from dualforget.semantics._program import OP_NOT, CircuitBuilder, Gate
 
 
 def random_circuit(rng: random.Random, max_vars: int = 10, min_vars: int = 0, gates: int = 40):
     n = rng.randint(min_vars, max_vars)
     b = CircuitBuilder(n)
-    slots = list(range(n)) or [b.const(True)]
+
+    def gate(value):
+        # a combination that folds to the constant 0 or 1 becomes its gate
+        return value if type(value) is Gate else b.const(value == 1)
+
+    values = list(b.inputs) or [b.const(True)]
     for _ in range(rng.randint(1, gates)):
         op = rng.choice(["not", "and", "or", "xor", "c0", "c1"])
         if op == "not":
-            slots.append(b.not_(rng.choice(slots)))
+            values.append(gate(rng.choice(values) ^ 1))
         elif op == "and":
-            slots.append(b.and2(rng.choice(slots), rng.choice(slots)))
+            values.append(gate(rng.choice(values) & rng.choice(values)))
         elif op == "or":
-            slots.append(b.or2(rng.choice(slots), rng.choice(slots)))
+            values.append(gate(rng.choice(values) | rng.choice(values)))
         elif op == "xor":
-            slots.append(b.xor2(rng.choice(slots), rng.choice(slots)))
+            values.append(gate(rng.choice(values) ^ rng.choice(values)))
         else:
-            slots.append(b.const(op == "c1"))
-    return b, slots[-1]
+            values.append(b.const(op == "c1"))
+    return b, values[-1]
 
 
 def reference_eval(b: CircuitBuilder, out: int, v: int) -> bool:
@@ -65,7 +71,7 @@ def test_pure_backend_matches_naive_evaluation():
         b, out = random_circuit(rng, max_vars=6)
         table = kernel.eval_table(b, out)
         for v in range(1 << b.n_vars):
-            assert bool((table >> v) & 1) == reference_eval(b, out, v)
+            assert bool((table >> v) & 1) == reference_eval(b, out.slot, v)
 
 
 def test_freeing_path_matches_naive_evaluation():
@@ -75,12 +81,12 @@ def test_freeing_path_matches_naive_evaluation():
     for trial in range(8):
         b, out = random_circuit(rng, max_vars=14, min_vars=12, gates=60)
         if trial % 2:
-            reader = b.xor2(out, rng.randrange(b.n_vars))
-            b.and2(b.not_(reader), out)
-            assert out in (b.arg1[-1], b.arg2[-1])
+            reader = out ^ b.inputs[rng.randrange(b.n_vars)]
+            (reader ^ 1) & out
+            assert out.slot in (b.arg1[-1], b.arg2[-1])
         table = kernel.eval_table(b, out)
         for v in range(1 << b.n_vars):
-            assert bool((table >> v) & 1) == reference_eval(b, out, v)
+            assert bool((table >> v) & 1) == reference_eval(b, out.slot, v)
 
 
 def test_exists_matches_the_or_of_both_cofactors():
@@ -93,13 +99,13 @@ def test_exists_matches_the_or_of_both_cofactors():
         assert (b.n_vars >= kernel.FREE_FROM_VARS) == bool(wide)
         i, j = rng.randrange(b.n_vars), rng.randrange(b.n_vars)
         once = b.exists(out, i)
-        twice = b.exists(b.or2(once, b.not_(j)), j)
-        reader = b.xor2(b.and2(twice, i), out)
+        twice = b.exists(once | (b.inputs[j] ^ 1), j)
+        reader = (twice & b.inputs[i]) ^ out
         valuations = rng.sample(range(1 << b.n_vars), 150) if wide else range(1 << b.n_vars)
-        for slot in (once, twice, reader):
-            table = kernel.eval_table(b, slot)
+        for gate in (once, twice, reader):
+            table = kernel.eval_table(b, gate)
             for v in valuations:
-                assert bool((table >> v) & 1) == reference_eval(b, slot, v), (trial, slot, v)
+                assert bool((table >> v) & 1) == reference_eval(b, gate.slot, v), (trial, gate.slot, v)
 
 
 def test_input_masks_match_bitwise_construction():
@@ -112,7 +118,41 @@ def test_input_masks_match_bitwise_construction():
 
 def test_hash_consing_dedups():
     b = CircuitBuilder(2)
-    x = b.and2(0, 1)
-    y = b.and2(1, 0)
-    assert x == y
+    p, q = b.inputs
+    assert p & q is q & p
     assert len(b) == 1
+
+
+def test_gates_combine_like_truth_tables():
+    # one random program of &, | and ^ over the inputs and both constants,
+    # run on int tables and on gates: every value reads back as the same
+    # table, a gate's through eval_table
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        program = []
+        for k in range(rng.randint(1, 30)):
+            op = rng.choice(["&", "|", "^"])
+            program.append((op, rng.randrange(n + 2 + k), rng.randrange(n + 2 + k)))
+        runs = []
+        for space in (kernel._Tables(n), CircuitBuilder(n)):
+            values = [*space.inputs, 0, space.full]
+            for op, i, j in program:
+                x, y = values[i], values[j]
+                values.append(x & y if op == "&" else x | y if op == "|" else x ^ y)
+            runs.append([kernel._table(space, value) for value in values])
+        assert runs[0] == runs[1], program
+    # the constants fold, on either side, and emit no gate but NOT
+    b = CircuitBuilder(2)
+    x, y = b.inputs
+    for g in (x, x & y):
+        assert g & 1 is g and 1 & g is g
+        assert g & 0 == 0 and 0 & g == 0
+        assert g | 0 is g and 0 | g is g
+        assert g | 1 == 1 and 1 | g == 1
+        assert g ^ 0 is g and 0 ^ g is g
+        assert g & g is g and g | g is g and g ^ g == 0
+    assert len(b) == 1  # only x & y
+    negated = x ^ 1
+    assert 1 ^ x is negated and b.ops[negated.slot - b.n_vars] == OP_NOT
+    assert b.exists(1, 0) == 1 and b.exists(0, 1) == 0

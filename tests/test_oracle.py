@@ -195,8 +195,13 @@ def test_truth_table_over_names_the_formula_does_not_use(oracle_path):
     table = truth_table(f, order)
     for v, val in _valuations(order):
         assert bool((table >> v) & 1) == eval_prop(f, val)
-    with pytest.raises(EvalError):
+    with pytest.raises(EvalError, match="does not list 'q'"):
         truth_table(f, ["p", "a"])
+    # each input gets one name: a repeated one would leave input 1 unnamed
+    with pytest.raises(EvalError, match="repeats 'p'"):
+        truth_table(pf("p"), ["p", "p"])
+    with pytest.raises(EvalError, match="repeats 'p'"):
+        truth_table(f, ["q", "p", "r", "p"])
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +487,7 @@ def test_bound_tuples_past_the_input_guard_are_enumerated(monkeypatch):
 
     # 2, 6 and 12 inputs: tables at domain sizes 1 and 2, a circuit at 3;
     # under the 6-input guard, tables at every size
-    for grounder in (fo_oracle._TableGrounder, fo_oracle._CircuitGrounder):
-        monkeypatch.setattr(grounder, "ground", counting(grounder.ground))
+    monkeypatch.setattr(fo_oracle._Grounder, "ground", counting(fo_oracle._Grounder.ground))
     counterexample(f, g, max_domain=3)
     assert grounded == {1: 1, 2: 1, 3: 1}  # every tuple projected
     grounded.clear()
