@@ -28,6 +28,8 @@ from .syntax import (
     PropVar,
     Term,
     Top,
+    ind_binders,
+    so_binder,
 )
 
 _PREC_IFF = 1
@@ -83,11 +85,9 @@ def _fmt(f: Formula, minprec: int, rightmost: bool) -> str:
         left = _fmt(f.left, _PREC_IFF, False)
         right = _fmt(f.right, _PREC_IFF + 1, rightmost)
         return f"{left} <-> {right}"
-    if isinstance(f, (ForallInd, ExistsInd, Forall2, Exists2)):
-        kw = _QUANT_KEYWORD[type(f)]
-        var = f.var if isinstance(f, (ForallInd, ExistsInd)) else f.sym
-        body = _quant_body(f.body)
-        s = f"{kw} {var}. {body}"
+    kw = _QUANT_KEYWORD.get(type(f))
+    if kw is not None:
+        s = f"{kw} {so_binder(f) or ind_binders(f)[0]}. {_quant_body(f.body)}"
         # an unparenthesized quantifier extends to the rightmost closing
         # scope, so it needs parentheses anywhere but tail position
         return s if rightmost else _paren(s)

@@ -4,17 +4,17 @@ checked against.  Never consults the elimination engines."""
 from .fo_oracle import (
     Counterexample,
     FiniteInterpretation,
+    Valuation,
     counterexample,
     equiv_fo_finite,
     eval_fo,
+    eval_prop,
     eval_so,
 )
 from .kernel import BACKEND
 from .prop_oracle import (
     MAX_TT_VARS,
-    Valuation,
     equiv_prop,
-    eval_prop,
     implies_prop,
     taut_prop,
     truth_table,

@@ -6,6 +6,10 @@
   monotonicity).
 * :func:`eval_so` -- adds second-order quantifiers, evaluated by enumerating
   every extension of the quantified symbol.
+* :func:`eval_prop` -- the propositional case of :func:`eval_so`: a
+  valuation is an interpretation over a one-element domain, and ``Ex2 p``
+  enumerates the two extensions of a 0-ary ``p``, as two-point expansion
+  does.  The tests hold ``prop_oracle``'s compile walk to it.
 * :func:`counterexample` / :func:`equiv_fo_finite` -- exhaustive equivalence
   check over all interpretations up to a domain size.  Internally each ground
   atom becomes one input, so one truth table covers every interpretation at
@@ -43,7 +47,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from ..errors import EvalError, GuardError, nesting_guard
 from ..syntax import (
@@ -70,6 +74,7 @@ from ..syntax import (
     children,
     free_ind_vars,
     free_symbols,
+    is_propositional,
     signature_of,
 )
 from . import kernel
@@ -77,6 +82,8 @@ from .prop_oracle import MAX_TT_VARS
 
 MAX_DOMAIN = 3
 MAX_SO_ARITY = 2
+
+Valuation = Mapping[str, bool]
 
 
 @dataclass(frozen=True)
@@ -154,6 +161,16 @@ def eval_so(
 
     Guards: domain size <= 3 and quantified relation arity <= 2."""
     return _eval(f, interp, dict(env or {}), {}, allow_so=True)
+
+
+def eval_prop(f: Formula, valuation: Valuation) -> bool:
+    """Evaluate a propositional formula under a valuation (total on its free
+    propositional variables): :func:`eval_so` over a one-element domain.
+    Second-order quantifiers are allowed; a first-order construct raises
+    :class:`EvalError`."""
+    if not is_propositional(f):
+        raise EvalError("first-order construct in a propositional formula")
+    return eval_so(f, FiniteInterpretation(1, prop_map=dict(valuation)))
 
 
 def _eval(
@@ -470,7 +487,6 @@ def counterexample(
     g: Formula,
     sig: Optional[Signature] = None,
     max_domain: int = 2,
-    free_vars: Sequence[str] = (),
 ) -> Optional[Counterexample]:
     """First interpretation (in enumeration order) where ``f`` and ``g``
     differ, or ``None`` when they agree on every interpretation with domain
@@ -480,7 +496,7 @@ def counterexample(
     if max_domain < 1:
         raise GuardError("max_domain must be at least 1")
     sig = signature_of(f, g, base=sig)
-    free = sorted((free_ind_vars(f) | free_ind_vars(g)) | set(free_vars))
+    free = sorted(free_ind_vars(f) | free_ind_vars(g))
     consts = sorted(sig.constants)
     domains = range(1, max_domain + 1)
     so_arity: dict[int, Optional[int]] = {}
@@ -543,6 +559,5 @@ def equiv_fo_finite(
     g: Formula,
     sig: Optional[Signature] = None,
     max_domain: int = 2,
-    free_vars: Sequence[str] = (),
 ) -> bool:
-    return counterexample(f, g, sig, max_domain, free_vars) is None
+    return counterexample(f, g, sig, max_domain) is None

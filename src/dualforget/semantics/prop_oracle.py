@@ -1,9 +1,11 @@
-"""Brute-force propositional oracle: valuation evaluation, exhaustive
-truth-table tautology and equivalence checks.
+"""Brute-force propositional oracle: exhaustive truth-table tautology and
+equivalence checks.
 
 Independent of the elimination engines by design; only the syntax module is
 imported.  Second-order quantifiers are evaluated by their defining
-two-point expansion.
+two-point expansion.  The reference evaluator of one valuation,
+``eval_prop``, is ``fo_oracle.eval_so`` over a one-element domain and lives
+there.
 
 Each check walks its formulas once to find their vocabulary, and once to
 compute the value of every node.  Below ``kernel.FREE_FROM_VARS`` (12)
@@ -21,7 +23,7 @@ raises the peak RSS from 32 to 184 MB, because the memo holds every
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..errors import EvalError, GuardError, nesting_guard
 from ..syntax import (
@@ -40,53 +42,6 @@ from ..syntax import (
 from . import kernel
 
 MAX_TT_VARS = 22
-
-Valuation = Mapping[str, bool]
-
-
-@nesting_guard
-def eval_prop(f: Formula, valuation: Valuation) -> bool:
-    """Evaluate a propositional formula under a valuation (total on its free
-    propositional variables).  Second-order quantifiers are allowed."""
-    return _eval_prop(f, valuation)
-
-
-def _eval_prop(f: Formula, valuation: Valuation) -> bool:
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, PropVar):
-        try:
-            return bool(valuation[f.name])
-        except KeyError:
-            raise EvalError(f"valuation does not map {f.name!r}") from None
-    if isinstance(f, Not):
-        return not _eval_prop(f.body, valuation)
-    if isinstance(f, And):
-        return all(_eval_prop(it, valuation) for it in f.items)
-    if isinstance(f, Or):
-        return any(_eval_prop(it, valuation) for it in f.items)
-    if isinstance(f, Implies):
-        return (not _eval_prop(f.antecedent, valuation)) or _eval_prop(f.consequent, valuation)
-    if isinstance(f, Iff):
-        return _eval_prop(f.left, valuation) == _eval_prop(f.right, valuation)
-    if isinstance(f, Exists2):
-        over = dict(valuation)
-        over[f.sym] = False
-        if _eval_prop(f.body, over):
-            return True
-        over[f.sym] = True
-        return _eval_prop(f.body, over)
-    if isinstance(f, Forall2):
-        over = dict(valuation)
-        over[f.sym] = False
-        if not _eval_prop(f.body, over):
-            return False
-        over[f.sym] = True
-        return _eval_prop(f.body, over)
-    raise EvalError(f"not a propositional formula: {type(f).__name__}")
-
 
 def _scan(fs: tuple[Formula, ...]) -> tuple[dict[int, int], dict[str, int]]:
     """One walk over the distinct nodes of ``fs``: rejects first-order nodes,

@@ -351,9 +351,12 @@ class Theory:
 # ---------------------------------------------------------------------------
 # Traversal
 #
-# ``children`` and ``rebuild`` are the one statement of the tree's shape.  A
-# walker handles the node types it treats specially and reaches every other
-# node through them.
+# Four views are the one statement of the tree's shape: ``children``, the
+# terms a node holds outside its body (``terms_of``), and the two kinds of
+# name a node binds in its body: a symbol (``so_binder``) and individual
+# variables (``ind_binders``).  ``rebuild`` and ``reshape`` put a node back
+# together from them.  A walker handles the node types it treats specially
+# and reaches every other node, and every bound name and term, through them.
 
 
 _CHILDREN = {
@@ -367,24 +370,65 @@ _CHILDREN = {
     Iff: lambda g: (g.left, g.right),
 }
 
+_TERMS = {
+    Atom: operator.attrgetter("args"),
+    Equal: lambda g: (g.left, g.right),
+    **dict.fromkeys((Lfp, Gfp), operator.attrgetter("applied")),
+}
+
+_SO_BINDER = {
+    **dict.fromkeys((Forall2, Exists2), operator.attrgetter("sym")),
+    **dict.fromkeys((Lfp, Gfp), operator.attrgetter("rel")),
+}
+
+_IND_BINDERS = {
+    **dict.fromkeys((ForallInd, ExistsInd), lambda g: (g.var,)),
+    **dict.fromkeys((Lfp, Gfp), operator.attrgetter("argvars")),
+}
+
+#: connectives: built from their children alone
 _REBUILD = {
     Not: lambda g, kids: Not(*kids),
     And: lambda g, kids: conj(kids),
     Or: lambda g, kids: disj(kids),
     Implies: lambda g, kids: Implies(*kids),
     Iff: lambda g, kids: Iff(*kids),
-    ForallInd: lambda g, kids: ForallInd(g.var, *kids),
-    ExistsInd: lambda g, kids: ExistsInd(g.var, *kids),
-    Forall2: lambda g, kids: Forall2(g.sym, *kids),
-    Exists2: lambda g, kids: Exists2(g.sym, *kids),
-    Lfp: lambda g, kids: Lfp(g.rel, g.argvars, *kids, g.applied),
-    Gfp: lambda g, kids: Gfp(g.rel, g.argvars, *kids, g.applied),
+}
+
+#: the nodes that bind a name or hold terms, built from the views:
+#: ``(g, symbol, variables, kids, terms)``
+_RESHAPE = {
+    Atom: lambda g, sym, vs, kids, ts: Atom(g.rel, ts),
+    Equal: lambda g, sym, vs, kids, ts: Equal(*ts),
+    **dict.fromkeys((ForallInd, ExistsInd), lambda g, sym, vs, kids, ts: type(g)(*vs, *kids)),
+    **dict.fromkeys((Forall2, Exists2), lambda g, sym, vs, kids, ts: type(g)(sym, *kids)),
+    **dict.fromkeys((Lfp, Gfp), lambda g, sym, vs, kids, ts: type(g)(sym, vs, *kids, ts)),
 }
 
 
 def children(g: Formula) -> tuple[Formula, ...]:
     """Immediate subformulas, left to right; terms are not formulas."""
     return _CHILDREN[type(g)](g)
+
+
+def terms_of(g: Formula) -> tuple[Term, ...]:
+    """The terms ``g`` holds outside its body: an atom's arguments, an
+    equation's two sides, the arguments a fixpoint is applied to."""
+    get = _TERMS.get(type(g))
+    return () if get is None else get(g)
+
+
+def so_binder(g: Formula) -> Optional[str]:
+    """The symbol a second-order quantifier or fixpoint binds in its body."""
+    get = _SO_BINDER.get(type(g))
+    return None if get is None else get(g)
+
+
+def ind_binders(g: Formula) -> tuple[str, ...]:
+    """The individual variables a first-order quantifier or fixpoint binds
+    in its body."""
+    get = _IND_BINDERS.get(type(g))
+    return () if get is None else get(g)
 
 
 def rebuild(g: Formula, kids: Sequence[Formula]) -> Formula:
@@ -396,19 +440,19 @@ def rebuild(g: Formula, kids: Sequence[Formula]) -> Formula:
     old = _CHILDREN[type(g)](g)
     if len(kids) == len(old) and all(map(operator.is_, kids, old)):
         return g
-    return _REBUILD[type(g)](g, kids)
+    build = _REBUILD.get(type(g))
+    if build is None:
+        return reshape(g, so_binder(g), ind_binders(g), kids, terms_of(g))
+    return build(g, kids)
 
 
-_SO_BINDER = {
-    **dict.fromkeys((Forall2, Exists2), operator.attrgetter("sym")),
-    **dict.fromkeys((Lfp, Gfp), operator.attrgetter("rel")),
-}
-
-
-def so_binder(g: Formula) -> Optional[str]:
-    """The symbol a second-order quantifier or fixpoint binds in its body."""
-    get = _SO_BINDER.get(type(g))
-    return None if get is None else get(g)
+def reshape(g: Formula, sym: Optional[str], vs: Sequence[str], kids: Sequence[Formula],
+            ts: Sequence[Term]) -> Formula:
+    """A node of ``g``'s type whose :func:`so_binder`, :func:`ind_binders`,
+    :func:`children` and :func:`terms_of` are ``sym``, ``vs``, ``kids`` and
+    ``ts``; an atom keeps its relation.  Defined for the nodes that bind a
+    name or hold terms."""
+    return _RESHAPE[type(g)](g, sym, vs, kids, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -435,27 +479,17 @@ def free_ind_vars_ordered(f: Formula) -> list[str]:
     out: list[str] = []
     seen: set[str] = set()
 
-    def term(t: Term, bound: frozenset[str]) -> None:
-        if isinstance(t, Var) and t.name not in bound and t.name not in seen:
-            seen.add(t.name)
-            out.append(t.name)
-
     def walk(g: Formula, bound: frozenset[str]) -> None:
-        if isinstance(g, Atom):
-            for t in g.args:
-                term(t, bound)
-        elif isinstance(g, Equal):
-            term(g.left, bound)
-            term(g.right, bound)
-        elif isinstance(g, (ForallInd, ExistsInd)):
-            walk(g.body, bound | {g.var})
-        elif isinstance(g, (Lfp, Gfp)):
-            walk(g.body, bound | set(g.argvars))
-            for t in g.applied:
-                term(t, bound)
-        else:
-            for k in children(g):
-                walk(k, bound)
+        kind = type(g)
+        binders = _IND_BINDERS.get(kind)
+        inner = bound | set(binders(g)) if binders else bound
+        for k in _CHILDREN[kind](g):
+            walk(k, inner)
+        terms = _TERMS.get(kind)
+        for t in terms(g) if terms else ():
+            if isinstance(t, Var) and t.name not in bound and t.name not in seen:
+                seen.add(t.name)
+                out.append(t.name)
 
     walk(f, frozenset())
     return out
@@ -510,15 +544,7 @@ def rel_symbols(f: Formula) -> dict[str, int]:
 
 
 def const_symbols(f: Formula) -> set[str]:
-    out: set[str] = set()
-    for g in _subformulas(f):
-        if isinstance(g, Atom):
-            out.update(t.name for t in g.args if isinstance(t, Const))
-        elif isinstance(g, Equal):
-            out.update(t.name for t in (g.left, g.right) if isinstance(t, Const))
-        elif isinstance(g, (Lfp, Gfp)):
-            out.update(t.name for t in g.applied if isinstance(t, Const))
-    return out
+    return {t.name for g in _subformulas(f) for t in terms_of(g) if isinstance(t, Const)}
 
 
 def all_names(f: Formula) -> set[str]:
@@ -533,23 +559,19 @@ def all_names(f: Formula) -> set[str]:
         if id(g) in seen:
             continue
         seen.add(id(g))
-        if isinstance(g, PropVar):
+        kind = type(g)
+        if kind is PropVar:
             out.add(g.name)
-        elif isinstance(g, Atom):
+            continue
+        if kind is Atom:
             out.add(g.rel)
-            out.update(t.name for t in g.args)
-        elif isinstance(g, Equal):
-            out.add(g.left.name)
-            out.add(g.right.name)
-        elif isinstance(g, (ForallInd, ExistsInd)):
-            out.add(g.var)
-        elif isinstance(g, (Forall2, Exists2)):
-            out.add(g.sym)
-        elif isinstance(g, (Lfp, Gfp)):
-            out.add(g.rel)
-            out.update(g.argvars)
-            out.update(t.name for t in g.applied)
-        stack.extend(_CHILDREN[type(g)](g))
+        elif kind in _SO_BINDER:
+            out.add(_SO_BINDER[kind](g))
+        if kind in _IND_BINDERS:
+            out.update(_IND_BINDERS[kind](g))
+        if kind in _TERMS:
+            out.update(t.name for t in _TERMS[kind](g))
+        stack.extend(_CHILDREN[kind](g))
     return out
 
 
@@ -584,11 +606,9 @@ def contains_so_quantifier_and_fixpoint(f: Formula) -> tuple[bool, bool]:
 
 def is_propositional(f: Formula) -> bool:
     """True when the formula uses only truth constants, propositional
-    variables, connectives, and second-order quantifiers."""
-    return not any(
-        isinstance(g, (Atom, Equal, ForallInd, ExistsInd, Lfp, Gfp))
-        for g in _subformulas(f)
-    )
+    variables, connectives, and second-order quantifiers: no node holds a
+    term or binds an individual variable."""
+    return not any(type(g) in _TERMS or type(g) in _IND_BINDERS for g in _subformulas(f))
 
 
 # ---------------------------------------------------------------------------

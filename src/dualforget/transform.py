@@ -34,8 +34,11 @@ from .syntax import (
     disj,
     free_ind_vars,
     free_symbols,
+    ind_binders,
     rebuild,
+    reshape,
     so_binder,
+    terms_of,
 )
 
 
@@ -92,6 +95,7 @@ def _without(m: dict, names: Iterable[str]) -> dict:
     return {k: v for k, v in m.items() if k not in drop} if drop else m
 
 
+@nesting_guard
 def subst_terms(f: Formula, mapping: Mapping[str, Term], ng: Optional[NameGen] = None) -> Formula:
     """Simultaneously replace free individual variables by terms, renaming
     bound variables where they would capture an inserted variable."""
@@ -119,55 +123,43 @@ def _rename(
     first_syms: dict[str, str] = {}
 
     def walk(g: Formula, terms: dict[str, Term], syms: dict[str, str]) -> Formula:
+        if not (terms or syms or clash_vars or clash_syms):
+            return g
         if isinstance(g, PropVar):
             return PropVar(syms[g.name]) if g.name in syms else g
-        if isinstance(g, Atom):
-            args = _terms_sub(g.args, terms)
-            rel = syms.get(g.rel, g.rel)
-            return g if args is g.args and rel is g.rel else Atom(rel, args)
-        if isinstance(g, Equal):
-            pair = (g.left, g.right)
-            new = _terms_sub(pair, terms)
-            return g if new is pair else Equal(*new)
-        if isinstance(g, (Top, Bottom)) or not (terms or syms or clash_vars or clash_syms):
-            return g
+        if isinstance(g, Atom) and g.rel in syms:
+            g = Atom(syms[g.rel], g.args)
+        kids = children(g)
+        ts = terms_of(g)
+        if not kids:
+            new_ts = _terms_sub(ts, terms)
+            return g if new_ts is ts else reshape(g, None, (), (), new_ts)
         at_start = terms is first_terms and syms is first_syms
         if at_start:
             hit = memo.get(id(g))
             if hit is not None:
                 return hit[1]
-        if isinstance(g, (ForallInd, ExistsInd)):
-            inner = _without(terms, (g.var,))
-            if g.var in clash_vars or g.var in _term_vars(inner.values()):
-                var = ng.fresh(g.var)
-                out = type(g)(var, walk(g.body, {**inner, g.var: Var(var)}, syms))
-            else:
-                out = rebuild(g, [walk(g.body, inner, syms)])
-        elif isinstance(g, (Forall2, Exists2)):
-            inner_syms = _without(syms, (g.sym,))
-            if g.sym in clash_syms:
-                sym = ng.fresh(g.sym)
-                out = type(g)(sym, walk(g.body, terms, {**inner_syms, g.sym: sym}))
-            else:
-                out = rebuild(g, [walk(g.body, terms, inner_syms)])
-        elif isinstance(g, (Lfp, Gfp)):
-            inner_syms = _without(syms, (g.rel,))
-            rel = g.rel
-            if rel in clash_syms:
-                rel = ng.fresh(g.rel)
-                inner_syms = {**inner_syms, g.rel: rel}
-            inner = _without(terms, g.argvars)
-            capture = clash_vars | _term_vars(inner.values())
-            argvars = tuple(ng.fresh(v) if v in capture else v for v in g.argvars)
-            renamed = {v: Var(n) for v, n in zip(g.argvars, argvars) if n != v}
-            body = walk(g.body, {**inner, **renamed} if renamed else inner, inner_syms)
-            applied = _terms_sub(g.applied, terms)
-            if rel is g.rel and not renamed and body is g.body and applied is g.applied:
-                out = g
-            else:
-                out = type(g)(rel, argvars, body, applied)
+        # the general case is a fixpoint: it binds a symbol and variables
+        # in its body and holds terms outside it
+        sym = new_sym = so_binder(g)
+        if sym is not None:
+            syms = _without(syms, (sym,))
+            if sym in clash_syms:
+                new_sym = ng.fresh(sym)
+                syms = {**syms, sym: new_sym}
+        vs = ind_binders(g)
+        inner = _without(terms, vs)
+        capture = clash_vars | _term_vars(inner.values()) if vs else ()
+        new_vs = tuple(ng.fresh(v) if v in capture else v for v in vs)
+        renamed = {v: Var(n) for v, n in zip(vs, new_vs) if n != v}
+        if renamed:
+            inner = {**inner, **renamed}
+        new_kids = [walk(k, inner, syms) for k in kids]
+        new_ts = _terms_sub(ts, terms)
+        if new_sym is sym and not renamed and new_ts is ts:
+            out = rebuild(g, new_kids)
         else:
-            out = rebuild(g, [walk(k, terms, syms) for k in children(g)])
+            out = reshape(g, new_sym, new_vs, new_kids, new_ts)
         if at_start:
             memo[id(g)] = (g, out)
         return out
@@ -216,9 +208,7 @@ def substitute_rel(f: Formula, r: str, params: Sequence[str], e: Formula) -> For
             )
         if not args:
             return e
-        # every binder of ``e`` named like an argument variable is renamed,
-        # whether or not a parameter occurs below it
-        return _rename(e, dict(zip(params, args)), ng, _term_vars(args))
+        return _rename(e, dict(zip(params, args)), ng)
 
     def walk(g: Formula) -> Formula:
         nonlocal met_binder
@@ -261,6 +251,10 @@ def substitute_rel(f: Formula, r: str, params: Sequence[str], e: Formula) -> For
 # Negation normal form
 
 
+#: each quantifier's dual; the keys are the quantifiers, which bind one name
+_DUAL = {ForallInd: ExistsInd, ExistsInd: ForallInd, Forall2: Exists2, Exists2: Forall2}
+
+
 @nesting_guard
 def nnf(f: Formula) -> Formula:
     """Negation normal form: ``->``/``<->`` expanded, negation pushed to
@@ -291,15 +285,10 @@ def _nnf(f: Formula, neg: bool) -> Formula:
     if isinstance(f, Iff):
         a, b = f.left, f.right
         return _nnf(conj([disj([Not(a), b]), disj([a, Not(b)])]), neg)
-    if isinstance(f, ForallInd):
-        return ExistsInd(f.var, _nnf(f.body, True)) if neg else ForallInd(f.var, _nnf(f.body, False))
-    if isinstance(f, ExistsInd):
-        return ForallInd(f.var, _nnf(f.body, True)) if neg else ExistsInd(f.var, _nnf(f.body, False))
-    if isinstance(f, Forall2):
-        return Exists2(f.sym, _nnf(f.body, True)) if neg else Forall2(f.sym, _nnf(f.body, False))
-    if isinstance(f, Exists2):
-        return Forall2(f.sym, _nnf(f.body, True)) if neg else Exists2(f.sym, _nnf(f.body, False))
-    raise InternalError(f"unhandled formula in nnf: {type(f).__name__}")
+    dual = _DUAL.get(type(f))
+    if dual is None:
+        raise InternalError(f"unhandled formula in nnf: {type(f).__name__}")
+    return (dual if neg else type(f))(so_binder(f) or ind_binders(f)[0], _nnf(f.body, neg))
 
 
 # ---------------------------------------------------------------------------
@@ -396,20 +385,14 @@ def _rewrite(f: Formula, memo: _Memo) -> Formula:
         if a == b:
             return TOP
         return f if a is f.left and b is f.right else Iff(a, b)
-    if isinstance(f, (ForallInd, ExistsInd)):
-        b = _simp(f.body, memo)
-        if not _occurs_free(f.var, b, symbol=False):
+    # the rest bind names in their body: a quantifier whose name does not
+    # occur free there is vacuous; a fixpoint is a literal and stays
+    b = _simp(f.body, memo)
+    if type(f) in _DUAL:
+        sym = so_binder(f)
+        if not _occurs_free(sym or ind_binders(f)[0], b, sym is not None):
             return b
-        return f if b is f.body else type(f)(f.var, b)
-    if isinstance(f, (Forall2, Exists2)):
-        b = _simp(f.body, memo)
-        if not _occurs_free(f.sym, b, symbol=True):
-            return b
-        return f if b is f.body else type(f)(f.sym, b)
-    if isinstance(f, (Lfp, Gfp)):
-        b = _simp(f.body, memo)
-        return f if b is f.body else type(f)(f.rel, f.argvars, b, f.applied)
-    raise InternalError(f"unhandled formula in simplify: {type(f).__name__}")
+    return f if b is f.body else rebuild(f, [b])
 
 
 def _occurs_free(name: str, f: Formula, symbol: bool) -> bool:
@@ -417,6 +400,7 @@ def _occurs_free(name: str, f: Formula, symbol: bool) -> bool:
     relation when ``symbol``, else as an individual variable.  Whether a name
     is free in a node does not depend on where the node sits, so each node
     object is visited once, and never below a binder of ``name``."""
+    var = Var(name)
     seen: set[int] = set()
     stack = [f]
     while stack:
@@ -429,16 +413,11 @@ def _occurs_free(name: str, f: Formula, symbol: bool) -> bool:
                 return True
             if so_binder(g) == name:
                 continue
-        elif isinstance(g, (Atom, Equal)):
-            if name in _term_vars(g.args if isinstance(g, Atom) else (g.left, g.right)):
+        else:
+            if var in terms_of(g):
                 return True
-        elif isinstance(g, (Lfp, Gfp)):
-            if name in _term_vars(g.applied):
-                return True
-            if name in g.argvars:
+            if name in ind_binders(g):
                 continue
-        elif isinstance(g, (ForallInd, ExistsInd)) and g.var == name:
-            continue
         stack.extend(children(g))
     return False
 

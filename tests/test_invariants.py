@@ -31,6 +31,7 @@ from dualforget.semantics import kernel
 from dualforget.semantics._program import CircuitBuilder
 from dualforget.syntax import (
     TOP,
+    Const,
     Exists2,
     Not,
     PropVar,
@@ -43,7 +44,7 @@ from dualforget.syntax import (
     rel_symbols,
     signature_of,
 )
-from dualforget.transform import nnf, simplify, substitute_prop, substitute_rel
+from dualforget.transform import nnf, simplify, subst_terms, substitute_prop, substitute_rel
 
 
 def test_eval_prop_agrees_with_eval_fo_on_prop_formulas():
@@ -98,6 +99,7 @@ _DEEP_ENTRY_POINTS = {
     "nnf": nnf,
     "substitute_prop": lambda f: substitute_prop(f, "p", TOP),
     "substitute_rel": lambda f: substitute_rel(f, "p", (), TOP),
+    "subst_terms": lambda f: subst_terms(f, {"x": Const("a")}),
     "format_formula": format_formula,
     "taut_prop": taut_prop,
     "equiv_prop": lambda f: equiv_prop(f, PropVar("p")),

@@ -53,6 +53,13 @@ def test_eval_prop_unmapped_variable():
         eval_prop(pf("p & q"), {"p": True})
 
 
+@pytest.mark.parametrize("text", ["all x. p", "T | r(a)", "a = a", "lfp r(x). s(x) @(a)"])
+def test_eval_prop_rejects_first_order_constructs(text):
+    # even where evaluating over one element would never reach them
+    with pytest.raises(EvalError):
+        eval_prop(pf(text), {"p": True})
+
+
 def test_taut_equiv_examples():
     assert taut_prop(pf("p | ~p"))
     assert not taut_prop(pf("p | q"))

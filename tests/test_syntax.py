@@ -30,13 +30,17 @@ from dualforget.syntax import (
     conj,
     disj,
     free_ind_vars,
+    ind_binders,
     is_closed,
     literal,
     polarity,
     prop_symbols,
     rebuild,
     rel_symbols,
+    reshape,
     signature_of,
+    so_binder,
+    terms_of,
 )
 
 
@@ -176,32 +180,37 @@ _X = Var("x")
 _RX = Atom("r", (_X,))
 _RU = Atom("r", (Var("u"),))
 
-# (node, the node with its first child replaced by s, built by hand)
+_A = Const("a")
+
+# (node, the node with its first child replaced by s, built by hand,
+#  its terms, the symbol it binds, the variables it binds)
 _TRAVERSAL_CASES = [
-    (TOP, None),
-    (BOT, None),
-    (_P, None),
-    (_RX, None),
-    (Equal(_X, Const("a")), None),
-    (Not(_P), Not(_S)),
-    (And((_P, _Q)), And((_S, _Q))),
-    (Or((_P, _Q)), Or((_S, _Q))),
-    (Implies(_P, _Q), Implies(_S, _Q)),
-    (Iff(_P, _Q), Iff(_S, _Q)),
-    (ForallInd("x", _RX), ForallInd("x", _S)),
-    (ExistsInd("x", _RX), ExistsInd("x", _S)),
-    (Forall2("p", _P), Forall2("p", _S)),
-    (Exists2("p", _P), Exists2("p", _S)),
-    (Lfp("r", ("u",), _RU, (_X,)), Lfp("r", ("u",), _S, (_X,))),
-    (Gfp("r", ("u",), _RU, (Const("a"),)), Gfp("r", ("u",), _S, (Const("a"),))),
+    (TOP, None, (), None, ()),
+    (BOT, None, (), None, ()),
+    (_P, None, (), None, ()),
+    (_RX, None, (_X,), None, ()),
+    (Equal(_X, _A), None, (_X, _A), None, ()),
+    (Not(_P), Not(_S), (), None, ()),
+    (And((_P, _Q)), And((_S, _Q)), (), None, ()),
+    (Or((_P, _Q)), Or((_S, _Q)), (), None, ()),
+    (Implies(_P, _Q), Implies(_S, _Q), (), None, ()),
+    (Iff(_P, _Q), Iff(_S, _Q), (), None, ()),
+    (ForallInd("x", _RX), ForallInd("x", _S), (), None, ("x",)),
+    (ExistsInd("x", _RX), ExistsInd("x", _S), (), None, ("x",)),
+    (Forall2("p", _P), Forall2("p", _S), (), "p", ()),
+    (Exists2("p", _P), Exists2("p", _S), (), "p", ()),
+    (Lfp("r", ("u",), _RU, (_X,)), Lfp("r", ("u",), _S, (_X,)), (_X,), "r", ("u",)),
+    (Gfp("r", ("u",), _RU, (_A,)), Gfp("r", ("u",), _S, (_A,)), (_A,), "r", ("u",)),
 ]
 
 
 def test_traversal_covers_every_node_class():
-    assert {type(g) for g, _ in _TRAVERSAL_CASES} == _node_classes()
+    assert {type(case[0]) for case in _TRAVERSAL_CASES} == _node_classes()
 
 
-@pytest.mark.parametrize("g,expected", _TRAVERSAL_CASES, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize(
+    "g,expected", [case[:2] for case in _TRAVERSAL_CASES], ids=lambda v: type(v).__name__
+)
 def test_rebuild_keeps_unchanged_nodes_and_replaces_children(g, expected):
     kids = children(g)
     assert rebuild(g, kids) is g
@@ -212,6 +221,25 @@ def test_rebuild_keeps_unchanged_nodes_and_replaces_children(g, expected):
     out = rebuild(g, [_S, *kids[1:]])
     assert out == expected and type(out) is type(expected)
     assert children(out) == (_S, *kids[1:])
+
+
+@pytest.mark.parametrize(
+    "g,ts,sym,vs",
+    [(g, *views) for g, _, *views in _TRAVERSAL_CASES],
+    ids=[type(case[0]).__name__ for case in _TRAVERSAL_CASES],
+)
+def test_terms_and_binders_views(g, ts, sym, vs):
+    assert (terms_of(g), so_binder(g), ind_binders(g)) == (ts, sym, vs)
+    if not (ts or sym or vs):
+        return
+    # reshape puts the node back together from its views, and replaces them
+    assert reshape(g, sym, vs, children(g), ts) == g
+    new_sym = sym and sym + "2"
+    new_vs = tuple(v + "2" for v in vs)
+    new_ts = tuple(Var(t.name + "2") for t in ts)
+    out = reshape(g, new_sym, new_vs, children(g), new_ts)
+    assert type(out) is type(g) and children(out) == children(g)
+    assert (terms_of(out), so_binder(out), ind_binders(out)) == (new_ts, new_sym, new_vs)
 
 
 def test_rebuild_flattens_through_conj_and_disj():

@@ -82,6 +82,16 @@ def test_substitute_rel_renames_captured_binder():
         substitute_rel(pf("r(a, b)"), "r", ["x", "x"], TOP)
 
 
+def test_substitute_rel_renames_only_binders_that_capture():
+    # a binder of the definition that shadows the parameter cannot capture
+    # the argument, so it keeps its name even where the two names agree
+    e = pf("b(y) & all y. c(y)", free_vars=["y"])
+    assert substitute_rel(pf("r(y)", free_vars=["y"]), "r", ["y"], e) == e
+    e = pf("gfp r(y, z). (r(z, y) | b(y, y)) @(y, y)", free_vars=["y"])
+    out = substitute_rel(pf("s(z)", free_vars=["z"]), "s", ["y"], e)
+    assert out == pf("gfp r(y, z). (r(z, y) | b(y, y)) @(z, z)", free_vars=["z"])
+
+
 # ---------------------------------------------------------------------------
 # nnf
 
