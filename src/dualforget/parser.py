@@ -29,7 +29,6 @@ formula per line, blank lines ignored.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ParseError
@@ -57,7 +56,6 @@ from .syntax import (
     conj,
     disj,
     forall,
-    free_ind_vars_ordered,
 )
 
 _MAX_DEPTH = 200
@@ -65,74 +63,85 @@ _MAX_DEPTH = 200
 #: A symbol name: a propositional variable, relation, constant or variable.
 IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
+# every character but whitespace starts a match, so a scan skips exactly the
+# whitespace and the last group catches a character no token can start with
 _TOKEN_RE = re.compile(
-    rf"""
-    (?P<ws>\s+)
-  | (?P<ident>{IDENT_RE.pattern})
-  | (?P<upper>[A-Z][a-zA-Z0-9_]*)
-  | (?P<op><->|->|!=|[=~&|().,@])
-    """,
-    re.VERBOSE,
+    rf"(?P<ident>{IDENT_RE.pattern})|(?P<upper>[A-Z][a-zA-Z0-9_]*)"
+    r"|(?P<op><->|->|!=|[=~&|().,@])|(?P<bad>\S)"
 )
 
 _UPPER_TOKENS = {"T", "F", "All2", "Ex2"}
+_BINDER_WORDS = {"All2", "Ex2", "all", "ex", "lfp", "gfp"}
+
+#: A token: ``(kind, text, offset)``.  The kind is "ident", "eof", or for
+#: every other token its text ("T", "F", "All2", "Ex2" or an operator).
+_Token = tuple[str, str, int]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "T", "F", "All2", "Ex2", an operator, or "eof"
-    text: str
-    line: int
-    column: int
+def _position(text: str, offset: int, line_offset: int) -> tuple[int, int]:
+    """The line and column of ``offset`` in ``text``, both counted from 1."""
+    return 1 + line_offset + text.count("\n", 0, offset), offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str, line_offset: int = 0) -> list[_Token]:
+def _tokenize(text: str, line_offset: int) -> list[_Token]:
+    """``text``'s tokens followed by three end-of-input tokens, as many as
+    the parser's lookahead can read past the last real token."""
     tokens: list[_Token] = []
-    line = 1 + line_offset
-    col = 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup == "ident":
-            tokens.append(_Token("ident", lexeme, line, col))
-        elif m.lastgroup == "upper":
-            if lexeme not in _UPPER_TOKENS:
-                raise ParseError(f"unknown keyword {lexeme!r}", line, col)
-            tokens.append(_Token(lexeme, lexeme, line, col))
-        elif m.lastgroup == "op":
-            tokens.append(_Token(lexeme, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
+    for m in _TOKEN_RE.finditer(text):
+        lexeme = m.group()
+        group = m.lastgroup
+        if group == "ident":
+            tokens.append(("ident", lexeme, m.start()))
+        elif group == "op" or lexeme in _UPPER_TOKENS:
+            tokens.append((lexeme, lexeme, m.start()))
         else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+            message = f"unknown keyword {lexeme!r}" if group == "upper" else f"unexpected character {lexeme!r}"
+            raise ParseError(message, *_position(text, m.start(), line_offset))
+    tokens += [("eof", "", len(text))] * 3
     return tokens
+
+
+def _describe(kind: object) -> str:
+    """A symbol kind in words: "prop", "const" or ``("rel", arity)``."""
+    if kind == "prop":
+        return "propositional variable"
+    if kind == "const":
+        return "constant"
+    return f"relation of arity {kind[1]}"
+
+
+def _signature(kinds: dict[str, object]) -> Signature:
+    """The signature declaring each name as the kind it maps to."""
+    props = frozenset(n for n, k in kinds.items() if k == "prop")
+    consts = frozenset(n for n, k in kinds.items() if k == "const")
+    rels = {n: k[1] for n, k in kinds.items() if isinstance(k, tuple)}
+    return Signature(props, rels, consts)
 
 
 class _Parser:
     def __init__(
         self,
-        tokens: list[_Token],
+        text: str,
+        line_offset: int,
         sig: Optional[Signature],
         strict: bool,
         free_vars: frozenset[str],
         terms_as_vars: bool = False,
     ):
-        self.tokens = tokens
+        self.text = text
+        self.line_offset = line_offset
+        self.tokens = _tokenize(text, line_offset)
         self.pos = 0
         self.sig = sig
         self.strict = strict
         self.free_vars = free_vars
         # theory files: unbound, undeclared term identifiers are free
         # variables (for closedness checking / auto-closure) instead of
-        # inferred constants
+        # inferred constants; ``free`` lists them in order of first
+        # occurrence, which is the order of a left-to-right walk of the tree
+        # because a fixpoint's applied terms follow its body
         self.terms_as_vars = terms_as_vars
+        self.free: list[str] = []
         self.bound: list[str] = []
         self.depth = 0
         # symbol kinds inferred during this parse, for consistency checks:
@@ -141,27 +150,26 @@ class _Parser:
 
     # -- token helpers ------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> _Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
-
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        self.pos += 1
         return tok
 
     def expect(self, kind: str) -> _Token:
         tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.line, tok.column)
+        if tok[0] != kind:
+            self.error(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok)
         return tok
 
     def error(self, message: str, tok: Optional[_Token] = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.column)
+        offset = (tok or self.tokens[self.pos])[2]
+        raise ParseError(message, *_position(self.text, offset, self.line_offset))
 
     # -- grammar ------------------------------------------------------------
+    #
+    # The nesting depth counts the formula, each unary operand and each link
+    # of a "->" or "<->" chain, the levels the tree nests.  No ParseError is
+    # caught inside the parser, so only the success paths restore it.
 
     def descend(self) -> None:
         """Enter one more level of nesting of the formula being built."""
@@ -169,156 +177,159 @@ class _Parser:
         if self.depth > _MAX_DEPTH:
             self.error("formula too deeply nested")
 
-    def formula(self) -> Formula:
-        self.descend()
-        try:
-            return self.iff()
-        finally:
-            self.depth -= 1
+    def parse(self) -> Formula:
+        """The one formula that makes up all of the input."""
+        f = self.formula()
+        tok = self.tokens[self.pos]
+        if tok[0] != "eof":
+            self.error(f"unexpected trailing input {tok[1]!r}", tok)
+        return f
 
-    def iff(self) -> Formula:
-        # each link of a chain nests the tree one level deeper
+    def formula(self) -> Formula:
         start = self.depth
+        self.descend()
         f = self.implies()
-        try:
-            while self.peek().kind == "<->":
-                self.next()
-                self.descend()
-                f = Iff(f, self.implies())
-            return f
-        finally:
-            self.depth = start
+        while self.tokens[self.pos][0] == "<->":
+            self.pos += 1
+            self.descend()
+            f = Iff(f, self.implies())
+        self.depth = start
+        return f
 
     def implies(self) -> Formula:
         f = self.or_()
-        if self.peek().kind == "->":
-            self.next()
+        if self.tokens[self.pos][0] != "->":
+            return f
+        start = self.depth
+        items = [f]
+        while self.tokens[self.pos][0] == "->":
+            self.pos += 1
             self.descend()
-            try:
-                return Implies(f, self.implies())
-            finally:
-                self.depth -= 1
+            items.append(self.or_())
+        self.depth = start
+        f = items.pop()
+        for g in reversed(items):
+            f = Implies(g, f)
         return f
 
     def or_(self) -> Formula:
-        items = [self.and_()]
-        while self.peek().kind == "|":
-            self.next()
+        f = self.and_()
+        if self.tokens[self.pos][0] != "|":
+            return f
+        items = [f]
+        while self.tokens[self.pos][0] == "|":
+            self.pos += 1
             items.append(self.and_())
         return disj(items)
 
     def and_(self) -> Formula:
-        items = [self.unary()]
-        while self.peek().kind == "&":
-            self.next()
+        f = self.unary()
+        if self.tokens[self.pos][0] != "&":
+            return f
+        items = [f]
+        while self.tokens[self.pos][0] == "&":
+            self.pos += 1
             items.append(self.unary())
         return conj(items)
 
     def unary(self) -> Formula:
         self.descend()
-        try:
-            tok = self.peek()
-            if tok.kind == "~":
-                self.next()
-                return Not(self.unary())
-            q = self.try_quantifier()
-            if q is not None:
-                return q
-            return self.atom()
-        finally:
-            self.depth -= 1
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "~":
+            self.pos += 1
+            f = Not(self.unary())
+        else:
+            f = self.quantifier() if text in _BINDER_WORDS else None
+            if f is None:
+                f = self.atom()
+        self.depth -= 1
+        return f
 
-    def try_quantifier(self) -> Optional[Formula]:
-        tok = self.peek()
-        if tok.kind in ("All2", "Ex2"):
-            self.next()
-            sym = self.expect("ident").text
+    def quantifier(self) -> Optional[Formula]:
+        kind, text, _ = self.tokens[self.pos]
+        if kind in ("All2", "Ex2"):
+            self.pos += 1
+            sym = self.expect("ident")[1]
             self.expect(".")
             body = self.formula()
-            return Forall2(sym, body) if tok.kind == "All2" else Exists2(sym, body)
-        if tok.kind != "ident":
+            return Forall2(sym, body) if kind == "All2" else Exists2(sym, body)
+        next_kind, var, _ = self.tokens[self.pos + 1]
+        if next_kind != "ident":
             return None
-        if tok.text in ("all", "ex") and self.peek(1).kind == "ident" and self.peek(2).kind == ".":
-            self.next()
-            var = self.next().text
-            self.next()
+        after = self.tokens[self.pos + 2][0]
+        if text in ("all", "ex") and after == ".":
+            self.pos += 3
             self.bound.append(var)
-            try:
-                body = self.formula()
-            finally:
-                self.bound.pop()
-            return ForallInd(var, body) if tok.text == "all" else ExistsInd(var, body)
-        if tok.text in ("lfp", "gfp") and self.peek(1).kind == "ident" and self.peek(2).kind == "(":
-            return self.fixpoint(tok.text)
+            body = self.formula()
+            self.bound.pop()
+            return ForallInd(var, body) if text == "all" else ExistsInd(var, body)
+        if text in ("lfp", "gfp") and after == "(":
+            return self.fixpoint(text)
         return None
 
     def fixpoint(self, kw: str) -> Formula:
-        self.next()
-        rel = self.expect("ident").text
+        self.pos += 1
+        rel = self.expect("ident")[1]
         self.expect("(")
-        argvars = [self.expect("ident").text]
-        while self.peek().kind == ",":
-            self.next()
-            argvars.append(self.expect("ident").text)
+        argvars = [self.expect("ident")[1]]
+        while self.tokens[self.pos][0] == ",":
+            self.pos += 1
+            argvars.append(self.expect("ident")[1])
         close = self.expect(")")
         if len(set(argvars)) != len(argvars):
             self.error("fixpoint argument variables must be distinct", close)
         self.expect(".")
         self.bound.extend(argvars)
         self.note(rel, ("rel", len(argvars)))
-        try:
-            body = self.unary()
-        finally:
-            del self.bound[len(self.bound) - len(argvars):]
+        body = self.unary()
+        del self.bound[len(self.bound) - len(argvars):]
         self.expect("@")
         self.expect("(")
-        applied = [self.term()]
-        while self.peek().kind == ",":
-            self.next()
-            applied.append(self.term())
+        applied = self.terms()
         self.expect(")")
         if len(applied) != len(argvars):
             self.error(f"fixpoint over {rel} needs {len(argvars)} applied arguments")
         cls = Lfp if kw == "lfp" else Gfp
-        return cls(rel, tuple(argvars), body, tuple(applied))
+        return cls(rel, tuple(argvars), body, applied)
 
     def atom(self) -> Formula:
         tok = self.next()
-        if tok.kind == "T":
-            return TOP
-        if tok.kind == "F":
-            return BOT
-        if tok.kind == "(":
+        kind = tok[0]
+        if kind == "ident":
+            nxt = self.tokens[self.pos][0]
+            if nxt == "(":
+                self.pos += 1
+                args = self.terms()
+                self.expect(")")
+                self.check_relation(tok, len(args))
+                return Atom(tok[1], args)
+            if nxt == "=" or nxt == "!=":
+                self.pos += 1
+                eq = Equal(self.resolve_term(tok), self.term())
+                return Not(eq) if nxt == "!=" else eq
+            return self.prop_var(tok)
+        if kind == "(":
             f = self.formula()
             self.expect(")")
             return f
-        if tok.kind != "ident":
-            self.error(f"unexpected {tok.text or 'end of input'!r}", tok)
-        name = tok.text
-        nxt = self.peek().kind
-        if nxt == "(":
-            self.next()
-            args = [self.term()]
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.term())
-            self.expect(")")
-            self.check_relation(name, len(args), tok)
-            return Atom(name, tuple(args))
-        if nxt in ("=", "!="):
-            self.next()
-            left = self.resolve_term(tok)
-            right = self.term()
-            eq = Equal(left, right)
-            return Not(eq) if nxt == "!=" else eq
-        return self.prop_var(tok)
+        if kind == "T":
+            return TOP
+        if kind == "F":
+            return BOT
+        self.error(f"unexpected {tok[1] or 'end of input'!r}", tok)
+
+    def terms(self) -> tuple[Term, ...]:
+        args = [self.term()]
+        while self.tokens[self.pos][0] == ",":
+            self.pos += 1
+            args.append(self.term())
+        return tuple(args)
 
     def term(self) -> Term:
-        tok = self.expect("ident")
-        return self.resolve_term(tok)
+        return self.resolve_term(self.expect("ident"))
 
     def resolve_term(self, tok: _Token) -> Term:
-        name = tok.text
+        name = tok[1]
         if name in self.bound or name in self.free_vars:
             return Var(name)
         if self.sig is not None:
@@ -329,12 +340,14 @@ class _Parser:
         if self.strict:
             self.error(f"undeclared constant {name!r}", tok)
         if self.terms_as_vars:
+            if name not in self.free:
+                self.free.append(name)
             return Var(name)
         self.note(name, "const", tok)
         return Const(name)
 
     def prop_var(self, tok: _Token) -> Formula:
-        name = tok.text
+        name = tok[1]
         if name in self.bound:
             self.error(f"individual variable {name!r} used as a formula", tok)
         if self.sig is not None:
@@ -349,7 +362,8 @@ class _Parser:
         self.note(name, "prop", tok)
         return PropVar(name)
 
-    def check_relation(self, name: str, arity: int, tok: _Token) -> None:
+    def check_relation(self, tok: _Token, arity: int) -> None:
+        name = tok[1]
         if name in self.bound:
             self.error(f"individual variable {name!r} used as a relation", tok)
         if self.sig is not None:
@@ -367,22 +381,7 @@ class _Parser:
     def note(self, name: str, kind: object, tok: Optional[_Token] = None) -> None:
         prev = self.inferred.setdefault(name, kind)
         if prev != kind:
-            self.error(f"{name!r} used inconsistently ({prev} vs {kind})", tok)
-
-    def inferred_signature(self) -> Signature:
-        props = {n for n, k in self.inferred.items() if k == "prop"}
-        consts = {n for n, k in self.inferred.items() if k == "const"}
-        rels = {n: k[1] for n, k in self.inferred.items() if isinstance(k, tuple)}
-        return Signature(frozenset(props), rels, frozenset(consts))
-
-
-def _parse(parser: _Parser) -> Formula:
-    """The one formula that makes up all of ``parser``'s input."""
-    f = parser.formula()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        parser.error(f"unexpected trailing input {tok.text!r}", tok)
-    return f
+            self.error(f"{name!r} used inconsistently ({_describe(prev)} vs {_describe(kind)})", tok)
 
 
 def parse_formula(
@@ -396,13 +395,13 @@ def parse_formula(
     in ``sig``; otherwise undeclared symbols are inferred (bare identifier ->
     propositional variable, applied -> relation, term position -> constant).
     """
-    return _parse(_Parser(_tokenize(text), sig, strict, frozenset(free_vars)))
+    return _Parser(text, 0, sig, strict, frozenset(free_vars)).parse()
 
 
 _DIRECTIVE_RE = re.compile(r"#(sig|closure)\b")
-_SIG_PROP_RE = re.compile(rf"#sig\s+prop\s+({IDENT_RE.pattern})\s*\Z")
-_SIG_CONST_RE = re.compile(rf"#sig\s+const\s+({IDENT_RE.pattern})\s*\Z")
-_SIG_REL_RE = re.compile(rf"#sig\s+rel\s+({IDENT_RE.pattern})\s*/\s*([0-9]+)\s*\Z")
+_SIG_RE = re.compile(
+    rf"#sig\s+(?:(prop|const)\s+({IDENT_RE.pattern})|rel\s+({IDENT_RE.pattern})\s*/\s*([0-9]+))\s*\Z"
+)
 
 
 def parse_theory(text: str, name: str = "theory") -> tuple[Signature, Theory]:
@@ -411,10 +410,9 @@ def parse_theory(text: str, name: str = "theory") -> tuple[Signature, Theory]:
 
     First-order formulas must be closed; with ``#closure auto`` free
     individual variables are universally closed in order of first occurrence.
+    A header that declares one name as two kinds is a parse error.
     """
-    prop_vars: set[str] = set()
-    constants: set[str] = set()
-    relations: dict[str, int] = {}
+    declared: dict[str, object] = {}
     closure_auto = False
     pending: list[tuple[int, str]] = []
 
@@ -430,40 +428,38 @@ def parse_theory(text: str, name: str = "theory") -> tuple[Signature, Theory]:
                     raise ParseError("expected '#closure auto'", lineno, 1)
                 closure_auto = True
                 continue
-            m = _SIG_PROP_RE.match(line)
-            if m:
-                prop_vars.add(m.group(1))
-                continue
-            m = _SIG_CONST_RE.match(line)
-            if m:
-                constants.add(m.group(1))
-                continue
-            m = _SIG_REL_RE.match(line)
-            if m:
-                rel, arity = m.group(1), int(m.group(2))
-                if arity < 1:
-                    raise ParseError(f"relation {rel!r} needs arity >= 1 (use prop)", lineno, 1)
-                if relations.setdefault(rel, arity) != arity:
-                    raise ParseError(f"relation {rel!r} redeclared with different arity", lineno, 1)
-                continue
-            raise ParseError(f"malformed directive {line!r}", lineno, 1)
+            m = _SIG_RE.match(line)
+            if m is None:
+                raise ParseError(f"malformed directive {line!r}", lineno, 1)
+            if m[1]:
+                sym, kind = m[2], m[1]
+            else:
+                sym, kind = m[3], ("rel", int(m[4]))
+                if kind[1] < 1:
+                    raise ParseError(f"relation {sym!r} needs arity >= 1 (use prop)", lineno, 1)
+            prev = declared.setdefault(sym, kind)
+            if prev != kind:
+                if isinstance(prev, tuple) and isinstance(kind, tuple):
+                    raise ParseError(f"relation {sym!r} redeclared with different arity", lineno, 1)
+                raise ParseError(f"{sym!r} declared as both {_describe(prev)} and {_describe(kind)}", lineno, 1)
+            continue
         pending.append((lineno, raw))
 
-    sig = Signature(frozenset(prop_vars), relations, frozenset(constants))
+    sig = _signature(declared)
     formulas: list[Formula] = []
     for lineno, raw in pending:
-        parser = _Parser(_tokenize(raw, lineno - 1), sig, False, frozenset(), terms_as_vars=True)
-        f = _parse(parser)
-        sig = sig.merge(parser.inferred_signature())
-        free = free_ind_vars_ordered(f)
-        if free:
+        parser = _Parser(raw, lineno - 1, sig, False, frozenset(), terms_as_vars=True)
+        f = parser.parse()
+        if parser.inferred:
+            sig = sig.merge(_signature(parser.inferred))
+        if parser.free:
             if not closure_auto:
                 raise ParseError(
-                    f"open formula (free variables {', '.join(free)}); "
+                    f"open formula (free variables {', '.join(parser.free)}); "
                     "declare '#closure auto' or close it explicitly",
                     lineno,
                     1,
                 )
-            f = forall(free, f)
+            f = forall(parser.free, f)
         formulas.append(f)
     return sig, Theory(name, tuple(formulas))

@@ -1,3 +1,5 @@
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -346,6 +348,43 @@ def test_check_equiv_long_operands(capsys, operand, expected):
     code, _, err = run(capsys, "check-equiv", operand, "p")
     assert code == expected
     assert "Traceback" not in err
+
+
+def _readme_claims(pattern: str) -> list[tuple[str, ...]]:
+    # a code span wrapped across lines reads with a space, as Markdown renders it
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return [tuple(" ".join(g.split()) if g else g for g in m.groups())
+            for m in re.finditer(pattern, text, re.MULTILINE)]
+
+
+def test_readme_command_claims(capsys, monkeypatch):
+    # README's command outputs and exit codes, read from README itself, so an
+    # output change that leaves README stale fails here
+    monkeypatch.chdir(ROOT)
+    usage = _readme_claims(r"^dualforget (.+?)\s+# -> (.+)$")
+    prints = _readme_claims(r"`dualforget ([^`]+)`\s+prints\s+`([^`]+)`")
+    exits = _readme_claims(r"`dualforget ([^`]+)`\s+exits (\d)(?: with\s+`([^`]+)`)?")
+    assert (len(usage), len(prints), len(exits)) == (3, 2, 2)
+    for command, output in usage + prints:
+        code, out, err = run(capsys, *shlex.split(command))
+        assert (code, out, err) == (0, output + "\n", ""), command
+    for command, expected, message in exits:
+        code, out, err = run(capsys, *shlex.split(command))
+        assert code == int(expected), command
+        if message:
+            assert err == message + "\n", command
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["#sig prop p\n#sig rel p/1", "#sig const p\n#sig prop p", "#sig const p\n#sig rel p/1"],
+)
+def test_name_declared_as_two_kinds_exits_1(capsys, tmp_path, header):
+    path = tmp_path / "two_kinds.th"
+    path.write_text(f"{header}\np\n", encoding="utf-8")
+    code, out, err = run(capsys, "forget", "--mode", "strong", "--vars", "p", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("parse error: 2:1: 'p' declared as both ")
 
 
 def test_byte_identical_runs(theories_dir):

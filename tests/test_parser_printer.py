@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gen import fo_formula, prop_formula
-from dualforget.errors import ParseError
+from dualforget.errors import LogicError, ParseError
 from dualforget.parser import parse_formula, parse_theory
 from dualforget.printer import format_formula
 from dualforget.syntax import (
@@ -92,6 +92,76 @@ def test_parse_errors_have_positions():
         parse_formula("(p")
     with pytest.raises(ParseError):
         parse_formula("Unknown p")
+
+
+# exact messages, line and column included, so that a change to the
+# tokenizer or the descent cannot move a diagnostic unnoticed
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("Unknown p", "1:1: unknown keyword 'Unknown'"),
+        ("p & \u00e9", "1:5: unexpected character '\u00e9'"),
+        ("p &", "1:4: unexpected 'end of input'"),
+        ("(p & q", "1:7: expected ')', found 'end of input'"),
+        ("lfp r(x). r(x) @(", "1:18: expected 'ident', found 'end of input'"),
+        ("lfp r(x). r(x) @(a", "1:19: expected ')', found 'end of input'"),
+        ("p &\nq &\n  Bad", "3:3: unknown keyword 'Bad'"),
+        ("p &\r\nq |\r\n  ~ &", "3:5: unexpected '&'"),
+        ("p\n&\n(\n", "4:1: unexpected 'end of input'"),
+        ("p &&& q", "1:4: unexpected '&'"),
+        ("p & q)", "1:6: unexpected trailing input ')'"),
+        ("all x. x", "1:8: individual variable 'x' used as a formula"),
+        ("lfp r(x, x). r(x) @(a, a)", "1:11: fixpoint argument variables must be distinct"),
+        ("lfp r(x). r(x) @(a, a)", "1:23: fixpoint over r needs 1 applied arguments"),
+        (" -> ".join(["p"] * 200), "1:996: formula too deeply nested"),
+        (" <-> ".join(["p"] * 200), "1:1195: formula too deeply nested"),
+        ("~" * 199 + "p", "1:200: formula too deeply nested"),
+        ("(" * 100 + "p" + ")" * 100, "1:101: formula too deeply nested"),
+        ("p(a) & p(a, a)", "1:8: 'p' used inconsistently (relation of arity 1 vs relation of arity 2)"),
+        ("p(a) & a", "1:8: 'a' used inconsistently (constant vs propositional variable)"),
+        ("p & p(a)", "1:5: 'p' used inconsistently (propositional variable vs relation of arity 1)"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("p\nq\n   r &&& s\n", "3:7: unexpected '&'"),
+        ("p\n\n\t  p ||\n", "3:7: unexpected '|'"),
+        ("#closure x\n", "1:1: expected '#closure auto'"),
+        ("#sig rel p/0\n", "1:1: relation 'p' needs arity >= 1 (use prop)"),
+        ("#sig rel p/1\n#sig rel p/2\n", "2:1: relation 'p' redeclared with different arity"),
+        ("#sig foo\n", "1:1: malformed directive '#sig foo'"),
+        ("p(x)\n", "1:1: open formula (free variables x); "
+                    "declare '#closure auto' or close it explicitly"),
+    ],
+)
+def test_theory_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_theory(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "header,kinds",
+    [
+        ("#sig prop p\n#sig rel p/1", "propositional variable and relation of arity 1"),
+        ("#sig const p\n#sig prop p", "constant and propositional variable"),
+        ("#sig rel p/2\n#sig const p", "relation of arity 2 and constant"),
+    ],
+)
+def test_theory_header_rejects_a_name_declared_as_two_kinds(header, kinds):
+    with pytest.raises(ParseError) as err:
+        parse_theory(f"# vocabulary\n{header}\np\n")
+    assert str(err.value) == f"3:1: 'p' declared as both {kinds}"
+    # one name declared twice as the same kind is no conflict
+    sig, _ = parse_theory("#sig prop p\n#sig prop p\n#sig rel r/1\n#sig rel r/1\np\n")
+    assert sig.prop_vars == {"p"} and sig.relations == {"r": 1}
 
 
 @pytest.mark.parametrize("op", ["->", "<->"])
@@ -196,4 +266,27 @@ def test_parser_never_crashes(text):
     try:
         parse_formula(text)
     except ParseError:
+        pass
+
+
+# token-biased lines, header directives among them, so that random theory
+# files reach the directive checks and the deeper parser states
+_THEORY_TOKENS = ["p", "q", "r", "a", "x", "all", "ex", "lfp", "gfp", "All2", "Ex2", "T", "F",
+                  "(", ")", "&", "|", "~", "->", "<->", "=", "!=", ".", ",", "@", " ", "\t",
+                  "\u00e9", "X"]
+_DIRECTIVES = ["#sig prop p", "#sig rel p/1", "#sig rel r/2", "#sig const a", "#sig const p",
+               "#sig rel q/0", "#sig rel", "#closure auto", "#closure", "#sigh", "# comment"]
+_theory_lines = st.one_of(
+    st.sampled_from(_DIRECTIVES),
+    st.lists(st.sampled_from(_THEORY_TOKENS), max_size=16).map("".join),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_theory_lines, max_size=6), st.sampled_from(["\n", "\r\n"]))
+def test_theory_parser_never_crashes(lines, newline):
+    try:
+        parse_theory(newline.join(lines))
+    except LogicError:
         pass
