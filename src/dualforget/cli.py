@@ -70,10 +70,11 @@ def _symbols(text: str) -> list[str]:
 
 
 def _read_text(path: Path) -> str:
-    """The file's text.  Bytes that are not UTF-8 raise an ``OSError`` that
-    names the file, as a file that cannot be opened does."""
+    """The file's text, without a leading byte-order mark.  Bytes that are
+    not UTF-8 raise an ``OSError`` that names the file, as a file that
+    cannot be opened does; its offset counts the mark's bytes too."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         reason = f"not valid UTF-8 ({exc.reason} at byte {exc.start})"
         raise OSError(errno.EILSEQ, reason, str(path)) from None

@@ -416,7 +416,8 @@ def parse_theory(text: str, name: str = "theory") -> tuple[Signature, Theory]:
     closure_auto = False
     pending: list[tuple[int, str]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # only "\n" breaks a line, as in parse_formula: "\r" and the like are spaces
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -71,11 +71,10 @@ from ..syntax import (
     Term,
     Top,
     Var,
+    _signature,
     children,
-    free_ind_vars,
     free_symbols,
     is_propositional,
-    signature_of,
 )
 from . import kernel
 from .prop_oracle import MAX_TT_VARS
@@ -148,7 +147,7 @@ def eval_fo(
     env: Optional[Mapping[str, int]] = None,
 ) -> bool:
     """Tarskian evaluation; raises on second-order quantifiers."""
-    return _eval(f, interp, dict(env or {}), {}, allow_so=False)
+    return _eval(f, interp, dict(env or {}), {}, None)
 
 
 @nesting_guard
@@ -160,7 +159,7 @@ def eval_so(
     """Evaluation including second-order quantifiers (extension enumeration).
 
     Guards: domain size <= 3 and quantified relation arity <= 2."""
-    return _eval(f, interp, dict(env or {}), {}, allow_so=True)
+    return _eval(f, interp, dict(env or {}), {}, {})
 
 
 def eval_prop(f: Formula, valuation: Valuation) -> bool:
@@ -178,11 +177,11 @@ def _eval(
     interp: FiniteInterpretation,
     env: dict[str, int],
     overlay: dict[str, object],
-    allow_so: bool,
+    so_arity: Optional[dict[int, Optional[int]]],
 ) -> bool:
     # overlay: symbol -> frozenset of tuples, for fixpoint iteration and
     # second-order enumeration; a propositional variable's is true when it
-    # holds the empty tuple
+    # holds the empty tuple.  so_arity: each binder's arity by id; None: first-order
     if isinstance(f, Top):
         return True
     if isinstance(f, Bottom):
@@ -206,34 +205,34 @@ def _eval(
     if isinstance(f, Equal):
         return _resolve(f.left, interp.const_map, env) == _resolve(f.right, interp.const_map, env)
     if isinstance(f, Not):
-        return not _eval(f.body, interp, env, overlay, allow_so)
+        return not _eval(f.body, interp, env, overlay, so_arity)
     if isinstance(f, And):
-        return all(_eval(it, interp, env, overlay, allow_so) for it in f.items)
+        return all(_eval(it, interp, env, overlay, so_arity) for it in f.items)
     if isinstance(f, Or):
-        return any(_eval(it, interp, env, overlay, allow_so) for it in f.items)
+        return any(_eval(it, interp, env, overlay, so_arity) for it in f.items)
     if isinstance(f, Implies):
-        return (not _eval(f.antecedent, interp, env, overlay, allow_so)) or _eval(
-            f.consequent, interp, env, overlay, allow_so
+        return (not _eval(f.antecedent, interp, env, overlay, so_arity)) or _eval(
+            f.consequent, interp, env, overlay, so_arity
         )
     if isinstance(f, Iff):
-        return _eval(f.left, interp, env, overlay, allow_so) == _eval(
-            f.right, interp, env, overlay, allow_so
+        return _eval(f.left, interp, env, overlay, so_arity) == _eval(
+            f.right, interp, env, overlay, so_arity
         )
     if isinstance(f, (ForallInd, ExistsInd)):
         want_all = isinstance(f, ForallInd)
         for e in range(interp.domain_size):
-            v = _eval(f.body, interp, {**env, f.var: e}, overlay, allow_so)
+            v = _eval(f.body, interp, {**env, f.var: e}, overlay, so_arity)
             if v != want_all:
                 return not want_all
         return want_all
     if isinstance(f, (Lfp, Gfp)):
-        ext = _fixpoint_extension(f, interp, env, overlay, allow_so)
+        ext = _fixpoint_extension(f, interp, env, overlay, so_arity)
         elems = tuple(_resolve(t, interp.const_map, env) for t in f.applied)
         return elems in ext
     if isinstance(f, (Forall2, Exists2)):
-        if not allow_so:
+        if so_arity is None:
             raise EvalError("second-order quantifier in first-order evaluation")
-        return _eval_so_quant(f, interp, env, overlay)
+        return _eval_so_quant(f, interp, env, overlay, so_arity)
     raise EvalError(f"unhandled formula: {type(f).__name__}")
 
 
@@ -242,7 +241,7 @@ def _fixpoint_extension(
     interp: FiniteInterpretation,
     env: dict[str, int],
     overlay: dict[str, object],
-    allow_so: bool,
+    so_arity: Optional[dict[int, Optional[int]]],
 ) -> frozenset[tuple[int, ...]]:
     space = _tuple_space(interp.domain_size, len(f.argvars))
     cur = frozenset() if isinstance(f, Lfp) else frozenset(space)
@@ -255,7 +254,7 @@ def _fixpoint_extension(
                 interp,
                 {**env, **dict(zip(f.argvars, t))},
                 {**overlay, f.rel: cur},
-                allow_so,
+                so_arity,
             )
         )
         if new == cur:
@@ -278,19 +277,22 @@ def _eval_so_quant(
     interp: FiniteInterpretation,
     env: dict[str, int],
     overlay: dict[str, object],
+    so_arity: dict[int, Optional[int]],
 ) -> bool:
     """Enumerate the extensions of the bound symbol; a propositional
     variable is 0-ary, and its extensions ``{}`` and ``{()}`` read as False
     and True."""
     want_all = isinstance(f, Forall2)
-    arity = free_symbols(f.body).get(f.sym)
+    if id(f) not in so_arity:
+        so_arity[id(f)] = free_symbols(f.body).get(f.sym)
+    arity = so_arity[id(f)]
     if arity is None:
-        return _eval(f.body, interp, env, overlay, True)  # vacuous
+        return _eval(f.body, interp, env, overlay, so_arity)  # vacuous
     _so_guard(interp.domain_size, arity, f.sym)
     space = _tuple_space(interp.domain_size, arity)
     for bits in range(1 << len(space)):
         ext = frozenset(t for j, t in enumerate(space) if (bits >> j) & 1)
-        v = _eval(f.body, interp, env, {**overlay, f.sym: ext}, True)
+        v = _eval(f.body, interp, env, {**overlay, f.sym: ext}, so_arity)
         if v != want_all:
             return not want_all
     return want_all
@@ -495,8 +497,8 @@ def counterexample(
         raise GuardError(f"domain size {max_domain} exceeds the guard of {MAX_DOMAIN}")
     if max_domain < 1:
         raise GuardError("max_domain must be at least 1")
-    sig = signature_of(f, g, base=sig)
-    free = sorted(free_ind_vars(f) | free_ind_vars(g))
+    sig, sides = _signature((f, g), sig)  # one walk per side
+    free = sorted(sides[0].ind_vars | sides[1].ind_vars)
     consts = sorted(sig.constants)
     domains = range(1, max_domain + 1)
     so_arity: dict[int, Optional[int]] = {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ArityError, InternalError, nesting_guard
 
@@ -457,80 +457,125 @@ def reshape(g: Formula, sym: Optional[str], vs: Sequence[str], kids: Sequence[Fo
 
 # ---------------------------------------------------------------------------
 # Vocabulary queries
+#
+# Every question about the names a formula uses is answered by one walk,
+# ``_vocabulary``.  Whether a name is free in a node depends only on the
+# names bound above it, so the walk visits each node once per set of them.
 
 
-def _subformulas(f: Formula) -> Iterator[Formula]:
-    """Pre-order walk, ignoring binder structure."""
-    stack = [f]
+class _Vocabulary(NamedTuple):
+    """What one walk of a formula learns about its names: each free symbol
+    with the arity of its first free use, in pre-order; the free individual
+    variables; the constants; the names binders bind; the types met,
+    connectives, truth constants and PropVar aside."""
+
+    symbols: dict[str, int]
+    ind_vars: AbstractSet[str]
+    consts: AbstractSet[str]
+    bound: AbstractSet[str]
+    kinds: AbstractSet[type]
+
+
+def _vocabulary(f: Formula, known: Optional[dict[str, int]] = None) -> _Vocabulary:
+    """The one vocabulary walk, pre-order, left to right, on its own stack.
+    Given ``known``, arities by name, it checks each free use against it as
+    met and extends it: the first use with another arity, or a relation
+    applied to no arguments, raises :class:`ArityError`."""
+    symbols: dict[str, int] = {}
+    # made at the first node not a connective, truth constant or PropVar
+    ind_vars = consts = binders = kinds = frozenset()
+    # the scope: the symbols and the individual variables bound here, and
+    # the ids of the nodes visited under exactly these names
+    shadow = bound = frozenset()
+    seen: set[int] = set()
+    scopes = None
+    stack: list = [f]
     while stack:
         g = stack.pop()
-        yield g
-        stack.extend(_CHILDREN[type(g)](g))
+        kind = type(g)
+        if kind is PropVar:
+            name = g.name
+            if name not in shadow:
+                symbols.setdefault(name, 0)
+                if known is not None and known.setdefault(name, 0):
+                    raise ArityError(f"symbol {name} used with arities {known[name]} and 0")
+            continue
+        if kind is tuple:  # the end of a binder's body
+            shadow, bound, seen = g
+            continue
+        if kind is Atom:  # a leaf: not worth a lookup in seen
+            name, arity = g.rel, len(g.args)
+            if known is not None and not arity:  # as in the parser: 0-ary is a PropVar
+                raise ArityError(f"relation {name} applied to no arguments")
+            if name not in shadow:
+                symbols.setdefault(name, arity)
+                if known is not None and known.setdefault(name, arity) != arity:
+                    raise ArityError(f"symbol {name} used with arities {known[name]} and {arity}")
+        else:
+            if id(g) in seen:
+                continue
+            seen.add(id(g))
+            # the connectives first, as the commonest nodes
+            if kind is Not:
+                stack.append(g.body)
+                continue
+            if kind is And or kind is Or:
+                stack.extend(g.items[::-1])
+                continue
+            if kind is Implies or kind is Iff:
+                stack.extend(_CHILDREN[kind](g)[::-1])
+                continue
+            if kind is Top or kind is Bottom:
+                continue
+        if not kinds:
+            ind_vars, consts, binders, kinds = set(), set(), set(), set()
+        kinds.add(kind)
+        for t in g.args if kind is Atom else terms_of(g):
+            if type(t) is Const:
+                consts.add(t.name)
+            elif t.name not in bound:
+                ind_vars.add(t.name)
+        if kind is Atom or kind is Equal:
+            continue
+        # a binder: its body is walked in the scope it makes
+        if kind is ForallInd or kind is ExistsInd:  # the commonest, read directly
+            sym, vs = None, (g.var,)
+        else:
+            sym, vs = so_binder(g), ind_binders(g)
+        if scopes is None:
+            scopes = {(shadow, bound): seen}
+        stack.append((shadow, bound, seen))
+        if sym is not None:
+            binders.add(sym)
+            if sym not in shadow:
+                shadow = shadow | {sym}
+        if vs:
+            binders.update(vs)
+            bound = bound.union(vs)
+        seen = scopes.get((shadow, bound))
+        if seen is None:
+            seen = scopes[shadow, bound] = set()
+        stack.append(g.body)
+    return _Vocabulary(symbols, ind_vars, consts, binders, kinds)
 
 
 def free_ind_vars(f: Formula) -> set[str]:
     """Free individual variables of a formula."""
-    return set(free_ind_vars_ordered(f))
-
-
-@nesting_guard
-def free_ind_vars_ordered(f: Formula) -> list[str]:
-    """Free individual variables in order of first occurrence (left to right)."""
-    out: list[str] = []
-    seen: set[str] = set()
-
-    def walk(g: Formula, bound: frozenset[str]) -> None:
-        kind = type(g)
-        binders = _IND_BINDERS.get(kind)
-        inner = bound | set(binders(g)) if binders else bound
-        for k in _CHILDREN[kind](g):
-            walk(k, inner)
-        terms = _TERMS.get(kind)
-        for t in terms(g) if terms else ():
-            if isinstance(t, Var) and t.name not in bound and t.name not in seen:
-                seen.add(t.name)
-                out.append(t.name)
-
-    walk(f, frozenset())
-    return out
+    return set(_vocabulary(f).ind_vars)
 
 
 def is_closed(f: Formula) -> bool:
-    return not free_ind_vars(f)
+    return not _vocabulary(f).ind_vars
 
 
-@nesting_guard
 def free_symbols(f: Formula, seen: Optional[dict[str, int]] = None) -> dict[str, int]:
-    """The vocabulary of ``f`` from one walk: each propositional variable
-    (arity 0) and relation symbol occurring free, with its arity.  A name
-    used with two arities, also as both kinds, or a relation applied to no
-    arguments raises :class:`ArityError`; ``seen`` collects the arities of
-    several formulas checked against each other.  A second-order quantifier
-    or a fixpoint binds its symbol, so an occurrence under it is not free."""
-    out: dict[str, int] = {}
-    known = out if seen is None else seen
-
-    def walk(g: Formula, shadow: frozenset[str]) -> None:
-        if isinstance(g, PropVar):
-            name, arity = g.name, 0
-        elif isinstance(g, Atom):
-            name, arity = g.rel, len(g.args)
-            if not arity:  # as in the parser: a 0-ary symbol is a PropVar
-                raise ArityError(f"relation {name} applied to no arguments")
-        else:
-            bound = _SO_BINDER.get(type(g))
-            if bound is not None:
-                shadow = shadow | {bound(g)}
-            for k in children(g):
-                walk(k, shadow)
-            return
-        if name not in shadow:
-            if known.setdefault(name, arity) != arity:
-                raise ArityError(f"symbol {name} used with arities {known[name]} and {arity}")
-            out[name] = arity
-
-    walk(f, frozenset())
-    return out
+    """The vocabulary of ``f``: each propositional variable (arity 0) and
+    relation symbol occurring free, with its arity.  A name used with two
+    arities, also as both kinds, or a relation applied to no arguments
+    raises :class:`ArityError`; ``seen`` collects the arities of several
+    formulas checked against each other.  A second-order quantifier or a
+    fixpoint binds its symbol, so an occurrence under it is not free."""
+    return _vocabulary(f, {} if seen is None else seen).symbols
 
 
 def prop_symbols(f: Formula) -> set[str]:
@@ -544,71 +589,48 @@ def rel_symbols(f: Formula) -> dict[str, int]:
 
 
 def const_symbols(f: Formula) -> set[str]:
-    return {t.name for g in _subformulas(f) for t in terms_of(g) if isinstance(t, Const)}
+    return set(_vocabulary(f).consts)
 
 
 def all_names(f: Formula) -> set[str]:
     """Every identifier appearing anywhere (bound or free); used to pick
-    fresh names.  Visits each node object once, so a shared subtree costs
-    one visit."""
-    out: set[str] = set()
-    seen: set[int] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if id(g) in seen:
-            continue
-        seen.add(id(g))
-        kind = type(g)
-        if kind is PropVar:
-            out.add(g.name)
-            continue
-        if kind is Atom:
-            out.add(g.rel)
-        elif kind in _SO_BINDER:
-            out.add(_SO_BINDER[kind](g))
-        if kind in _IND_BINDERS:
-            out.update(_IND_BINDERS[kind](g))
-        if kind in _TERMS:
-            out.update(t.name for t in _TERMS[kind](g))
-        stack.extend(_CHILDREN[kind](g))
-    return out
+    fresh names."""
+    v = _vocabulary(f)
+    return v.symbols.keys() | v.ind_vars | v.consts | v.bound
 
 
 def signature_of(*formulas: Formula, base: Optional[Signature] = None) -> Signature:
     """Signature inferred from symbol usage, optionally merged over a base.
     A name used with two arities, also as both kinds, raises
     :class:`ArityError`."""
+    return _signature(formulas, base)[0]
+
+
+def _signature(
+    formulas: Iterable[Formula], base: Optional[Signature]
+) -> tuple[Signature, list[_Vocabulary]]:
+    """:func:`signature_of`, and the vocabulary of each formula."""
     base = base or Signature()
     known = {**dict.fromkeys(base.prop_vars, 0), **base.relations}
-    consts = set(base.constants)
-    for f in formulas:
-        free_symbols(f, known)
-        consts |= const_symbols(f)
+    vocabularies = [_vocabulary(f, known) for f in formulas]
     return Signature(
         frozenset(name for name, arity in known.items() if not arity),
         {name: arity for name, arity in known.items() if arity},
-        frozenset(consts),
-    )
+        base.constants.union(*(v.consts for v in vocabularies)),
+    ), vocabularies
 
 
 def contains_so_quantifier_and_fixpoint(f: Formula) -> tuple[bool, bool]:
-    """Whether ``f`` contains a second-order quantifier, and whether it
-    contains a fixpoint literal, from one walk."""
-    so = fix = False
-    for g in _subformulas(f):
-        if isinstance(g, (Forall2, Exists2)):
-            so = True
-        elif isinstance(g, (Lfp, Gfp)):
-            fix = True
-    return so, fix
+    """Whether ``f`` holds a second-order quantifier, and a fixpoint."""
+    kinds = _vocabulary(f).kinds
+    return Forall2 in kinds or Exists2 in kinds, Lfp in kinds or Gfp in kinds
 
 
 def is_propositional(f: Formula) -> bool:
     """True when the formula uses only truth constants, propositional
     variables, connectives, and second-order quantifiers: no node holds a
     term or binds an individual variable."""
-    return not any(type(g) in _TERMS or type(g) in _IND_BINDERS for g in _subformulas(f))
+    return _vocabulary(f).kinds.isdisjoint(_TERMS.keys() | _IND_BINDERS.keys())
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +643,14 @@ class Polarity(enum.Enum):
     BOTH = "both"
     ABSENT = "absent"
 
+
+#: by whether an occurrence is positive, and whether one is negative
+_POLARITY = {
+    (True, True): Polarity.BOTH,
+    (True, False): Polarity.POSITIVE,
+    (False, True): Polarity.NEGATIVE,
+    (False, False): Polarity.ABSENT,
+}
 
 #: how each child position of a connective turns the parity of an
 #: occurrence: -1 flips it, 0 counts it both ways; other positions keep it
@@ -637,40 +667,31 @@ def polarity(f: Formula, sym: str) -> Polarity:
     are transparent (their bodies are positive in the bound relation, so an
     outer occurrence keeps the surrounding parity); bound symbols shadow.
     """
-    pos = neg = False
+    found: set[int] = set()  # the parities of the occurrences
+    seen: dict[int, set[int]] = {1: set(), -1: set(), 0: set()}  # ids, by parity
 
     def walk(g: Formula, par: int) -> None:
         # par: 1 positive context, -1 negative, 0 both
-        if isinstance(g, PropVar):
-            if g.name == sym:
-                _mark(par)
-        elif isinstance(g, Atom):
-            if g.rel == sym:
-                _mark(par)
+        kind = type(g)
+        if kind is Not and type(g.body) in (PropVar, Atom):  # a literal: no lookup
+            g, kind, par = g.body, type(g.body), -par
+        if kind is PropVar or kind is Atom:
+            if (g.name if kind is PropVar else g.rel) == sym:
+                found.add(par)
+            return
+        if id(g) in seen[par]:
+            return
+        seen[par].add(id(g))
+        bound = _SO_BINDER.get(kind)
+        if bound is not None and bound(g) == sym:
+            return  # shadowed
+        signs = _CHILD_SIGNS.get(kind)
+        if signs is None:
+            for k in _CHILDREN[kind](g):
+                walk(k, par)
         else:
-            bound = _SO_BINDER.get(type(g))
-            if bound is not None and bound(g) == sym:
-                return  # shadowed
-            signs = _CHILD_SIGNS.get(type(g))
-            if signs is None:
-                for k in children(g):
-                    walk(k, par)
-            else:
-                for k, sign in zip(children(g), signs):
-                    walk(k, par * sign)
-
-    def _mark(par: int) -> None:
-        nonlocal pos, neg
-        if par >= 0:
-            pos = True
-        if par <= 0:
-            neg = True
+            for k, sign in zip(_CHILDREN[kind](g), signs):
+                walk(k, par * sign)
 
     walk(f, 1)
-    if pos and neg:
-        return Polarity.BOTH
-    if pos:
-        return Polarity.POSITIVE
-    if neg:
-        return Polarity.NEGATIVE
-    return Polarity.ABSENT
+    return _POLARITY[bool(found & {1, 0}), bool(found & {-1, 0})]

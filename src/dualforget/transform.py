@@ -28,12 +28,11 @@ from .syntax import (
     Term,
     Top,
     Var,
+    _vocabulary,
     all_names,
     children,
     conj,
     disj,
-    free_ind_vars,
-    free_symbols,
     ind_binders,
     rebuild,
     reshape,
@@ -233,8 +232,9 @@ def substitute_rel(f: Formula, r: str, params: Sequence[str], e: Formula) -> For
     out = walk(f)
     if out is f or not met_binder:
         return out
-    clash_vars = free_ind_vars(e) - set(params)
-    clash_syms = free_symbols(e).keys() - {r}
+    vocab = _vocabulary(e, {})  # one walk for both clash sets
+    clash_vars = vocab.ind_vars - set(params)
+    clash_syms = vocab.symbols.keys() - {r}
     if not (clash_vars or clash_syms):
         return out
     # Rename ``f``'s binders with a new supply, then substitute again, so
@@ -390,36 +390,10 @@ def _rewrite(f: Formula, memo: _Memo) -> Formula:
     b = _simp(f.body, memo)
     if type(f) in _DUAL:
         sym = so_binder(f)
-        if not _occurs_free(sym or ind_binders(f)[0], b, sym is not None):
+        vocab = _vocabulary(b)
+        if (sym or f.var) not in (vocab.ind_vars if sym is None else vocab.symbols):
             return b
     return f if b is f.body else rebuild(f, [b])
-
-
-def _occurs_free(name: str, f: Formula, symbol: bool) -> bool:
-    """Whether ``name`` occurs free in ``f``, as a propositional variable or
-    relation when ``symbol``, else as an individual variable.  Whether a name
-    is free in a node does not depend on where the node sits, so each node
-    object is visited once, and never below a binder of ``name``."""
-    var = Var(name)
-    seen: set[int] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if id(g) in seen:
-            continue
-        seen.add(id(g))
-        if symbol:
-            if isinstance(g, PropVar) and g.name == name or isinstance(g, Atom) and g.rel == name:
-                return True
-            if so_binder(g) == name:
-                continue
-        else:
-            if var in terms_of(g):
-                return True
-            if name in ind_binders(g):
-                continue
-        stack.extend(children(g))
-    return False
 
 
 def _simp_nary(f: Union[And, Or], is_and: bool, memo: _Memo) -> Formula:

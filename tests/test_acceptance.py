@@ -232,7 +232,7 @@ def test_criterion_9_clause_fragment_suite():
 
 
 def _clause_counts(conjunct, result, rel):
-    from dualforget.syntax import Atom, Equal, Not as NotF, _subformulas, disjuncts
+    from dualforget.syntax import Atom, Equal, Not as NotF, children, disjuncts
 
     _, body = fo._strip_forall(conjunct)
     pos = neg = 0
@@ -241,7 +241,9 @@ def _clause_counts(conjunct, result, rel):
             pos += 1
         elif isinstance(d, NotF) and isinstance(d.body, Atom) and d.body.rel == rel:
             neg += 1
-    count = lambda f: sum(1 for g in _subformulas(f) if isinstance(g, Equal))
+    def count(f):  # Equal nodes, shared subtrees once per occurrence
+        return isinstance(f, Equal) + sum(map(count, children(f)))
+
     introduced = count(result) - count(conjunct)
     return pos, neg, introduced
 

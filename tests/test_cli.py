@@ -135,6 +135,23 @@ def test_unusable_file_exits_1(capsys, theories_dir, tmp_path, argv, path):
     assert "Traceback" not in err
 
 
+def test_theory_file_may_start_with_a_byte_order_mark(capsys, theories_dir, tmp_path):
+    path = tmp_path / "bom.th"
+    path.write_bytes(b"\xef\xbb\xbf" + (theories_dir / "maintain.th").read_bytes())
+    code, out, _ = run(capsys, "forget", "--mode", "weak", "--vars", "lt", str(path))
+    assert (code, out) == (0, "lp\n")
+    path.write_bytes(b"\xef\xbb\xbfp | q\n")
+    code, out, _ = run(capsys, "forget", "--mode", "strong", "--vars", "p", str(path))
+    assert (code, out) == (0, "T\n")
+    code, _, _ = run(capsys, "check-equiv", "@" + str(path), "q | p")
+    assert code == 0
+    # the offset of a bad byte counts the mark's three bytes
+    path.write_bytes(b"\xef\xbb\xbfab\xff")
+    code, out, err = run(capsys, "forget", "--mode", "strong", "--vars", "p", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: not valid UTF-8 (invalid start byte at byte 5)\n"
+
+
 def test_verify_flag(capsys, theories_dir):
     code, out, err = run(capsys, "forget", "--mode", "weak", "--vars", "lt",
                          "--verify", str(theories_dir / "maintain.th"))

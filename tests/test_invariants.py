@@ -4,6 +4,7 @@ spot checks at domain size 3."""
 import ast
 import importlib
 import random
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,14 +32,20 @@ from dualforget.semantics import kernel
 from dualforget.semantics._program import CircuitBuilder
 from dualforget.syntax import (
     TOP,
+    Atom,
     Const,
     Exists2,
     Not,
     PropVar,
+    Signature,
+    Var,
+    all_names,
     conj,
     exists2,
     free_ind_vars,
+    free_symbols,
     is_closed,
+    is_propositional,
     polarity,
     prop_symbols,
     rel_symbols,
@@ -111,11 +118,6 @@ _DEEP_ENTRY_POINTS = {
     "eval_so": lambda f: eval_so(f, FiniteInterpretation(1, {}, {}, {"p": True})),
     "fixpoint_eliminate": lambda f: fo.fixpoint_eliminate("p", f),
     "polarity": lambda f: polarity(f, "p"),
-    "prop_symbols": prop_symbols,
-    "rel_symbols": rel_symbols,
-    "signature_of": signature_of,
-    "free_ind_vars": free_ind_vars,
-    "is_closed": is_closed,
 }
 
 
@@ -126,6 +128,39 @@ def test_deep_nesting_raises_logic_error(entry):
         deep = Not(deep)
     with pytest.raises(LogicError, match="nested too deeply"):
         _DEEP_ENTRY_POINTS[entry](deep)
+
+
+# The readers of the one vocabulary walk, which keeps its own stack, answer
+# at any depth.
+_DEEP_ANSWERS = {
+    "free_symbols": (free_symbols, {"p": 0, "r": 2}),
+    "prop_symbols": (prop_symbols, {"p"}),
+    "rel_symbols": (rel_symbols, {"r": 2}),
+    "signature_of": (signature_of, Signature(frozenset({"p"}), {"r": 2}, frozenset({"c"}))),
+    "free_ind_vars": (free_ind_vars, {"x"}),
+    "is_closed": (is_closed, False),
+    "all_names": (all_names, {"p", "r", "x", "c"}),
+    "is_propositional": (is_propositional, False),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_DEEP_ANSWERS))
+def test_deep_nesting_answers(entry):
+    deep = PropVar("p") & Atom("r", (Var("x"), Const("c")))
+    for _ in range(3000):
+        deep = Not(deep)
+    reader, answer = _DEEP_ANSWERS[entry]
+    assert reader(deep) == answer
+
+
+def test_readme_names_the_deep_entry_points():
+    # README lists what raises on a deep formula, and which readers answer
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    raising = re.search(r"recursion limit makes(.*?)raise", text, re.S)[1]
+    engines = {"forget_strong", "forget_weak", "snc", "wsc"}
+    assert set(re.findall(r"`(\w+)`", raising)) == set(_DEEP_ENTRY_POINTS) | engines
+    readers = re.search(r"One walk, `syntax._vocabulary`,(.*?)all read it", text, re.S)[1]
+    assert set(_DEEP_ANSWERS) <= set(re.findall(r"`(\w+)`", readers))
 
 
 def test_benchmark_tracer_targets_are_module_level_names(monkeypatch):

@@ -147,6 +147,29 @@ def test_theory_error_messages(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("brk", ["\x0c", "\x85", "\u2028"])
+def test_theory_lines_break_only_where_formula_lines_do(brk):
+    # str.splitlines breaks at these too; parse_formula reads them as spaces
+    sig, th = parse_theory(f"#sig prop s\np &{brk} q\nr |{brk}s\n")
+    assert th.formulas == (parse_formula("p & q"), parse_formula("r | s"))
+    assert sig.prop_vars == {"p", "q", "r", "s"}
+    # an error on the third line: the same position as parse_formula's
+    text = f"\n\nq &{brk} r &"
+    with pytest.raises(ParseError) as theory_err:
+        parse_theory(text)
+    with pytest.raises(ParseError) as formula_err:
+        parse_formula(text)
+    assert str(theory_err.value) == str(formula_err.value) == "3:9: unexpected 'end of input'"
+
+
+def test_theory_reads_crlf_lines_and_a_lone_cr_as_space():
+    _, th = parse_theory("#sig prop p\r\np | q\r\n\r\n~q\r\n")
+    assert th.formulas == (parse_formula("p | q"), parse_formula("~q"))
+    with pytest.raises(ParseError) as err:
+        parse_theory("a\rb\n")
+    assert str(err.value) == "1:3: unexpected trailing input 'b'"
+
+
 @pytest.mark.parametrize(
     "header,kinds",
     [

@@ -175,8 +175,9 @@ def test_simplify_equivalent_fo_small_models():
 def shared_chain(k):
     """``g_{i+1} = (g_i | x_i) & (g_i | ~y_i)`` from ``g_0 = g``: about
     ``2**k`` tree nodes, but only about ``3 * k`` distinct node objects.
-    ``==`` and the symbol walks on it follow the tree, so the tests below
-    check results only by identity and by their top levels."""
+    Only ``==`` and ``fo._occurs_outside_fixpoints`` follow the tree on it
+    (each node caches its hash), so the tests check results only by
+    identity, by their top levels and by plain values."""
     g = PropVar("g")
     for i in range(k):
         g = (g | PropVar(f"x{i}")) & (g | ~PropVar(f"y{i}"))
