@@ -18,7 +18,6 @@ a theory file that is not UTF-8); 2 elimination failed
 (reason on stderr, residual printed); 3 internal invariant breach or
 verification failure; 4 counterexample found; 5 oracle guard exceeded.
 Formulas go to stdout, diagnostics to stderr.
-``DF_TRACE=1`` is equivalent to ``--trace``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -111,7 +109,7 @@ def _verify(outcome: EliminationOutcome, spec_formula: Formula, domain: int) -> 
 
 
 def _finish(outcome: EliminationOutcome, args, spec_formula: Formula) -> int:
-    if args.trace or os.environ.get("DF_TRACE") == "1":
+    if args.trace:
         _print_trace(outcome)
     if not outcome.ok:
         print(f"elimination failed: {outcome.failure_reason}", file=sys.stderr)

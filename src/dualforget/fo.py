@@ -248,8 +248,7 @@ def _attempt(
     params: tuple[str, ...] = ()
     if arity:
         nice = (heads[0][3] if len(heads) == 1 else None) or ()
-        ng = NameGen(avoid - set(nice))
-        ng.reserve(nice)
+        ng = NameGen(avoid | set(nice))
         params = nice or tuple(ng.fresh("u") for _ in range(arity))
     a_ok = (Polarity.POSITIVE, Polarity.ABSENT) if allow_r_in_def else (Polarity.ABSENT,)
     defs: list[Formula] = []
@@ -273,10 +272,10 @@ def _attempt(
 
 
 def _select_extraction(
-    r: str, items: Sequence[Formula], avoid: set[str], arity: int, allow_fixpoint: bool
+    r: str, items: Sequence[Formula], avoid: set[str], arity: int
 ) -> Optional[_Extraction]:
     """Try the negative then the positive Ackermann shape with r-free
-    definitions, then a tautological definition, then (optionally) the
+    definitions, then a tautological definition, then for a relation the
     fixpoint shapes.  Each conjunct's polarity in ``r`` is computed once."""
     pairs = [(c, polarity(c, r)) for c in items]
     fallback: list[_Extraction] = []
@@ -288,7 +287,7 @@ def _select_extraction(
             fallback.append(ext)
     if fallback:
         return fallback[0]
-    if allow_fixpoint:
+    if arity:
         for positive_case in (False, True):
             ext = _attempt(r, pairs, positive_case, True, avoid, arity)
             if ext is not None:
@@ -374,7 +373,7 @@ def _eliminate_exists_rel(
         return None, f"{r} occurs only inside fixpoint literals; elimination not attempted"
     g = normalize(f) if arity else nnf(f)
     avoid = all_names(f) if arity else set()
-    ext = _select_extraction(r, conjuncts(g), avoid, arity, allow_fixpoint=arity > 0)
+    ext = _select_extraction(r, conjuncts(g), avoid, arity)
     if ext is None:
         return None, f"mixed-polarity occurrences of {r} not separable"
     if g != f:

@@ -19,7 +19,8 @@ Identifier occurrences in term position parse as variables when bound by an
 enclosing first-order quantifier or declared free for the request, and as
 constants otherwise.  ``all``/``ex``/``lfp``/``gfp`` are only treated as
 keywords where a quantifier can start, so relations may reuse those names
-(e.g. ``ex(x)``).
+(e.g. ``ex(x)``).  A fixpoint body that is not positive in its relation is a
+parse error.
 
 Theory files: ``#sig prop p`` / ``#sig rel r/2`` / ``#sig const a`` header
 directives, optional ``#closure auto``, other ``#`` lines are comments, one
@@ -47,6 +48,7 @@ from .syntax import (
     Implies,
     Lfp,
     Not,
+    Polarity,
     PropVar,
     Signature,
     Term,
@@ -56,6 +58,7 @@ from .syntax import (
     conj,
     disj,
     forall,
+    polarity,
 )
 
 _MAX_DEPTH = 200
@@ -124,7 +127,6 @@ class _Parser:
         text: str,
         line_offset: int,
         sig: Optional[Signature],
-        strict: bool,
         free_vars: frozenset[str],
         terms_as_vars: bool = False,
     ):
@@ -133,7 +135,6 @@ class _Parser:
         self.tokens = _tokenize(text, line_offset)
         self.pos = 0
         self.sig = sig
-        self.strict = strict
         self.free_vars = free_vars
         # theory files: unbound, undeclared term identifiers are free
         # variables (for closedness checking / auto-closure) instead of
@@ -264,11 +265,11 @@ class _Parser:
             self.bound.pop()
             return ForallInd(var, body) if text == "all" else ExistsInd(var, body)
         if text in ("lfp", "gfp") and after == "(":
-            return self.fixpoint(text)
+            return self.fixpoint()
         return None
 
-    def fixpoint(self, kw: str) -> Formula:
-        self.pos += 1
+    def fixpoint(self) -> Formula:
+        kw = self.next()
         rel = self.expect("ident")[1]
         self.expect("(")
         argvars = [self.expect("ident")[1]]
@@ -283,13 +284,15 @@ class _Parser:
         self.note(rel, ("rel", len(argvars)))
         body = self.unary()
         del self.bound[len(self.bound) - len(argvars):]
+        if polarity(body, rel) not in (Polarity.POSITIVE, Polarity.ABSENT):
+            self.error(f"fixpoint body must be positive in {rel!r}", kw)
         self.expect("@")
         self.expect("(")
         applied = self.terms()
         self.expect(")")
         if len(applied) != len(argvars):
             self.error(f"fixpoint over {rel} needs {len(argvars)} applied arguments")
-        cls = Lfp if kw == "lfp" else Gfp
+        cls = Lfp if kw[1] == "lfp" else Gfp
         return cls(rel, tuple(argvars), body, applied)
 
     def atom(self) -> Formula:
@@ -337,8 +340,6 @@ class _Parser:
                 return Const(name)
             if name in self.sig.prop_vars or name in self.sig.relations:
                 self.error(f"{name!r} is not a term", tok)
-        if self.strict:
-            self.error(f"undeclared constant {name!r}", tok)
         if self.terms_as_vars:
             if name not in self.free:
                 self.free.append(name)
@@ -357,8 +358,6 @@ class _Parser:
                 self.error(f"relation {name!r} used without arguments", tok)
             if name in self.sig.constants:
                 self.error(f"constant {name!r} used as a formula", tok)
-            if self.strict:
-                self.error(f"undeclared propositional variable {name!r}", tok)
         self.note(name, "prop", tok)
         return PropVar(name)
 
@@ -374,8 +373,6 @@ class _Parser:
                 return
             if name in self.sig.prop_vars or name in self.sig.constants:
                 self.error(f"{name!r} is not a relation", tok)
-            if self.strict:
-                self.error(f"undeclared relation {name!r}", tok)
         self.note(name, ("rel", arity), tok)
 
     def note(self, name: str, kind: object, tok: Optional[_Token] = None) -> None:
@@ -385,17 +382,12 @@ class _Parser:
 
 
 def parse_formula(
-    text: str,
-    sig: Optional[Signature] = None,
-    *,
-    strict: bool = False,
-    free_vars: Sequence[str] = (),
+    text: str, sig: Optional[Signature] = None, *, free_vars: Sequence[str] = ()
 ) -> Formula:
-    """Parse a single formula.  With ``strict`` every symbol must be declared
-    in ``sig``; otherwise undeclared symbols are inferred (bare identifier ->
-    propositional variable, applied -> relation, term position -> constant).
-    """
-    return _Parser(text, 0, sig, strict, frozenset(free_vars)).parse()
+    """Parse a single formula.  Symbols not declared in ``sig`` are inferred
+    (bare identifier -> propositional variable, applied -> relation, term
+    position -> constant)."""
+    return _Parser(text, 0, sig, frozenset(free_vars)).parse()
 
 
 _DIRECTIVE_RE = re.compile(r"#(sig|closure)\b")
@@ -449,7 +441,7 @@ def parse_theory(text: str, name: str = "theory") -> tuple[Signature, Theory]:
     sig = _signature(declared)
     formulas: list[Formula] = []
     for lineno, raw in pending:
-        parser = _Parser(raw, lineno - 1, sig, False, frozenset(), terms_as_vars=True)
+        parser = _Parser(raw, lineno - 1, sig, frozenset(), terms_as_vars=True)
         f = parser.parse()
         if parser.inferred:
             sig = sig.merge(_signature(parser.inferred))

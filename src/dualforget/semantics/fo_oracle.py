@@ -484,12 +484,7 @@ def _atom_order(sig: Signature, domain_size: int) -> list[tuple[str, tuple[int, 
 
 
 @nesting_guard
-def counterexample(
-    f: Formula,
-    g: Formula,
-    sig: Optional[Signature] = None,
-    max_domain: int = 2,
-) -> Optional[Counterexample]:
+def counterexample(f: Formula, g: Formula, max_domain: int = 2) -> Optional[Counterexample]:
     """First interpretation (in enumeration order) where ``f`` and ``g``
     differ, or ``None`` when they agree on every interpretation with domain
     size ``1 .. max_domain``."""
@@ -497,7 +492,7 @@ def counterexample(
         raise GuardError(f"domain size {max_domain} exceeds the guard of {MAX_DOMAIN}")
     if max_domain < 1:
         raise GuardError("max_domain must be at least 1")
-    sig, sides = _signature((f, g), sig)  # one walk per side
+    sig, sides = _signature((f, g), None)  # one walk per side
     free = sorted(sides[0].ind_vars | sides[1].ind_vars)
     consts = sorted(sig.constants)
     domains = range(1, max_domain + 1)
@@ -529,25 +524,26 @@ def counterexample(
                     # the projections leave the table constant along the
                     # bound inputs, so its lowest set bit has them clear
                     v = (diff & -diff).bit_length() - 1
-                    return Counterexample(_decode(v, atoms, sig, d, const_map), env)
+                    return Counterexample(_decode(v, atoms, d, const_map), env)
     return None
 
 
 def _decode(
     v: int,
     atoms: list[tuple[str, tuple[int, ...]]],
-    sig: Signature,
     domain_size: int,
     const_map: dict[str, int],
 ) -> FiniteInterpretation:
-    rel_map: dict[str, set[tuple[int, ...]]] = {name: set() for name in sig.relations}
+    rel_map: dict[str, set[tuple[int, ...]]] = {}
     prop_map: dict[str, bool] = {}
     for i, (name, elems) in enumerate(atoms):
         bit = bool((v >> i) & 1)
-        if name in sig.prop_vars:
+        if not elems:  # a propositional variable; every relation has atoms with elements
             prop_map[name] = bit
-        elif bit:
-            rel_map[name].add(elems)
+        else:
+            ext = rel_map.setdefault(name, set())
+            if bit:
+                ext.add(elems)
     return FiniteInterpretation(
         domain_size,
         dict(const_map),
@@ -556,10 +552,5 @@ def _decode(
     )
 
 
-def equiv_fo_finite(
-    f: Formula,
-    g: Formula,
-    sig: Optional[Signature] = None,
-    max_domain: int = 2,
-) -> bool:
-    return counterexample(f, g, sig, max_domain) is None
+def equiv_fo_finite(f: Formula, g: Formula, max_domain: int = 2) -> bool:
+    return counterexample(f, g, max_domain) is None

@@ -48,9 +48,6 @@ class NameGen:
     def __init__(self, avoid: Iterable[str] = ()):
         self._avoid = set(avoid)
 
-    def reserve(self, names: Iterable[str]) -> None:
-        self._avoid.update(names)
-
     def fresh(self, base: str) -> str:
         if base not in self._avoid:
             self._avoid.add(base)

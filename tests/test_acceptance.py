@@ -12,7 +12,7 @@ import pytest
 from conftest import load_theory
 from gen import PROP_VARS, clause_fragment_theory, forget_split, prop_formula, prop_theory
 from dualforget import fo, prop
-from dualforget.errors import LogicError
+from dualforget.errors import ParseError
 from dualforget.outcome import Status
 from dualforget.parser import parse_formula
 from dualforget.printer import format_formula
@@ -286,7 +286,7 @@ def test_criterion_11_parser_fuzz_and_round_trip():
             )
         try:
             parse_formula(s)
-        except LogicError:
+        except ParseError:
             pass
     # exact printer round-trips
     from gen import fo_formula

@@ -103,6 +103,32 @@ def test_check_equiv_fo(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "formula,column",
+    [("lfp r(x). ~r(x) @(a)", 1), ("p & gfp r(x). (r(x) <-> q(x)) @(a)", 5)],
+)
+def test_fixpoint_body_not_positive_is_a_parse_error(capsys, tmp_path, formula, column):
+    # bad input, exit 1: not the node constructor's internal invariant breach
+    message = "fixpoint body must be positive in 'r'\n"
+    code, out, err = run(capsys, "check-equiv", formula, "T")
+    assert (code, out, err) == (1, "", f"parse error: 1:{column}: {message}")
+    path = tmp_path / "fixpoint.th"
+    path.write_text(f"p\n{formula}\n", encoding="utf-8")
+    code, out, err = run(capsys, "forget", "--mode", "strong", "--vars", "p", str(path))
+    assert (code, out, err) == (1, "", f"parse error: 2:{column}: {message}")
+
+
+def test_weak_forgetting_failure_prints_the_residual(capsys, tmp_path):
+    path = tmp_path / "mixed.th"
+    path.write_text("(ex y. a(y)) -> all y. a(y)\n", encoding="utf-8")
+    code, out, err = run(capsys, "forget", "--mode", "weak", "--vars", "a", str(path))
+    assert (code, out) == (2, "(all y. ~a(y)) | all y. a(y)\n")
+    assert err == (
+        "elimination failed: conjunct 1 ((all y. ~a(y)) | all y. a(y)): "
+        "mixed-polarity occurrences of a not separable\n"
+    )
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.th"
     bad.write_text("p &&& q\n")
@@ -180,7 +206,6 @@ def test_verify_picks_the_oracle_from_the_spec(capsys, theories_dir, monkeypatch
     # --verify checks a propositional spec with equiv_prop and a first-order
     # one with counterexample; without --verify no oracle runs and the
     # problem is not classified at all
-    monkeypatch.delenv("DF_TRACE", raising=False)
     calls = {"equiv_prop": 0, "counterexample": 0, "is_propositional": 0}
 
     def counting(name):
@@ -202,14 +227,6 @@ def test_verify_picks_the_oracle_from_the_spec(capsys, theories_dir, monkeypatch
     assert (code, out, err) == (0, plain, "verify: PASS\n")
     other = "counterexample" if oracle == "equiv_prop" else "equiv_prop"
     assert (calls[oracle], calls[other]) == (1, 0)
-
-
-def test_trace_env_var(capsys, theories_dir, monkeypatch):
-    monkeypatch.setenv("DF_TRACE", "1")
-    code, out, err = run(capsys, "forget", "--mode", "weak", "--vars", "mt,ht",
-                         str(theories_dir / "pressure_rules.th"))
-    assert code == 0
-    assert "ClauseRule" in err
 
 
 def test_output_file(capsys, theories_dir, tmp_path):
@@ -316,7 +333,6 @@ def test_symbol_lists_skip_empty_items_and_accept_every_name(capsys, theories_di
 def test_main_builds_its_parser_once(capsys, theories_dir, monkeypatch):
     # main reuses one parser across calls: a usage error, --help and flags
     # given to one call leave nothing behind for the next
-    monkeypatch.delenv("DF_TRACE", raising=False)
     build_parser = cli.build_parser
     built = []
 

@@ -246,6 +246,16 @@ def test_forget_weak_failure_names_conjunct():
         assert equiv_fo_finite(out.result, Forall2("r", theory.as_formula), max_domain=2)
 
 
+def test_forget_weak_failure_reports_the_conjunct_and_the_residual():
+    # the clause rule cannot take a; ~C has a both ways in one conjunct
+    out = fo.forget_weak(Theory("mixed", (pf("(ex y. a(y)) -> all y. a(y)"),)), ["a"])
+    assert out.status is Status.FAILED
+    assert out.failure_reason == (
+        "conjunct 1 ((all y. ~a(y)) | all y. a(y)): mixed-polarity occurrences of a not separable"
+    )
+    assert out.residual == pf("(all y. ~a(y)) | all y. a(y)")
+
+
 def test_fixpoints_are_terminal():
     _, theory = load_theory("network.th")
     first = fo.forget_strong(theory, ["r"])

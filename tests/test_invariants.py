@@ -3,6 +3,7 @@ spot checks at domain size 3."""
 
 import ast
 import importlib
+import inspect
 import random
 import re
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 from conftest import load_theory
 from gen import prop_formula
-from dualforget import fo, semantics
+from dualforget import fo, prop, semantics
 from dualforget.errors import LogicError
 from dualforget.outcome import Status
 from dualforget.printer import format_formula
@@ -173,6 +174,31 @@ def test_benchmark_tracer_targets_are_module_level_names(monkeypatch):
             assert callable(vars(ns).get(name)), f"{ns.__name__}.{name}"
 
 
+def test_benchmark_tracer_reads_the_fixpoint_flag_by_position():
+    # tracing._fo_attempt_layer reads allow_r_in_def as args[3] when it is
+    # passed by position
+    assert list(inspect.signature(fo._attempt).parameters)[3] == "allow_r_in_def"
+
+
+def test_package_modules_read_every_name_they_import(monkeypatch):
+    # as the tests must; the __init__ files re-export what they import, and
+    # prop keeps the names perfbench/tracing.py wraps in its namespace
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    wrapped_in_prop = {name for _, name, namespaces in tracing._PATCHES if prop in namespaces}
+    package = Path(fo.__file__).parent
+    unread = {}
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        unused = _unread_imports(path)
+        if path == Path(prop.__file__):
+            unused -= wrapped_in_prop
+        if unused:
+            unread[str(path.relative_to(package))] = sorted(unused)
+    assert not unread
+
+
 def test_benchmark_circuit_interface(monkeypatch):
     # perfbench/run.py warms the kernel up by evaluating
     # CircuitBuilder(w).const(True) at each width, and the tracer counts
@@ -226,21 +252,25 @@ def test_semantics_imports_nothing_from_engines():
             assert not parts & {"prop", "fo", "transform"}, f"{path.name}: {ast.dump(node)}"
 
 
+def _unread_imports(path: Path) -> set[str]:
+    """The names a module imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return imported - read
+
+
 def test_test_modules_read_every_name_they_import():
     # an import that a test module never reads is dead weight, and hides
     # which parts of the package the module really exercises
     unread = {}
     for path in sorted(Path(__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                imported.update(a.asname or a.name for a in node.names)
-        read = {
-            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-        }
-        if imported - read:
-            unread[path.name] = sorted(imported - read)
+        unused = _unread_imports(path)
+        if unused:
+            unread[path.name] = sorted(unused)
     assert not unread

@@ -521,3 +521,28 @@ def test_counterexample_guards(monkeypatch):
     assert counterexample(fits, pf("p | q | r"), max_domain=3) is None
     with pytest.raises(GuardError, match="7 ground atoms at domain size 3"):
         counterexample(fits, pf("(p | q | r) & (t | ~t)"), max_domain=3)
+
+
+def test_eval_fo_names_what_it_cannot_evaluate():
+    no_r = {"r": frozenset()}
+    for f, interp, message in [
+        (pf("Ex2 p. p"), FiniteInterpretation(1), "second-order quantifier in first-order evaluation"),
+        (pf("r(x)", free_vars=["x"]), FiniteInterpretation(1, rel_map=no_r), "unbound variable 'x'"),
+        (pf("r(c)"), FiniteInterpretation(1, rel_map=no_r), "constant 'c' not interpreted"),
+        (pf("r(c)"), FiniteInterpretation(1, const_map={"c": 0}), "relation 'r' not interpreted"),
+    ]:
+        with pytest.raises(EvalError) as err:
+            eval_fo(f, interp)
+        assert str(err.value) == message
+
+
+def test_counterexample_describes_every_kind_of_name():
+    with pytest.raises(GuardError) as err:
+        counterexample(pf("p"), pf("q"), max_domain=0)
+    assert str(err.value) == "max_domain must be at least 1"
+    for f, described in [
+        (pf("r(x) | r(c)", free_vars=["x"]), "domain = {0..0}; c = 0; r = {}; x = 0"),
+        (pf("p -> r(c)"), "domain = {0..0}; c = 0; r = {}; p = True"),
+        (pf("r(c) -> p"), "domain = {0..0}; c = 0; r = {(0)}; p = False"),
+    ]:
+        assert counterexample(f, TOP, max_domain=2).describe() == described

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gen import fo_formula, prop_formula
-from dualforget.errors import LogicError, ParseError
+from dualforget.errors import ParseError
 from dualforget.parser import parse_formula, parse_theory
 from dualforget.printer import format_formula
 from dualforget.syntax import (
@@ -19,6 +19,7 @@ from dualforget.syntax import (
     Not,
     Or,
     PropVar,
+    Signature,
     Var,
     conj,
     disj,
@@ -120,6 +121,9 @@ def test_parse_errors_have_positions():
         ("p(a) & p(a, a)", "1:8: 'p' used inconsistently (relation of arity 1 vs relation of arity 2)"),
         ("p(a) & a", "1:8: 'a' used inconsistently (constant vs propositional variable)"),
         ("p & p(a)", "1:5: 'p' used inconsistently (propositional variable vs relation of arity 1)"),
+        ("all x. x(a)", "1:8: individual variable 'x' used as a relation"),
+        ("lfp r(x). ~r(x) @(a)", "1:1: fixpoint body must be positive in 'r'"),
+        ("p & gfp r(x). (r(x) <-> q(x)) @(a)", "1:5: fixpoint body must be positive in 'r'"),
     ],
 )
 def test_parse_error_messages(text, message):
@@ -139,6 +143,12 @@ def test_parse_error_messages(text, message):
         ("#sig foo\n", "1:1: malformed directive '#sig foo'"),
         ("p(x)\n", "1:1: open formula (free variables x); "
                     "declare '#closure auto' or close it explicitly"),
+        ("#sig prop p\nr(p)\n", "2:3: 'p' is not a term"),
+        ("#sig const c\nc\n", "2:1: constant 'c' used as a formula"),
+        ("# comment\nall x. x(a)\n", "2:8: individual variable 'x' used as a relation"),
+        ("#sig prop p\np(a)\n", "2:1: 'p' is not a relation"),
+        ("p\nlfp r(x). ~r(x) @(a)\n", "2:1: fixpoint body must be positive in 'r'"),
+        ("p\np & gfp r(x). (r(x) <-> q(x)) @(a)\n", "2:5: fixpoint body must be positive in 'r'"),
     ],
 )
 def test_theory_error_messages(text, message):
@@ -196,17 +206,22 @@ def test_long_chains_count_toward_nesting_limit(op):
     assert isinstance(parse_formula(f" {op} ".join(["p"] * 100)), Iff if op == "<->" else Implies)
 
 
-def test_strict_mode_requires_declarations():
-    from dualforget.syntax import Signature
-
-    sig = Signature(frozenset({"p"}), {"r": 1}, frozenset({"a"}))
-    assert parse_formula("p & r(a)", sig, strict=True)
-    with pytest.raises(ParseError):
-        parse_formula("q", sig, strict=True)
-    with pytest.raises(ParseError):
-        parse_formula("r(a, a)", sig, strict=True)
-    with pytest.raises(ParseError):
-        parse_formula("s(a)", sig, strict=True)
+def test_parse_checks_names_against_the_signature():
+    # a declared name keeps its kind; an undeclared one is inferred
+    sig = Signature(frozenset({"p"}), {"r": 1}, frozenset({"c"}))
+    assert parse_formula("p & r(c) & s(d)", sig) == conj(
+        [PropVar("p"), Atom("r", (Const("c"),)), Atom("s", (Const("d"),))]
+    )
+    for text, message in [
+        ("r(p)", "1:3: 'p' is not a term"),
+        ("c", "1:1: constant 'c' used as a formula"),
+        ("p(c)", "1:1: 'p' is not a relation"),
+        ("r & p", "1:1: relation 'r' used without arguments"),
+        ("r(c, c)", "1:1: relation 'r' has arity 1, used with 2"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_formula(text, sig)
+        assert str(err.value) == message
 
 
 def test_theory_file_parses_declarations_and_inference():
@@ -311,5 +326,5 @@ _theory_lines = st.one_of(
 def test_theory_parser_never_crashes(lines, newline):
     try:
         parse_theory(newline.join(lines))
-    except LogicError:
+    except ParseError:
         pass

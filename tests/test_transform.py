@@ -13,7 +13,9 @@ from dualforget.syntax import (
     And,
     Atom,
     Exists2,
+    Forall2,
     ForallInd,
+    Implies,
     Polarity,
     PropVar,
     Var,
@@ -90,6 +92,17 @@ def test_substitute_rel_renames_only_binders_that_capture():
     e = pf("gfp r(y, z). (r(z, y) | b(y, y)) @(y, y)", free_vars=["y"])
     out = substitute_rel(pf("s(z)", free_vars=["z"]), "s", ["y"], e)
     assert out == pf("gfp r(y, z). (r(z, y) | b(y, y)) @(z, z)", free_vars=["z"])
+
+
+def test_substitute_rel_renames_a_relation_binder_and_its_atoms():
+    # Ex2 s would capture the s the definition uses freely: the binder and
+    # the atoms it binds take a fresh name
+    f = pf("Ex2 s. (s(a) & ~r(a))")
+    out = substitute_rel(f, "r", ["u"], pf("s(u) | q(u)", free_vars=["u"]))
+    assert out == pf("Ex2 s_1. (s_1(a) & ~(s(a) | q(a)))")
+    # f wherever r is the relation the definition describes
+    spec = Forall2("r", Implies(pf("all u. (r(u) <-> s(u) | q(u))"), f))
+    assert equiv_fo_finite(out, spec, max_domain=2)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +188,11 @@ def test_simplify_equivalent_fo_small_models():
 def shared_chain(k):
     """``g_{i+1} = (g_i | x_i) & (g_i | ~y_i)`` from ``g_0 = g``: about
     ``2**k`` tree nodes, but only about ``3 * k`` distinct node objects.
-    Only ``==`` and ``fo._occurs_outside_fixpoints`` follow the tree on it
-    (each node caches its hash), so the tests check results only by
-    identity, by their top levels and by plain values."""
+    ``==``, ``nnf``, ``fo.normalize``, ``fo._occurs_outside_fixpoints``,
+    the printer, the reference evaluator and the first-order grounder
+    follow the tree on it (each node caches its hash, so hashing does not),
+    so the tests check results only by identity, by their top levels and
+    by plain values."""
     g = PropVar("g")
     for i in range(k):
         g = (g | PropVar(f"x{i}")) & (g | ~PropVar(f"y{i}"))
