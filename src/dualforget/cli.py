@@ -217,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forget", help="forget symbols in a theory")
     p.add_argument("--mode", choices=["strong", "weak"], required=True)
     p.add_argument("--vars", type=_symbols, required=True,
-                   help="comma-separated symbols to forget, in order")
+                   help="comma-separated symbols to forget; relations are eliminated in "
+                   "this order (weak forgetting takes propositional variables first, in this "
+                   "order too; strong forgetting picks their order)")
     _add_common(p)
     p.add_argument("theory_file")
     p.set_defaults(func=_cmd_forget)

@@ -8,9 +8,16 @@ walk; a name used with two arities, or as both kinds, raises ``ArityError``.
 
 Strong forgetting miniscopes, ``Ex2 s.(A & B) = A & Ex2 s.B`` when ``s``
 does not occur in ``A``: only the conjuncts that mention ``s`` are
-rewritten, and the others are kept, and printed, as written.  Weak
-forgetting distributes ``All2`` over the conjuncts and eliminates their
-symbols in one step per conjunct, propositional variables first.
+rewritten, and the others are kept, and printed, as written.  It picks the
+order of the propositional variables, and relations keep their place in
+the caller's list: before each relation it eliminates the variables listed
+ahead of it, each time the one that occurs in the fewest conjuncts, as an
+expansion doubles every conjunct that mentions its variable.  A variable's
+elimination never fails, so its order moves only the form and size of the
+result; a relation's can, and the caller's order may be what leaves it
+separable.  Weak forgetting distributes ``All2`` over the conjuncts and
+eliminates their symbols in one step per conjunct, propositional variables
+first, each kind in the caller's order.
 
 Per eliminated symbol the strategy escalates, cheapest first:
 
@@ -465,9 +472,15 @@ def _eliminate_forall_conjunct(
 
 @nesting_guard
 def forget_strong(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
-    """Strong (standard) forgetting: eliminate ``Ex2 s`` for each symbol in
-    order; the result is over the remaining vocabulary and equivalent to the
-    existentially quantified theory.
+    """Strong (standard) forgetting: eliminate ``Ex2 s`` for each symbol of
+    ``forget``; the result is over the remaining vocabulary and equivalent
+    to the existentially quantified theory.
+
+    Relations are eliminated in the order of ``forget``, and a propositional
+    variable never passes a relation listed before it or follows one listed
+    after it.  Within those bounds the variables go one at a time, each time
+    the one in the fewest current conjuncts, ties in the order of
+    ``forget``.
 
     Each step miniscopes, ``Ex2 s.(A & B) = A & Ex2 s.B`` when ``s`` does not
     occur in ``A``: only ``B``, the conjuncts that mention ``s``, is rewritten,
@@ -482,7 +495,15 @@ def forget_strong(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
     # symbol's arity, 0 for a propositional variable
     arities: dict[str, int] = {}
     parts = [(c, free_symbols(c, arities)) for c in conjuncts(simplify(th.as_formula))]
-    for s in forget:
+    pending = list(forget)
+    while pending:
+        # the propositional variables ahead of the next relation, else that
+        # relation; min keeps the caller's order among ties
+        lead = next((i for i, s in enumerate(pending) if arities.get(s)), len(pending))
+        s = pending[0]
+        if lead > 1:
+            s = min(pending[:lead], key=lambda v: sum(v in syms for _, syms in parts))
+        pending.remove(s)
         hit = [i for i, (_, syms) in enumerate(parts) if s in syms]
         if not hit:
             continue  # forgetting an absent symbol is the identity

@@ -64,6 +64,29 @@ def forget_split(rng: random.Random, vars: Sequence[str] = PROP_VARS) -> tuple[l
     return shuffled[:k], shuffled[k:]
 
 
+def rule_theory(rng: random.Random, n_rules: int, n_vars: int, n_forget: int) -> tuple[Theory, list[str]]:
+    """``n_rules`` rules ``body -> head`` over ``v0``..``v{n_vars-1}``, bodies
+    conjunctions of 1-3 and heads disjunctions of 1-2 variables, and
+    ``n_forget`` distinct variables to forget, in random order.  Atoms are
+    dealt from a reshuffled deck, so every variable occurs about equally
+    often.  Independent of the benchmark's generators, which a benchmark change
+    may edit."""
+    names = [f"v{i}" for i in range(n_vars)]
+    deck: list[str] = []
+
+    def atom() -> Formula:
+        if not deck:
+            deck.extend(names)
+            rng.shuffle(deck)
+        return PropVar(deck.pop())
+
+    rules = []
+    for _ in range(n_rules):
+        body = conj([atom() for _ in range(rng.randint(1, 3))])
+        rules.append(Implies(body, disj([atom() for _ in range(rng.randint(1, 2))])))
+    return Theory("rules", tuple(rules)), rng.sample(names, n_forget)
+
+
 # ---------------------------------------------------------------------------
 # First-order
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import load_theory
-from gen import clause_fragment_theory
+from gen import clause_fragment_theory, rule_theory
 from dualforget import fo
 from dualforget.errors import ArityError, LogicError
 from dualforget.outcome import Status
@@ -21,6 +21,7 @@ from dualforget.syntax import (
     PropVar,
     Theory,
     Var,
+    children,
     conj,
     conjuncts,
     disj,
@@ -504,3 +505,84 @@ def test_forget_weak_clause_rule_for_a_variable_beside_a_quantified_disjunct():
     assert out.ok, out.failure_reason
     assert [s.rule for s in out.trace] == ["ClauseRule"]
     assert counterexample(out.result, Forall2("p", theory.as_formula), max_domain=2) is None
+
+
+# ---------------------------------------------------------------------------
+# strong forgetting's order of elimination
+
+
+def _eliminated(out):
+    """The symbols of the trace's ``Ex2`` steps, in the order eliminated."""
+    order = []
+    for step in out.trace:
+        if isinstance(step.before, Exists2) and step.before.sym not in order:
+            order.append(step.before.sym)
+    return order
+
+
+# p occurs in 3 conjuncts, q and s in 2 each
+_COUNTS = ("p | q", "~p | s", "p | ~s | t", "q -> t")
+# q occurs in 3 conjuncts, p in 2, the relation r in 2
+_AROUND_R = ("q | p", "q | s", "q | ex x. r(x)", "all x. (r(x) -> a(x))", "p | t")
+
+
+@pytest.mark.parametrize(
+    "texts, forget, order",
+    [
+        (_COUNTS, ["p", "q"], ["q", "p"]),
+        (_COUNTS, ["s", "q"], ["s", "q"]),
+        (_COUNTS, ["q", "s"], ["q", "s"]),
+        # s's elimination leaves p in 2 conjuncts, tied with q
+        (_COUNTS, ["p", "s", "q"], ["s", "p", "q"]),
+        (_AROUND_R, ["q", "r", "p"], ["q", "r", "p"]),
+        (_AROUND_R, ["p", "r", "q"], ["p", "r", "q"]),
+        (_AROUND_R, ["r", "q", "p"], ["r", "p", "q"]),
+    ],
+)
+def test_forget_strong_takes_the_variable_in_the_fewest_conjuncts_first(texts, forget, order):
+    # ties go in the given order, and no variable passes a relation
+    theory = Theory("t", tuple(pf(t) for t in texts))
+    out = fo.forget_strong(theory, forget)
+    assert out.ok, out.failure_reason
+    assert _eliminated(out) == order
+    assert counterexample(out.result, exists2(forget, theory.as_formula), max_domain=2) is None
+
+
+def test_forget_strong_keeps_a_relation_at_its_place():
+    # r occurs in 2 conjuncts and p in 3, but r waits for p: eliminating r
+    # first fails, and p's elimination takes both of r's conjuncts with it
+    theory = Theory("t", tuple(pf(t) for t in ("p | ex x. r(x)", "p | ex x. ~r(x)", "p | q", "q -> s")))
+    out = fo.forget_strong(theory, ["p", "r"])
+    assert out.ok, out.failure_reason
+    assert out.result == pf("q -> s")
+    assert counterexample(out.result, exists2(["p", "r"], theory.as_formula), max_domain=2) is None
+    out = fo.forget_strong(theory, ["r", "p"])
+    assert out.failure_reason == "mixed-polarity occurrences of r not separable"
+
+
+def _node_count(f):
+    """Formula nodes, a shared subtree once per occurrence."""
+    count, stack = 0, [f]
+    while stack:
+        count += 1
+        stack.extend(children(stack.pop()))
+    return count
+
+
+def test_forget_strong_rule_theory_result_size():
+    # 256 rules over 40 variables, 16 forgotten: taking the variables in
+    # the given order gave 328,128 nodes, the fewest-conjuncts order gives
+    # 186,002
+    theory, forget = rule_theory(random.Random(7), 256, 40, 16)
+    out = fo.forget_strong(theory, forget)
+    assert out.ok, out.failure_reason
+    assert _node_count(out.result) < 200_000
+
+
+def test_forget_strong_rule_theory_against_the_oracle():
+    theory, forget = rule_theory(random.Random(3), 64, 22, 10)
+    out = fo.forget_strong(theory, forget)
+    assert out.ok, out.failure_reason
+    order = _eliminated(out)
+    assert sorted(order) == sorted(forget) and order != forget  # the engine's own order
+    assert equiv_prop(out.result, exists2(forget, theory.as_formula))
