@@ -137,7 +137,11 @@ def _strip_forall(f: Formula) -> tuple[list[str], Formula]:
 _Literal = tuple[str, bool, tuple[Term, ...]]
 
 
-def _clause(c: Formula) -> tuple[list[str], tuple[Formula, ...], list[Optional[_Literal]]]:
+#: a conjunct read as a clause; see ``_clause``
+_ClauseView = tuple[list[str], tuple[Formula, ...], list[Optional[_Literal]]]
+
+
+def _clause(c: Formula) -> _ClauseView:
     """A conjunct read as a clause: its ``all``-prefix variables, its
     disjuncts, and each disjunct's literal view (``None`` for a disjunct
     that is no literal)."""
@@ -335,8 +339,15 @@ def clause_form_eliminate(r: str, f: Formula, *more: str) -> Optional[Formula]:
     The symbols of ``more`` are eliminated in the same pass; then every
     disjunct must be a literal, while for ``r`` alone a disjunct without
     ``r`` may have any shape."""
-    syms = (r,) + more
-    bvars, ds, lits = _clause(f)
+    return _clause_rule(_clause(f), (r,) + more)
+
+
+def _clause_rule(view: _ClauseView, syms: tuple[str, ...]) -> Optional[Formula]:
+    """:func:`clause_form_eliminate` on a conjunct's clause view, for the
+    symbols ``syms``."""
+    bvars, ds, lits = view
+    more = len(syms) > 1
+    r = syms[0]
     pos: dict[str, list[tuple[Term, ...]]] = {s: [] for s in syms}
     neg: dict[str, list[tuple[Term, ...]]] = {s: [] for s in syms}
     rest: list[Formula] = []
@@ -426,12 +437,17 @@ def _eliminate_forall_conjunct(
     conjunct ``c``: all of them in one pass of the clause rule, else one at
     a time by the clause rule, the Ackermann rewrite on ``~c``, and
     expansion of a propositional variable.  Returns (result, None), or the
-    conjunct as far as it got and the reason a relation failed."""
-    present = free_symbols(c)
+    conjunct as far as it got and the reason a relation failed.
+
+    The symbols present in ``c`` are read from its clause view when every
+    disjunct is a literal; only another conjunct takes a vocabulary walk."""
+    view = _clause(c)
+    lits = view[2]
+    present = free_symbols(c) if None in lits else {lit[0] for lit in lits}
     pending = [s for s in forget if s in present]
     if not pending:
         return c, None
-    fast = clause_form_eliminate(pending[0], c, *pending[1:])
+    fast = _clause_rule(view, tuple(pending))
     if fast is not None:
         # nothing is left to eliminate: the driver's last simplification
         # serves this conjunct too

@@ -306,6 +306,14 @@ def _nnf(f: Formula, neg: bool) -> Formula:
 #                      All2/Ex2 when the symbol does not occur
 #   flattening         nested &/& and |/| merged
 #
+# The n-ary step recognizes ``T`` and ``F`` by their type, so ``Top()`` and
+# ``Bottom()`` count as the constants without a structural ``==``.  It
+# flattens while it simplifies and stops at the first absorbing constant.
+# Each item is hashed once: added to the level's set, it is new when the
+# set grew.  Absorption looks for another item among the items of an inner
+# disjunction (conjunction), which can never meet the item itself: no node
+# contains a node equal to itself.
+#
 # No tautology checking beyond these local rules: outputs stay predictable
 # and traces honest.  Golden comparisons go through the oracle instead.
 #
@@ -329,8 +337,12 @@ def simplify(f: Formula) -> Formula:
     return _simp(f, {})
 
 
+#: the types of the nodes no rule rewrites
+_LEAVES = frozenset((Top, Bottom, PropVar, Atom))
+
+
 def _simp(f: Formula, memo: _Memo) -> Formula:
-    if isinstance(f, (Top, Bottom, PropVar, Atom)):
+    if type(f) in _LEAVES:
         return f
     if isinstance(f, Equal):
         return TOP if f.left == f.right else f
@@ -394,38 +406,30 @@ def _rewrite(f: Formula, memo: _Memo) -> Formula:
 
 
 def _simp_nary(f: Union[And, Or], is_and: bool, memo: _Memo) -> Formula:
-    absorbing: Formula = BOT if is_and else TOP
-    neutral: Formula = TOP if is_and else BOT
-    items: list[Formula] = []
-    for it in f.items:
-        s = _simp(it, memo)
-        if isinstance(s, And) and is_and:
-            items.extend(s.items)
-        elif isinstance(s, Or) and not is_and:
-            items.extend(s.items)
-        else:
-            items.append(s)
+    absorbing, neutral, inner = (BOT, Top, Or) if is_and else (TOP, Bottom, And)
+    absorbing_type, level = type(absorbing), type(f)
     kept: list[Formula] = []
     seen: set[Formula] = set()
-    for s in items:
-        if s == absorbing:
+    for it in f.items:
+        s = _simp(it, memo)
+        kind = type(s)
+        if kind is absorbing_type:
             return absorbing
-        if s == neutral or s in seen:
+        if kind is neutral:
             continue
-        seen.add(s)
-        kept.append(s)
+        # a simplified level of the same connective holds no constants
+        for x in s.items if kind is level else (s,):
+            n = len(seen)
+            seen.add(x)
+            if len(seen) > n:
+                kept.append(x)
     # complements within this level: one of a complementary pair is the
     # negation of the other
-    if any(isinstance(s, Not) and s.body in seen for s in kept):
+    if any(type(s) is Not and s.body in seen for s in kept):
         return absorbing
     # absorption: inside a conjunction, drop any disjunction containing
     # another conjunct (dually for disjunctions)
-    inner = Or if is_and else And
-    result = [
-        s
-        for s in kept
-        if not (isinstance(s, inner) and any(d in seen and d != s for d in s.items))
-    ]
+    result = [s for s in kept if type(s) is not inner or seen.isdisjoint(s.items)]
     if len(result) == len(f.items) and all(map(operator.is_, result, f.items)):
         return f
     return conj(result) if is_and else disj(result)

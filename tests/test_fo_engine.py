@@ -507,6 +507,44 @@ def test_forget_weak_clause_rule_for_a_variable_beside_a_quantified_disjunct():
     assert counterexample(out.result, Forall2("p", theory.as_formula), max_domain=2) is None
 
 
+def _count_free_symbols_calls(monkeypatch):
+    """The formulas ``fo.free_symbols`` walks from now on, in call order."""
+    calls = []
+    walk = fo.free_symbols
+
+    def counted(f, *args):
+        calls.append(f)
+        return walk(f, *args)
+
+    monkeypatch.setattr(fo, "free_symbols", counted)
+    return calls
+
+
+def test_forget_weak_reads_a_literal_clause_symbols_from_its_literals(monkeypatch):
+    # each conjunct is a clause of literals: the whole-theory walk is the
+    # only one, whether the conjunct mentions a forgotten symbol or not
+    texts = ("all x. (p | r(x) | ~q(x))", "all x. (~r(x) | s(x))", "q(a) | ~p", "s(a)")
+    theory = Theory("t", tuple(pf(t) for t in texts))
+    calls = _count_free_symbols_calls(monkeypatch)
+    out = fo.forget_weak(theory, ["p", "r"])
+    assert out.ok, out.failure_reason
+    assert calls == [theory.as_formula]
+    assert counterexample(out.result, forall2(["p", "r"], theory.as_formula), max_domain=2) is None
+
+
+def test_forget_weak_walks_a_conjunct_with_a_non_literal_disjunct(monkeypatch):
+    # the driver's normalization would split this conjunct into two clauses
+    # of literals, so the conjunct step is called on it directly
+    c = pf("all x. (r(x) | (a(x) & b(x)))")
+    calls = _count_free_symbols_calls(monkeypatch)
+    steps = []
+    out, reason = fo._eliminate_forall_conjunct(c, ["r"], {"r": 1}, steps)
+    assert reason is None
+    assert len(calls) == 1 and calls[0] is c
+    assert [s.rule for s in steps] == ["ClauseRule"]
+    assert counterexample(out, Forall2("r", c), max_domain=2) is None
+
+
 # ---------------------------------------------------------------------------
 # strong forgetting's order of elimination
 

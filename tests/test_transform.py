@@ -1,9 +1,11 @@
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gen import fo_formula, prop_formula, prop_theory
+from dualforget import transform
 from dualforget.errors import CaptureError
 from dualforget.parser import parse_formula
 from dualforget.semantics import equiv_fo_finite, equiv_prop, truth_table
@@ -12,13 +14,19 @@ from dualforget.syntax import (
     TOP,
     And,
     Atom,
+    Bottom,
     Exists2,
     Forall2,
     ForallInd,
     Implies,
+    Not,
+    Or,
     Polarity,
     PropVar,
+    Top,
     Var,
+    conj,
+    disj,
     polarity,
     prop_symbols,
 )
@@ -179,6 +187,91 @@ def test_simplify_equivalent_fo_small_models():
         s = simplify(f)
         assert equiv_fo_finite(s, f, max_domain=2)
         assert simplify(s) is s
+
+
+def _reference_simp_nary(f, is_and, memo):
+    """The n-ary step as it was before it recognized constants by type and
+    hashed each item once; the differential test below checks the step
+    against it."""
+    absorbing = BOT if is_and else TOP
+    neutral = TOP if is_and else BOT
+    items = []
+    for it in f.items:
+        s = transform._simp(it, memo)
+        if isinstance(s, And) and is_and:
+            items.extend(s.items)
+        elif isinstance(s, Or) and not is_and:
+            items.extend(s.items)
+        else:
+            items.append(s)
+    kept = []
+    seen = set()
+    for s in items:
+        if s == absorbing:
+            return absorbing
+        if s == neutral or s in seen:
+            continue
+        seen.add(s)
+        kept.append(s)
+    if any(isinstance(s, Not) and s.body in seen for s in kept):
+        return absorbing
+    inner = Or if is_and else And
+    result = [
+        s
+        for s in kept
+        if not (isinstance(s, inner) and any(d in seen and d != s for d in s.items))
+    ]
+    if len(result) == len(f.items) and all(map(operator.is_, result, f.items)):
+        return f
+    return conj(result) if is_and else disj(result)
+
+
+def _nary_level(rng, pool, depth):
+    """A nested ``And``/``Or`` level, built without flattening, over the
+    formulas of ``pool``: the same objects again and again, their negations,
+    fresh ``Top()``/``Bottom()`` nodes, and beside an item a level of the
+    other connective that holds it, so absorption can fire either way."""
+    level, other = rng.choice(((And, Or), (Or, And)))
+    items = [_nary_item(rng, pool, depth - 1) for _ in range(rng.randint(2, 4))]
+    if rng.random() < 0.4:
+        items.append(other((rng.choice(items), _nary_item(rng, pool, depth - 1))))
+    rng.shuffle(items)
+    return level(tuple(items))
+
+
+def _nary_item(rng, pool, depth):
+    if depth > 0 and rng.random() < 0.6:
+        return _nary_level(rng, pool, depth)
+    roll = rng.random()
+    if roll < 0.04:
+        return Top()
+    if roll < 0.08:
+        return Bottom()
+    x = rng.choice(pool)
+    return Not(x) if roll < 0.2 else x
+
+
+@pytest.mark.parametrize("kind", ["prop", "fo"])
+def test_simplify_nary_step_matches_the_reference(kind, monkeypatch):
+    rng = random.Random(23)
+    for _ in range(300):
+        # two pools drawn from one seed: equal formulas as distinct objects
+        seed = rng.randrange(10**9)
+        pools = []
+        for _ in range(2):
+            r = random.Random(seed)
+            if kind == "prop":
+                pools.append([prop_formula(r, vars=["p", "q", "r"], depth=2) for _ in range(4)])
+            else:
+                pools.append([fo_formula(r, depth=2) for _ in range(4)])
+        f = _nary_level(rng, pools[0] + pools[1], 4)
+        with monkeypatch.context() as m:
+            m.setattr(transform, "_simp_nary", _reference_simp_nary)
+            expected = simplify(f)
+        got = simplify(f)
+        assert got == expected
+        assert (got is f) == (expected is f)
+        assert simplify(got) is got
 
 
 # ---------------------------------------------------------------------------
