@@ -101,9 +101,10 @@ def _distribute(f: Formula) -> Formula:
     """Push disjunctions over conjunctions, at most ``_DIST_LIMIT``
     conjuncts per disjunction, and universal quantifiers over
     conjunctions, so clause structure is exposed; input in NNF."""
-    if isinstance(f, And):
+    kind = type(f)
+    if kind is And:
         return conj([_distribute(it) for it in f.items])
-    if isinstance(f, Or):
+    if kind is Or:
         items = [_distribute(it) for it in f.items]
         branches = [conjuncts(it) for it in items]
         total = 1
@@ -112,9 +113,9 @@ def _distribute(f: Formula) -> Formula:
             if total > _DIST_LIMIT:
                 return disj(items)
         return conj([disj(list(combo)) for combo in itertools.product(*branches)])
-    if isinstance(f, ForallInd):
+    if kind is ForallInd:
         return conj([ForallInd(f.var, c) for c in conjuncts(_distribute(f.body))])
-    if isinstance(f, ExistsInd):
+    if kind is ExistsInd:
         return ExistsInd(f.var, _distribute(f.body))
     return f
 
@@ -127,7 +128,7 @@ def normalize(f: Formula) -> Formula:
 
 def _strip_forall(f: Formula) -> tuple[list[str], Formula]:
     vars: list[str] = []
-    while isinstance(f, ForallInd):
+    while type(f) is ForallInd:
         vars.append(f.var)
         f = f.body
     return vars, f
@@ -152,7 +153,7 @@ def _clause(c: Formula) -> _ClauseView:
 
 def _strip_exists(f: Formula) -> tuple[list[str], Formula]:
     vars: list[str] = []
-    while isinstance(f, ExistsInd):
+    while type(f) is ExistsInd:
         vars.append(f.var)
         f = f.body
     return vars, f
@@ -169,11 +170,25 @@ def _tuple_neq(left: Sequence[Term], right: Sequence[Term]) -> Formula:
 
 
 def _occurs_outside_fixpoints(f: Formula, r: str) -> bool:
-    if isinstance(f, Atom):
-        return f.rel == r
-    if isinstance(f, (Lfp, Gfp)) or so_binder(f) == r:
-        return False
-    return any(_occurs_outside_fixpoints(g, r) for g in children(f))
+    """Whether relation ``r`` occurs free in ``f`` outside every fixpoint
+    literal.  Each node object is visited once, so a shared subtree costs
+    one visit however many paths reach it."""
+    seen: set[int] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        kind = type(g)
+        if kind is Atom:
+            if g.rel == r:
+                return True
+            continue
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        if kind is Lfp or kind is Gfp or so_binder(g) == r:
+            continue
+        stack.extend(children(g))
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +562,16 @@ def forget_weak(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
     symbol the clause rule, the Ackermann rewrite on the negated
     existential form (a relation's with its fixpoint generalization), then
     expansion of a propositional variable."""
+    return _forget_weak(th, forget, free_symbols(th.as_formula))
+
+
+def _forget_weak(th: Theory, forget: Sequence[str], arities: dict[str, int]) -> EliminationOutcome:
+    """:func:`forget_weak`, given the free symbols of ``th`` with their
+    arities."""
     steps: list[TraceStep] = []
-    whole = th.as_formula
-    arities = free_symbols(whole)
     present = [s for s in forget if s in arities]
     if not present:
-        return success(simplify(whole), steps)
+        return success(simplify(th.as_formula), steps)
     items: list[Formula] = []
     for formula in th.formulas:
         items.extend(conjuncts(normalize(simplify(formula))))
@@ -591,15 +610,18 @@ def snc(th: Theory, query: Formula, keep: Sequence[str]) -> EliminationOutcome:
 def wsc(th: Theory, query: Formula, keep: Sequence[str]) -> EliminationOutcome:
     """Weakest sufficient condition of ``query`` on the ``keep`` vocabulary
     under ``th``: weak forgetting of the complementary vocabulary in
-    ``th -> query``."""
-    forget = _partition(th, query, keep)
+    ``th -> query``.  One vocabulary walk of ``th -> query`` gives both the
+    symbols to forget and their arities."""
     body = Implies(th.as_formula, query) if th.formulas else query
-    return forget_weak(Theory(th.name, (body,)), forget)
+    arities = free_symbols(body)
+    kept = set(keep)
+    forget = [s for s in sorted(arities) if s not in kept]
+    return _forget_weak(Theory(th.name, (body,)), forget, arities)
 
 
 def _partition(th: Theory, query: Formula, keep: Sequence[str]) -> list[str]:
     """The symbols of ``th`` and ``query`` outside ``keep``, sorted: what
-    ``snc`` and ``wsc`` forget."""
+    ``snc`` forgets."""
     kept = set(keep)
     vocab = free_symbols(th.as_formula).keys() | free_symbols(query).keys()
     return [s for s in sorted(vocab) if s not in kept]

@@ -74,7 +74,9 @@ class Formula:
 
 def _node(cls):
     """Declare a formula node: a frozen, slotted dataclass whose generated
-    hash of the field tuple is computed once, by :meth:`Formula.__hash__`."""
+    hash of the field tuple is computed once, by :meth:`Formula.__hash__`.
+    A node class is final: the walkers dispatch on ``type(g) is X``, which
+    a subclass would slip past."""
     cls = dataclass(frozen=True, slots=True, repr=False)(cls)
     cls._field_hash = cls.__hash__
     cls.__hash__ = Formula.__hash__
@@ -229,7 +231,7 @@ def conj(items: Iterable[Formula]) -> Formula:
     Empty -> TOP, singleton -> the item itself."""
     flat: list[Formula] = []
     for it in items:
-        if isinstance(it, And):
+        if type(it) is And:
             flat.extend(it.items)
         else:
             flat.append(it)
@@ -246,7 +248,7 @@ def disj(items: Iterable[Formula]) -> Formula:
     Empty -> BOT, singleton -> the item itself."""
     flat: list[Formula] = []
     for it in items:
-        if isinstance(it, Or):
+        if type(it) is Or:
             flat.extend(it.items)
         else:
             flat.append(it)
@@ -282,11 +284,11 @@ def exists2(syms: Sequence[str], body: Formula) -> Formula:
 
 
 def conjuncts(f: Formula) -> tuple[Formula, ...]:
-    return f.items if isinstance(f, And) else (f,)
+    return f.items if type(f) is And else (f,)
 
 
 def disjuncts(f: Formula) -> tuple[Formula, ...]:
-    return f.items if isinstance(f, Or) else (f,)
+    return f.items if type(f) is Or else (f,)
 
 
 def literal(d: Formula) -> Optional[tuple[str, bool, tuple[Term, ...]]]:
@@ -294,13 +296,15 @@ def literal(d: Formula) -> Optional[tuple[str, bool, tuple[Term, ...]]]:
     propositional variable (``args == ()``) under any number of negations,
     positive when their number is even; ``None`` for any other formula."""
     sign = True
-    while isinstance(d, Not):
+    kind = type(d)
+    while kind is Not:
         d = d.body
+        kind = type(d)
         sign = not sign
-    if isinstance(d, Atom):
-        return d.rel, sign, d.args
-    if isinstance(d, PropVar):
+    if kind is PropVar:
         return d.name, sign, ()
+    if kind is Atom:
+        return d.rel, sign, d.args
     return None
 
 

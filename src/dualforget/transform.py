@@ -72,17 +72,17 @@ class NameGen:
 #: node is kept so that its id is not reused within the call
 _Memo = dict[int, tuple[Formula, Formula]]
 
-_BINDERS = (ForallInd, ExistsInd, Forall2, Exists2, Lfp, Gfp)
+_BINDERS = frozenset((ForallInd, ExistsInd, Forall2, Exists2, Lfp, Gfp))
 
 
 def _terms_sub(ts: tuple[Term, ...], m: Mapping[str, Term]) -> tuple[Term, ...]:
     """``ts`` with ``m`` applied; the same tuple when no term changes."""
-    out = tuple(m.get(t.name, t) if isinstance(t, Var) else t for t in ts)
+    out = tuple(m.get(t.name, t) if type(t) is Var else t for t in ts)
     return ts if out == ts else out
 
 
 def _term_vars(ts: Iterable[Term]) -> set[str]:
-    return {t.name for t in ts if isinstance(t, Var)}
+    return {t.name for t in ts if type(t) is Var}
 
 
 def _without(m: dict, names: Iterable[str]) -> dict:
@@ -121,9 +121,10 @@ def _rename(
     def walk(g: Formula, terms: dict[str, Term], syms: dict[str, str]) -> Formula:
         if not (terms or syms or clash_vars or clash_syms):
             return g
-        if isinstance(g, PropVar):
+        kind = type(g)
+        if kind is PropVar:
             return PropVar(syms[g.name]) if g.name in syms else g
-        if isinstance(g, Atom) and g.rel in syms:
+        if kind is Atom and g.rel in syms:
             g = Atom(syms[g.rel], g.args)
         kids = children(g)
         ts = terms_of(g)
@@ -208,9 +209,10 @@ def substitute_rel(f: Formula, r: str, params: Sequence[str], e: Formula) -> For
 
     def walk(g: Formula) -> Formula:
         nonlocal met_binder
-        if isinstance(g, PropVar):
+        kind = type(g)
+        if kind is PropVar:
             return inst(()) if g.name == r else g
-        if isinstance(g, Atom):
+        if kind is Atom:
             return inst(g.args) if g.rel == r else g
         kids = children(g)
         if not kids:
@@ -218,7 +220,7 @@ def substitute_rel(f: Formula, r: str, params: Sequence[str], e: Formula) -> For
         hit = memo.get(id(g))
         if hit is not None:
             return hit[1]
-        if isinstance(g, _BINDERS):
+        if kind in _BINDERS:
             met_binder = True
             if so_binder(g) == r:
                 return g
@@ -252,40 +254,63 @@ def substitute_rel(f: Formula, r: str, params: Sequence[str], e: Formula) -> For
 _DUAL = {ForallInd: ExistsInd, ExistsInd: ForallInd, Forall2: Exists2, Exists2: Forall2}
 
 
+#: the nodes NNF keeps whole: a literal is one of them or its negation
+_ATOMIC = frozenset((PropVar, Atom, Equal, Lfp, Gfp))
+
+
 @nesting_guard
 def nnf(f: Formula) -> Formula:
     """Negation normal form: ``->``/``<->`` expanded, negation pushed to
     literals, double negations removed, quantifiers dualized.
 
     Applied fixpoint literals are treated as atomic (they are outputs of
-    elimination, not rewritten)."""
+    elimination, not rewritten).  A negated atom comes back as the same
+    object.  ``A -> B`` and ``A <-> B`` are rewritten from the NNF of their
+    operands, as ``~A | B`` and ``(~A | B) & (A | ~B)``, without building
+    those formulas first.
+
+    The walk dispatches on the exact node type, the commonest first: node
+    classes are final, so ``type(f) is X`` decides what ``isinstance``
+    would."""
     return _nnf(f, False)
 
 
 def _nnf(f: Formula, neg: bool) -> Formula:
-    if isinstance(f, Top):
-        return BOT if neg else TOP
-    if isinstance(f, Bottom):
-        return TOP if neg else BOT
-    if isinstance(f, (PropVar, Atom, Equal, Lfp, Gfp)):
+    kind = type(f)
+    if kind is PropVar:
         return Not(f) if neg else f
-    if isinstance(f, Not):
-        return _nnf(f.body, not neg)
-    if isinstance(f, And):
+    if kind is Not:
+        b = f.body
+        if type(b) in _ATOMIC:
+            return b if neg else f
+        return _nnf(b, not neg)
+    if kind is And:
         items = [_nnf(it, neg) for it in f.items]
         return disj(items) if neg else conj(items)
-    if isinstance(f, Or):
+    if kind is Or:
         items = [_nnf(it, neg) for it in f.items]
         return conj(items) if neg else disj(items)
-    if isinstance(f, Implies):
-        return _nnf(disj([Not(f.antecedent), f.consequent]), neg)
-    if isinstance(f, Iff):
-        a, b = f.left, f.right
-        return _nnf(conj([disj([Not(a), b]), disj([a, Not(b)])]), neg)
-    dual = _DUAL.get(type(f))
+    if kind in _ATOMIC:
+        return Not(f) if neg else f
+    if kind is Implies:
+        # ~(A -> B) is A & ~B
+        a, b = _nnf(f.antecedent, not neg), _nnf(f.consequent, neg)
+        return conj([a, b]) if neg else disj([a, b])
+    if kind is Iff:
+        # ~(A <-> B) is (A & ~B) | (~A & B)
+        na, pb = _nnf(f.left, True), _nnf(f.right, False)
+        pa, nb = _nnf(f.left, False), _nnf(f.right, True)
+        if neg:
+            return disj([conj([pa, nb]), conj([na, pb])])
+        return conj([disj([na, pb]), disj([pa, nb])])
+    if kind is Top:
+        return BOT if neg else TOP
+    if kind is Bottom:
+        return TOP if neg else BOT
+    dual = _DUAL.get(kind)
     if dual is None:
         raise InternalError(f"unhandled formula in nnf: {type(f).__name__}")
-    return (dual if neg else type(f))(so_binder(f) or ind_binders(f)[0], _nnf(f.body, neg))
+    return (dual if neg else kind)(so_binder(f) or ind_binders(f)[0], _nnf(f.body, neg))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +331,10 @@ def _nnf(f: Formula, neg: bool) -> Formula:
 #                      All2/Ex2 when the symbol does not occur
 #   flattening         nested &/& and |/| merged
 #
-# The n-ary step recognizes ``T`` and ``F`` by their type, so ``Top()`` and
+# Every step dispatches on the exact node type, the commonest first, with
+# ``type(f) is X`` in place of a chain of ``isinstance`` tests.  That is
+# sound because node classes are final: no class derives from one.  The
+# n-ary step recognizes ``T`` and ``F`` by their type, so ``Top()`` and
 # ``Bottom()`` count as the constants without a structural ``==``.  It
 # flattens while it simplifies and stops at the first absorbing constant.
 # Each item is hashed once: added to the level's set, it is new when the
@@ -328,8 +356,9 @@ def _nnf(f: Formula, neg: bool) -> Formula:
 # A memo for the one call, keyed on node identity, simplifies a subtree that
 # is shared (as in a two-point expansion ``F[p:=F] | F[p:=T]``) once.  Each
 # entry keeps the node beside its result, so the id of a temporary such as
-# ``Not(a)`` cannot be reused by another node within the call.  Leaves are
-# not memoized: looking one up costs more than rewriting it.
+# ``Not(a)`` cannot be reused by another node within the call.  Leaves and
+# negated atoms are not memoized: looking one up costs more than rewriting
+# it, and no rule rewrites them.
 
 
 @nesting_guard
@@ -342,9 +371,14 @@ _LEAVES = frozenset((Top, Bottom, PropVar, Atom))
 
 
 def _simp(f: Formula, memo: _Memo) -> Formula:
-    if type(f) in _LEAVES:
+    kind = type(f)
+    if kind in _LEAVES:
         return f
-    if isinstance(f, Equal):
+    if kind is Not:
+        kb = type(f.body)
+        if kb is PropVar or kb is Atom:
+            return f
+    elif kind is Equal:
         return TOP if f.left == f.right else f
     hit = memo.get(id(f))
     if hit is not None:
@@ -355,41 +389,45 @@ def _simp(f: Formula, memo: _Memo) -> Formula:
 
 
 def _rewrite(f: Formula, memo: _Memo) -> Formula:
-    if isinstance(f, Not):
+    kind = type(f)
+    if kind is And:
+        return _simp_nary(f, True, memo)
+    if kind is Or:
+        return _simp_nary(f, False, memo)
+    if kind is Not:
         b = _simp(f.body, memo)
-        if isinstance(b, Top):
+        kb = type(b)
+        if kb is Top:
             return BOT
-        if isinstance(b, Bottom):
+        if kb is Bottom:
             return TOP
-        if isinstance(b, Not):
+        if kb is Not:
             return b.body
         return f if b is f.body else Not(b)
-    if isinstance(f, And):
-        return _simp_nary(f, True, memo)
-    if isinstance(f, Or):
-        return _simp_nary(f, False, memo)
-    if isinstance(f, Implies):
+    if kind is Implies:
         a = _simp(f.antecedent, memo)
         b = _simp(f.consequent, memo)
-        if isinstance(a, Top):
+        ka, kb = type(a), type(b)
+        if ka is Top:
             return b
-        if isinstance(a, Bottom) or isinstance(b, Top):
+        if ka is Bottom or kb is Top:
             return TOP
-        if isinstance(b, Bottom):
+        if kb is Bottom:
             return _simp(Not(a), memo)
         if a == b:
             return TOP
         return f if a is f.antecedent and b is f.consequent else Implies(a, b)
-    if isinstance(f, Iff):
+    if kind is Iff:
         a = _simp(f.left, memo)
         b = _simp(f.right, memo)
-        if isinstance(a, Top):
+        ka, kb = type(a), type(b)
+        if ka is Top:
             return b
-        if isinstance(b, Top):
+        if kb is Top:
             return a
-        if isinstance(a, Bottom):
+        if ka is Bottom:
             return _simp(Not(b), memo)
-        if isinstance(b, Bottom):
+        if kb is Bottom:
             return _simp(Not(a), memo)
         if a == b:
             return TOP
@@ -397,7 +435,7 @@ def _rewrite(f: Formula, memo: _Memo) -> Formula:
     # the rest bind names in their body: a quantifier whose name does not
     # occur free there is vacuous; a fixpoint is a literal and stays
     b = _simp(f.body, memo)
-    if type(f) in _DUAL:
+    if kind in _DUAL:
         sym = so_binder(f)
         vocab = _vocabulary(b)
         if (sym or f.var) not in (vocab.ind_vars if sym is None else vocab.symbols):

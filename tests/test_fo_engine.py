@@ -5,6 +5,7 @@ import pytest
 
 from conftest import load_theory
 from gen import clause_fragment_theory, rule_theory
+from test_transform import shared_chain
 from dualforget import fo
 from dualforget.errors import ArityError, LogicError
 from dualforget.outcome import Status
@@ -255,6 +256,60 @@ def test_forget_weak_failure_reports_the_conjunct_and_the_residual():
         "conjunct 1 ((all y. ~a(y)) | all y. a(y)): mixed-polarity occurrences of a not separable"
     )
     assert out.residual == pf("(all y. ~a(y)) | all y. a(y)")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("r(x) & a(x)", True),
+        ("a(x) | ~(b(x, y) -> r(y))", True),
+        ("a(x) & p", False),
+        ("Ex2 r. r(x)", False),
+        ("All2 r. (r(x) | a(x))", False),
+        ("(Ex2 r. r(x)) | r(y)", True),
+        ("lfp r(u). (a(u) | r(u)) @(x)", False),
+        ("(lfp r(u). (a(u) | r(u)) @(x)) & ~r(y)", True),
+        ("ex y. (gfp r(u). (b(u, u) & r(u)) @(y))", False),
+    ],
+)
+def test_occurs_outside_fixpoints(text, expected):
+    assert fo._occurs_outside_fixpoints(pf(text), "r") is expected
+
+
+def test_occurs_outside_fixpoints_visits_a_shared_node_once(monkeypatch):
+    # about 250 distinct nodes and 2**40 paths: a walk that followed the
+    # paths would run for ages, so a budget of node visits stops it; each
+    # answer is named alone, as a failure that printed a chain or a call on
+    # it would print all of its paths
+    class OverBudget(Exception):
+        pass
+
+    visits = 0
+    walk = fo.children
+
+    def counted(g):
+        nonlocal visits
+        visits += 1
+        if visits > 1000:
+            raise OverBudget
+        return walk(g)
+
+    def occurs(f, r):
+        nonlocal visits
+        visits = 0
+        try:
+            return fo._occurs_outside_fixpoints(f, r)
+        except OverBudget:
+            return "over budget"
+
+    monkeypatch.setattr(fo, "children", counted)
+    chain = shared_chain(40)
+    rx = Atom("r", (Var("x"),))
+    g = rx
+    for i in range(40):
+        g = (PropVar(f"p{i}") & g) | (~PropVar(f"p{i}") & g)
+    answers = [occurs(chain, "r"), occurs(chain & rx, "r"), occurs(g, "q"), occurs(g, "r")]
+    assert answers == [False, True, False, True]
 
 
 def test_fixpoints_are_terminal():
@@ -530,6 +585,25 @@ def test_forget_weak_reads_a_literal_clause_symbols_from_its_literals(monkeypatc
     assert out.ok, out.failure_reason
     assert calls == [theory.as_formula]
     assert counterexample(out.result, forall2(["p", "r"], theory.as_formula), max_domain=2) is None
+
+
+def test_wsc_walks_the_theory_and_the_query_once(monkeypatch):
+    # one walk of th -> query gives both the symbols to forget and their
+    # arities; the weak step reads the clauses' symbols from their literals
+    a, b, c = PropVar("a"), PropVar("b"), PropVar("c")
+    theory = Theory("t", (a | b, ~b | c))
+    body = Implies(theory.as_formula, c)
+    calls = _count_free_symbols_calls(monkeypatch)
+    out = fo.wsc(theory, c, ["c"])
+    assert out.ok, out.failure_reason
+    assert calls == [body]
+    assert equiv_prop(out.result, forall2(["a", "b"], body))
+
+
+def test_wsc_rejects_a_name_used_with_two_arities():
+    theory = Theory("t", (pf("p | q"),))
+    with pytest.raises(ArityError, match=r"^symbol p used with arities 0 and 1$"):
+        fo.wsc(theory, pf("all x. p(x)"), ["q"])
 
 
 def test_forget_weak_walks_a_conjunct_with_a_non_literal_disjunct(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gen import fo_formula
 from test_transform import shared_chain
+from dualforget import syntax
 from dualforget.errors import ArityError, InternalError
 from dualforget.parser import parse_formula
 from dualforget.syntax import (
@@ -218,6 +219,14 @@ _TRAVERSAL_CASES = [
 
 def test_traversal_covers_every_node_class():
     assert {type(case[0]) for case in _TRAVERSAL_CASES} == _node_classes()
+
+
+def test_node_classes_are_final():
+    # the walkers dispatch on ``type(g) is X``, which would silently skip
+    # an instance of a subclass
+    assert set(syntax._CHILDREN) == _node_classes()
+    for cls in (*syntax._CHILDREN, Var, Const):
+        assert cls.__subclasses__() == [], cls.__name__
 
 
 @pytest.mark.parametrize(

@@ -15,10 +15,15 @@ from dualforget.syntax import (
     And,
     Atom,
     Bottom,
+    Equal,
     Exists2,
+    ExistsInd,
     Forall2,
     ForallInd,
+    Gfp,
+    Iff,
     Implies,
+    Lfp,
     Not,
     Or,
     Polarity,
@@ -27,8 +32,10 @@ from dualforget.syntax import (
     Var,
     conj,
     disj,
+    ind_binders,
     polarity,
     prop_symbols,
+    so_binder,
 )
 from dualforget.transform import nnf, simplify, substitute_prop, substitute_rel
 
@@ -275,14 +282,200 @@ def test_simplify_nary_step_matches_the_reference(kind, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# exact-type dispatch: ``nnf`` and ``simplify`` against copies of the walks
+# that tested types with ``isinstance``, and built ``~A | B`` and
+# ``(~A | B) & (A | ~B)`` before putting them in NNF
+
+
+def _reference_nnf(f, neg):
+    if isinstance(f, Top):
+        return BOT if neg else TOP
+    if isinstance(f, Bottom):
+        return TOP if neg else BOT
+    if isinstance(f, (PropVar, Atom, Equal, Lfp, Gfp)):
+        return Not(f) if neg else f
+    if isinstance(f, Not):
+        return _reference_nnf(f.body, not neg)
+    if isinstance(f, And):
+        items = [_reference_nnf(it, neg) for it in f.items]
+        return disj(items) if neg else conj(items)
+    if isinstance(f, Or):
+        items = [_reference_nnf(it, neg) for it in f.items]
+        return conj(items) if neg else disj(items)
+    if isinstance(f, Implies):
+        return _reference_nnf(disj([Not(f.antecedent), f.consequent]), neg)
+    if isinstance(f, Iff):
+        a, b = f.left, f.right
+        return _reference_nnf(conj([disj([Not(a), b]), disj([a, Not(b)])]), neg)
+    dual = transform._DUAL[type(f)]
+    return (dual if neg else type(f))(so_binder(f) or ind_binders(f)[0], _reference_nnf(f.body, neg))
+
+
+def _reference_simp(f, memo):
+    if type(f) in transform._LEAVES:
+        return f
+    if isinstance(f, Equal):
+        return TOP if f.left == f.right else f
+    hit = memo.get(id(f))
+    if hit is not None:
+        return hit[1]
+    out = _reference_rewrite(f, memo)
+    memo[id(f)] = (f, out)
+    return out
+
+
+def _reference_rewrite(f, memo):
+    # the n-ary step is the module's own, and calls back into
+    # ``transform._simp``, which the test points here
+    if isinstance(f, Not):
+        b = _reference_simp(f.body, memo)
+        if isinstance(b, Top):
+            return BOT
+        if isinstance(b, Bottom):
+            return TOP
+        if isinstance(b, Not):
+            return b.body
+        return f if b is f.body else Not(b)
+    if isinstance(f, And):
+        return transform._simp_nary(f, True, memo)
+    if isinstance(f, Or):
+        return transform._simp_nary(f, False, memo)
+    if isinstance(f, Implies):
+        a = _reference_simp(f.antecedent, memo)
+        b = _reference_simp(f.consequent, memo)
+        if isinstance(a, Top):
+            return b
+        if isinstance(a, Bottom) or isinstance(b, Top):
+            return TOP
+        if isinstance(b, Bottom):
+            return _reference_simp(Not(a), memo)
+        if a == b:
+            return TOP
+        return f if a is f.antecedent and b is f.consequent else Implies(a, b)
+    if isinstance(f, Iff):
+        a = _reference_simp(f.left, memo)
+        b = _reference_simp(f.right, memo)
+        if isinstance(a, Top):
+            return b
+        if isinstance(b, Top):
+            return a
+        if isinstance(a, Bottom):
+            return _reference_simp(Not(b), memo)
+        if isinstance(b, Bottom):
+            return _reference_simp(Not(a), memo)
+        if a == b:
+            return TOP
+        return f if a is f.left and b is f.right else Iff(a, b)
+    b = _reference_simp(f.body, memo)
+    if type(f) in transform._DUAL:
+        sym = so_binder(f)
+        vocab = transform._vocabulary(b)
+        if (sym or f.var) not in (vocab.ind_vars if sym is None else vocab.symbols):
+            return b
+    return f if b is f.body else transform.rebuild(f, [b])
+
+
+def _dispatch_inputs(kind, count=300):
+    """Seeded formulas over ``gen`` outputs: nested ``->`` and ``<->``,
+    chains of ``~``, the constants as ``TOP``/``BOT`` and as fresh
+    ``Top()``/``Bottom()`` nodes, fixpoint literals, second-order
+    quantifiers, unflattened ``And``/``Or`` levels, and subtrees shared by
+    reusing the same objects."""
+    rng = random.Random(25 if kind == "prop" else 26)
+    if kind == "prop":
+        z = PropVar("z")
+        fixpoints = [Lfp("z", (), Or((PropVar("p"), z)), ()), Gfp("z", (), And((PropVar("q"), z)), ())]
+    else:
+        u, ru = Var("u"), Atom("r", (Var("u"),))
+        fixpoints = [
+            Lfp("r", ("u",), Or((Atom("a", (u,)), ru)), (Var("v0"),)),
+            Gfp("r", ("u",), And((Atom("b", (u, u)), ru)), (Var("x"),)),
+        ]
+    out = []
+    for _ in range(count):
+        if kind == "prop":
+            pool = [prop_formula(rng, vars=["p", "q", "r"], depth=rng.randint(1, 3)) for _ in range(3)]
+        else:
+            pool = [fo_formula(rng, depth=rng.randint(1, 3)) for _ in range(3)]
+            pool.append(Equal(Var("x"), Var("x")))
+        built = []
+
+        def item(depth):
+            roll = rng.random()
+            if depth <= 0 or roll < 0.2:
+                leaf = rng.random()
+                if leaf < 0.1:
+                    return rng.choice((TOP, BOT, Top(), Bottom()))
+                if leaf < 0.25:
+                    return rng.choice(fixpoints)
+                if leaf < 0.4 and built:
+                    return rng.choice(built)
+                return rng.choice(pool)
+            op = rng.choice(("not", "and", "or", "implies", "iff", "iff", "so", "ind"))
+            if op == "not":
+                g = item(depth - 1)
+                for _ in range(rng.randint(1, 4)):
+                    g = Not(g)
+            elif op in ("and", "or"):
+                items = tuple(item(depth - 1) for _ in range(rng.randint(2, 3)))
+                g = (And if op == "and" else Or)(items)
+            elif op == "implies":
+                g = Implies(item(depth - 1), item(depth - 1))
+            elif op == "iff":
+                g = Iff(item(depth - 1), item(depth - 1))
+            elif op == "so":
+                g = rng.choice((Exists2, Forall2))(rng.choice("pqaz"), item(depth - 1))
+            else:
+                g = rng.choice((ExistsInd, ForallInd))(rng.choice(("x", "v0", "w")), item(depth - 1))
+            built.append(g)
+            return g
+
+        out.append(item(4))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["prop", "fo"])
+def test_nnf_matches_the_isinstance_reference(kind):
+    for f in _dispatch_inputs(kind):
+        for neg in (False, True):
+            assert transform._nnf(f, neg) == _reference_nnf(f, neg)
+        assert nnf(f) == _reference_nnf(f, False)
+
+
+@pytest.mark.parametrize("kind", ["prop", "fo"])
+def test_simplify_matches_the_isinstance_reference(kind, monkeypatch):
+    for f in _dispatch_inputs(kind):
+        for g in (f, Not(f)):
+            with monkeypatch.context() as m:
+                m.setattr(transform, "_simp", _reference_simp)
+                m.setattr(transform, "_rewrite", _reference_rewrite)
+                expected = simplify(g)
+            got = simplify(g)
+            assert got == expected
+            assert (got is g) == (expected is g)
+            assert simplify(got) is got
+
+
+def test_nnf_and_simplify_keep_a_negated_atom():
+    for atom in (PropVar("p"), Atom("r", (Var("x"),))):
+        lit = Not(atom)
+        assert nnf(lit) is lit
+        assert nnf(Not(lit)) is atom
+        memo = {}
+        assert transform._simp(lit, memo) is lit
+        assert not memo
+    f = pf("~p & (q -> ~r(x))")
+    assert nnf(f).items[0] is f.items[0]
+
+
+# ---------------------------------------------------------------------------
 # shared subtrees: a DAG is rewritten once per node object, not per path
 
 
 def shared_chain(k):
     """``g_{i+1} = (g_i | x_i) & (g_i | ~y_i)`` from ``g_0 = g``: about
     ``2**k`` tree nodes, but only about ``3 * k`` distinct node objects.
-    ``==``, ``nnf``, ``fo.normalize``, ``fo._occurs_outside_fixpoints``,
-    the printer, the reference evaluator and the first-order grounder
+    ``==``, ``nnf``, ``fo.normalize``, the printer, the reference evaluator and the first-order grounder
     follow the tree on it (each node caches its hash, so hashing does not),
     so the tests check results only by identity, by their top levels and
     by plain values."""
