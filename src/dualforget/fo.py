@@ -19,19 +19,19 @@ separable.  Weak forgetting distributes ``All2`` over the conjuncts and
 eliminates their symbols in one step per conjunct, propositional variables
 first, each kind in the caller's order.
 
-Per eliminated symbol the strategy escalates, cheapest first:
+Each rule is tried at most once per symbol, cheapest first:
 
 1. clause rule (weak forgetting only): a universally quantified disjunction
    of literals collapses to equality disjunctions, at most quadratic output;
-   one pass takes every forgotten symbol of a clause of literals;
+   one pass per conjunct takes all of its forgotten symbols, or none;
 2. the Ackermann rewrite: conjuncts are split into definitional parts
-   ``all u. (r(u) -> A(u))`` / ``all u. (A(u) -> r(u))`` with ``A`` free of
-   ``r`` and a residual of uniform opposite polarity, then the residual is
-   instantiated with ``A`` (weak forgetting rewrites the negation);
+   ``all u. (r(u) -> A(u))`` / ``all u. (A(u) -> r(u))`` and a residual of
+   uniform opposite polarity, then the residual is instantiated with ``A``
+   (weak forgetting rewrites the negation).  ``A`` is free of ``r`` if it
+   can be; a relation's ``A`` may otherwise mention ``r`` positively (the
+   fixpoint generalization), which yields least/greatest fixpoint literals;
 3. for a propositional variable, two-point expansion, which is complete;
-   for a relation, the fixpoint generalization when ``A`` mentions ``r``
-   positively, which yields least/greatest fixpoint literals;
-4. for a relation, a reported failure (reason plus partial-progress
+   for a relation, a reported failure (reason plus partial-progress
    residual).
 
 Definitional parts are recognized in two shapes: a clause whose head literal
@@ -278,10 +278,13 @@ def _attempt(
         params = nice or tuple(ng.fresh("u") for _ in range(arity))
     a_ok = (Polarity.POSITIVE, Polarity.ABSENT) if allow_r_in_def else (Polarity.ABSENT,)
     defs: list[Formula] = []
+    needs_fixpoint = False
     for head in heads:
         a = _def_from_head(head, positive_case, params, ng)
-        if polarity(a, r) not in a_ok:
+        pol = polarity(a, r)
+        if pol not in a_ok:
             return None
+        needs_fixpoint |= pol is Polarity.POSITIVE
         defs.append(a)
     if defs:
         a = conj(defs) if positive_case else disj(defs)
@@ -293,32 +296,28 @@ def _attempt(
         residual,
         positive_case,
         artificial=not defs,
-        needs_fixpoint=allow_r_in_def and polarity(a, r) is not Polarity.ABSENT,
+        needs_fixpoint=needs_fixpoint,
     )
 
 
 def _select_extraction(
     r: str, items: Sequence[Formula], avoid: set[str], arity: int
 ) -> Optional[_Extraction]:
-    """Try the negative then the positive Ackermann shape with r-free
-    definitions, then a tautological definition, then for a relation the
-    fixpoint shapes.  Each conjunct's polarity in ``r`` is computed once."""
+    """Try the negative then the positive Ackermann shape, once each, a
+    relation's definition allowed to mention ``r`` positively.  A shape
+    whose definitional conjuncts are r-free wins at once; else the first
+    tautological definition, else the first fixpoint definition.  Each
+    conjunct's polarity in ``r`` is computed once."""
     pairs = [(c, polarity(c, r)) for c in items]
-    fallback: list[_Extraction] = []
+    found: list[_Extraction] = []
     for positive_case in (False, True):
-        ext = _attempt(r, pairs, positive_case, False, avoid, arity)
-        if ext is not None and not ext.artificial:
+        ext = _attempt(r, pairs, positive_case, arity > 0, avoid, arity)
+        if ext is not None and not (ext.artificial or ext.needs_fixpoint):
             return ext
         if ext is not None:
-            fallback.append(ext)
-    if fallback:
-        return fallback[0]
-    if arity:
-        for positive_case in (False, True):
-            ext = _attempt(r, pairs, positive_case, True, avoid, arity)
-            if ext is not None:
-                return ext
-    return None
+            found.append(ext)
+    # min keeps the negative shape among ties
+    return min(found, key=lambda ext: ext.needs_fixpoint, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +449,9 @@ def _eliminate_forall_conjunct(
 ) -> tuple[Formula, Optional[str]]:
     """Eliminate ``All2`` of the symbols of ``forget`` that occur in the
     conjunct ``c``: all of them in one pass of the clause rule, else one at
-    a time by the clause rule, the Ackermann rewrite on ``~c``, and
-    expansion of a propositional variable.  Returns (result, None), or the
-    conjunct as far as it got and the reason a relation failed.
+    a time by the Ackermann rewrite on ``~c`` and expansion of a
+    propositional variable.  Returns (result, None), or the conjunct as far
+    as it got and the reason a relation failed.
 
     The symbols present in ``c`` are read from its clause view when every
     disjunct is a literal; only another conjunct takes a vocabulary walk."""
@@ -472,25 +471,19 @@ def _eliminate_forall_conjunct(
     for i, s in enumerate(pending):
         if s not in present:
             continue
-        # with one symbol pending, the first pass was this same rule
-        fast = clause_form_eliminate(s, cur) if len(pending) > 1 else None
-        if fast is not None:
-            steps.append(TraceStep("ClauseRule", Forall2(s, cur), fast))
-            out = simplify(fast)
+        # All2 s C == ~ Ex2 s ~C; strip the leading existential prefix so the
+        # definitional shapes can be recognized under it
+        prefix, matrix = _strip_exists(nnf(Not(cur)))
+        inner: list[TraceStep] = []
+        res, reason = _eliminate_exists_rel(s, matrix, inner, arities[s])
+        if res is not None:
+            out = simplify(nnf(Not(exists(prefix, res))))
+            rule = next(t.rule for t in inner if t.rule.startswith("Ackermann"))
+            steps.append(TraceStep(rule, Forall2(s, cur), out))
+        elif arities[s]:
+            return cur, reason
         else:
-            # All2 s C == ~ Ex2 s ~C; strip the leading existential prefix so
-            # the definitional shapes can be recognized under it
-            prefix, matrix = _strip_exists(nnf(Not(cur)))
-            inner: list[TraceStep] = []
-            res, reason = _eliminate_exists_rel(s, matrix, inner, arities[s])
-            if res is not None:
-                out = simplify(nnf(Not(exists(prefix, res))))
-                rule = next((t.rule for t in inner if t.rule.startswith("Ackermann")), "Simplify")
-                steps.append(TraceStep(rule, Forall2(s, cur), out))
-            elif arities[s]:
-                return cur, reason
-            else:
-                out = _expand(s, cur, steps, universal=True)
+            out = _expand(s, cur, steps, universal=True)
         cur = out
         if i + 1 < len(pending):
             present = free_symbols(cur)
@@ -559,9 +552,9 @@ def forget_weak(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
     """Weak forgetting: distribute ``All2`` over conjuncts and eliminate per
     conjunct, the propositional variables first, then the relations, each
     in the given order: the clause rule over all of them at once, else per
-    symbol the clause rule, the Ackermann rewrite on the negated
-    existential form (a relation's with its fixpoint generalization), then
-    expansion of a propositional variable."""
+    symbol the Ackermann rewrite on the negated existential form (a
+    relation's with its fixpoint generalization), then expansion of a
+    propositional variable."""
     return _forget_weak(th, forget, free_symbols(th.as_formula))
 
 
@@ -623,5 +616,4 @@ def _partition(th: Theory, query: Formula, keep: Sequence[str]) -> list[str]:
     """The symbols of ``th`` and ``query`` outside ``keep``, sorted: what
     ``snc`` forgets."""
     kept = set(keep)
-    vocab = free_symbols(th.as_formula).keys() | free_symbols(query).keys()
-    return [s for s in sorted(vocab) if s not in kept]
+    return [s for s in sorted(free_symbols(conj([th.as_formula, query]))) if s not in kept]

@@ -341,6 +341,9 @@ class _Parser:
             if name in self.sig.prop_vars or name in self.sig.relations:
                 self.error(f"{name!r} is not a term", tok)
         if self.terms_as_vars:
+            # the line has used it as a propositional variable or relation
+            if name in self.inferred:
+                self.error(f"{name!r} is not a term", tok)
             if name not in self.free:
                 self.free.append(name)
             return Var(name)
@@ -349,7 +352,7 @@ class _Parser:
 
     def prop_var(self, tok: _Token) -> Formula:
         name = tok[1]
-        if name in self.bound:
+        if name in self.bound or name in self.free_vars or name in self.free:
             self.error(f"individual variable {name!r} used as a formula", tok)
         if self.sig is not None:
             if name in self.sig.prop_vars:
@@ -363,7 +366,7 @@ class _Parser:
 
     def check_relation(self, tok: _Token, arity: int) -> None:
         name = tok[1]
-        if name in self.bound:
+        if name in self.bound or name in self.free_vars or name in self.free:
             self.error(f"individual variable {name!r} used as a relation", tok)
         if self.sig is not None:
             declared = self.sig.relations.get(name)

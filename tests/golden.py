@@ -11,10 +11,11 @@ change is intended and has been checked:
 
 ``--check`` renders every command again and prints each block whose output
 differs from the file, with the old and the new stdout.  For a changed
-``forget`` block that succeeds both times it runs ``dualforget check-equiv
-OLD NEW`` (first-order formulas on domains up to its default size, 2).  It
-exits 1 when any changed block is not equivalent or cannot be checked
-(another command, an exit code or stderr that changed), else 0.
+``forget``, ``snc`` or ``wsc`` block that succeeds both times it runs
+``dualforget check-equiv OLD NEW`` (first-order formulas on domains up to
+its default size, 2).  It exits 1 when any changed block is not
+equivalent or cannot be checked (another command, an exit code or stderr
+that changed), else 0.
 """
 
 from __future__ import annotations
@@ -106,13 +107,13 @@ def check() -> int:
         print("  old: " + (" / ".join(before) if before is not None else "(no such command)"))
         print("  new: " + (" / ".join(after) if after is not None else "(no such command)"))
         comparable = (
-            head.startswith("$ dualforget forget ")
+            head.startswith(("$ dualforget forget ", "$ dualforget snc ", "$ dualforget wsc "))
             and before is not None and after is not None
             and len(before) == len(after) == 2
             and before[0] == after[0] == "exit 0"
         )
         if not comparable:
-            print("  check-equiv: not run (not a changed formula of a successful forget)")
+            print("  check-equiv: not run (not a changed formula of a successful forget, snc or wsc)")
             continue
         code, out, _ = _run(["check-equiv", before[1], after[1]])
         verdict = "equivalent" if code == 0 else f"NOT equivalent, exit {code} {out.strip()}"

@@ -137,6 +137,15 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "parse error" in err
 
 
+def test_a_free_variable_used_as_a_symbol_exits_1(capsys, tmp_path):
+    # the closure would turn p & q(p) into all p. (p & q(p)), which does not
+    # parse back
+    path = tmp_path / "free.th"
+    path.write_text("#closure auto\np & q(p)\n", encoding="utf-8")
+    code, out, err = run(capsys, "forget", "--mode", "strong", "--vars", "q", str(path))
+    assert (code, out, err) == (1, "", "parse error: 2:7: 'p' is not a term\n")
+
+
 @pytest.mark.parametrize(
     "argv,path",
     [
@@ -439,6 +448,30 @@ def test_golden_outputs():
     import golden
 
     assert golden.render() == golden.GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "old_line,verdict,code",
+    [
+        ("ld & fdd", "equivalent", 0),
+        ("fdd", "NOT equivalent, exit 4 counterexample: domain = {0..0}; fdd = True; ld = False", 1),
+    ],
+)
+def test_golden_check_compares_a_changed_wsc_formula(capsys, monkeypatch, tmp_path, old_line, verdict, code):
+    # a golden copy whose README wsc block printed another formula: --check
+    # runs check-equiv on it, as on a changed forget block
+    import golden
+
+    head = '$ dualforget wsc --query "(fdd -> (~ld | pa)) -> pa" --keep ld,fdd\nexit 0\n'
+    text = golden.GOLDEN.read_text(encoding="utf-8")
+    assert head + "fdd & ld\n" in text
+    altered = tmp_path / "golden_cli.txt"
+    altered.write_text(text.replace(head + "fdd & ld\n", head + old_line + "\n"), encoding="utf-8")
+    monkeypatch.setattr(golden, "GOLDEN", altered)
+    assert golden.check() == code
+    out = capsys.readouterr().out
+    assert f"  old: exit 0 / {old_line}\n  new: exit 0 / fdd & ld\n  check-equiv: {verdict}\n" in out
+    assert out.endswith(f"1 blocks changed, {1 - code} checked equivalent\n")
 
 
 def test_second_order_quantifier_in_input_fails_with_residual(capsys, tmp_path):

@@ -10,6 +10,7 @@ from dualforget import fo
 from dualforget.errors import ArityError, LogicError
 from dualforget.outcome import Status
 from dualforget.parser import parse_formula, parse_theory
+from dualforget.printer import format_formula
 from dualforget.semantics import counterexample, equiv_fo_finite, equiv_prop
 from dualforget.syntax import (
     TOP,
@@ -17,11 +18,14 @@ from dualforget.syntax import (
     Exists2,
     Forall2,
     ForallInd,
+    Gfp,
     Implies,
+    Lfp,
     Not,
     PropVar,
     Theory,
     Var,
+    all_names,
     children,
     conj,
     conjuncts,
@@ -617,6 +621,128 @@ def test_forget_weak_walks_a_conjunct_with_a_non_literal_disjunct(monkeypatch):
     assert len(calls) == 1 and calls[0] is c
     assert [s.rule for s in steps] == ["ClauseRule"]
     assert counterexample(out, Forall2("r", c), max_domain=2) is None
+
+
+def test_snc_walks_the_theory_and_the_query_once(monkeypatch):
+    # one walk of th & query gives the symbols to forget; the others are
+    # strong forgetting's walks of its conjuncts (a | b, c) and of its
+    # result (T)
+    a, b, c = PropVar("a"), PropVar("b"), PropVar("c")
+    theory = Theory("t", (a | b, ~b | c))
+    calls = _count_free_symbols_calls(monkeypatch)
+    out = fo.snc(theory, c, ["c"])
+    assert out.ok, out.failure_reason
+    assert len(calls) == 4
+    assert calls[0] == conj([theory.as_formula, c])
+    assert equiv_prop(out.result, exists2(["a", "b"], conj([theory.as_formula, c])))
+
+
+def test_snc_rejects_a_name_used_with_two_arities():
+    theory = Theory("t", (pf("p | q"),))
+    with pytest.raises(ArityError, match=r"^symbol p used with arities 0 and 1$"):
+        fo.snc(theory, pf("all x. p(x)"), ["q"])
+
+
+# ---------------------------------------------------------------------------
+# each elimination rule once per symbol
+
+
+def _count_attempts(monkeypatch):
+    """``(positive_case, allow_r_in_def)`` of each ``fo._attempt`` call
+    from now on."""
+    attempts = []
+    attempt = fo._attempt
+
+    def counted(*args):
+        attempts.append(args[2:4])
+        return attempt(*args)
+
+    monkeypatch.setattr(fo, "_attempt", counted)
+    return attempts
+
+
+def _extraction(texts):
+    """``fo._select_extraction`` for the relation ``r`` on the conjunction
+    of ``texts``, normalized as the Ackermann step does."""
+    f = fo.normalize(conj([pf(t) for t in texts]))
+    return fo._select_extraction("r", conjuncts(f), all_names(f), 1)
+
+
+# the first conjunct of each defines r in terms of r, in both shapes; in
+# _GFP the positive r(c) | r(d) is no definition, so the negative shape fails
+_LFP = ("all x. all y. (r(x) | ~e(x, y) | ~r(y))", "all x. (~r(x) | a(x))")
+_GFP = ("all x. all y. (~r(x) | e(x, y) | r(y))", "r(c) | r(d)")
+
+
+@pytest.mark.parametrize(
+    "texts, tries, positive_case, artificial, needs_fixpoint",
+    [
+        # both shapes r-free: the negative one, without trying the other
+        (("all x. (~a(x) | r(x))", "~r(c)"), 1, False, False, False),
+        # the negative shape is tautological: the positive one, r-free
+        (("all x. (~r(x) | a(x))",), 2, True, False, False),
+        (("all x. (~r(x) | a(x))", "r(c) | r(d)"), 2, True, False, False),
+        # no definition at all: the tautological one
+        (("r(c) | r(d)",), 2, True, True, False),
+        (("~r(c) | ~r(d)",), 2, False, True, False),
+        # both shapes fixpoints: the negative one
+        (_LFP, 2, False, False, True),
+        (_GFP, 2, True, False, True),
+    ],
+)
+def test_select_extraction_order_of_preference(monkeypatch, texts, tries, positive_case, artificial, needs_fixpoint):
+    # each shape is tried at most once, a relation's definition allowed to
+    # mention it, where separate r-free and fixpoint passes made up to four
+    # attempts
+    attempts = _count_attempts(monkeypatch)
+    ext = _extraction(texts)
+    assert attempts == [(False, True), (True, True)][:tries]
+    assert (ext.positive_case, ext.artificial, ext.needs_fixpoint) == (positive_case, artificial, needs_fixpoint)
+
+
+def test_select_extraction_keeps_a_propositional_variable_out_of_its_definition(monkeypatch):
+    # each shape's definition would mention p; expansion is p's fallback
+    attempts = _count_attempts(monkeypatch)
+    f = fo.nnf(pf("(p -> q | p) & (p | s)"))
+    assert fo._select_extraction("p", conjuncts(f), set(), 0) is None
+    assert attempts == [(False, False), (True, False)]
+
+
+@pytest.mark.parametrize("texts, fixpoint", [(_LFP, Lfp), (_GFP, Gfp)])
+def test_fixpoint_eliminate_gives_a_least_and_a_greatest_fixpoint(texts, fixpoint):
+    f = conj([pf(t) for t in texts])
+    out = fo.fixpoint_eliminate("r", f)
+    assert out.status is Status.FIXPOINT
+    kinds, stack = set(), [out.result]
+    while stack:
+        g = stack.pop()
+        kinds.add(type(g))
+        stack.extend(children(g))
+    assert kinds & {Lfp, Gfp} == {fixpoint}
+    assert counterexample(out.result, Exists2("r", f), max_domain=2) is None
+
+
+@pytest.mark.parametrize(
+    "text, forget, rules",
+    [
+        ("all x. (r(x) | ~r(c) | s(x) | ex y. q(x, y))", ["r", "s"], ["AckermannNeg", "AckermannPos"]),
+        ("all x. (r(x) | ~r(c) | p | ex y. q(x, y))", ["p", "r"], ["AckermannPos", "AckermannNeg"]),
+    ],
+)
+def test_forget_weak_tries_the_clause_rule_once_per_conjunct(monkeypatch, text, forget, rules):
+    # the clause rule does not take the conjunct, whose last disjunct is no
+    # literal: each symbol goes to the Ackermann step, not to the clause
+    # rule again
+    clause_rule = fo._clause_rule
+    calls = []
+    monkeypatch.setattr(fo, "_clause_rule", lambda *args: calls.append(args) or clause_rule(*args))
+    theory = Theory("t", (pf(text),))
+    out = fo.forget_weak(theory, forget)
+    assert out.ok, out.failure_reason
+    assert len(calls) == 1
+    assert [s.rule for s in out.trace] == rules
+    assert format_formula(out.result) == "all x. (x = c | ex y. q(x, y))"
+    assert counterexample(out.result, forall2(forget, theory.as_formula), max_domain=2) is None
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,37 @@ def test_theory_error_messages(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "line,theory_message,formula_message",
+    [
+        ("p & q(p)", "2:7: 'p' is not a term", "1:1: individual variable 'p' used as a formula"),
+        ("p(x) & q(p)", "2:10: 'p' is not a term", "1:1: individual variable 'p' used as a relation"),
+        ("q(p) & p", "2:8: individual variable 'p' used as a formula",
+         "1:8: individual variable 'p' used as a formula"),
+        ("q(p) & p(x)", "2:8: individual variable 'p' used as a relation",
+         "1:8: individual variable 'p' used as a relation"),
+    ],
+)
+def test_a_free_variable_is_no_symbol_on_its_line(line, theory_message, formula_message):
+    # the closure would bind the symbol too, and its printed form would not
+    # parse back
+    with pytest.raises(ParseError) as err:
+        parse_theory(f"#closure auto\n{line}\n")
+    assert str(err.value) == theory_message
+    # a name declared free is an individual variable wherever it occurs
+    with pytest.raises(ParseError) as err:
+        parse_formula(line, free_vars=["p"])
+    assert str(err.value) == formula_message
+
+
+def test_a_name_free_on_one_line_may_be_a_symbol_on_another():
+    sig, th = parse_theory("#closure auto\nq(p)\np\n")
+    assert th.formulas == (ForallInd("p", Atom("q", (Var("p"),))), PropVar("p"))
+    assert sig.prop_vars == {"p"}
+    for f in th.formulas:
+        assert parse_formula(format_formula(f)) == f
+
+
 @pytest.mark.parametrize("brk", ["\x0c", "\x85", "\u2028"])
 def test_theory_lines_break_only_where_formula_lines_do(brk):
     # str.splitlines breaks at these too; parse_formula reads them as spaces
