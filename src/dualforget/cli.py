@@ -108,7 +108,7 @@ def _verify(outcome: EliminationOutcome, spec_formula: Formula, domain: int) -> 
     return ok
 
 
-def _finish(outcome: EliminationOutcome, args, spec_formula: Formula) -> int:
+def _finish(outcome: EliminationOutcome, args, spec_formula: Optional[Formula]) -> int:
     if args.trace:
         _print_trace(outcome)
     if not outcome.ok:
@@ -142,13 +142,14 @@ def _cmd_snc_wsc(args, weakest: bool) -> int:
     else:
         sig, th = Signature(), Theory("theory", ())
     query = parse_formula(args.query, sig)
-    forget_set = fo._partition(th, query, args.keep)
-    if weakest:
-        outcome = fo.wsc(th, query, args.keep)
-        spec_formula = forall2(forget_set, Implies(th.as_formula, query))
-    else:
-        outcome = fo.snc(th, query, args.keep)
-        spec_formula = exists2(forget_set, conj([th.as_formula, query]))
+    outcome = (fo.wsc if weakest else fo.snc)(th, query, args.keep)
+    spec_formula = None
+    if args.verify:  # the spec walks the vocabulary again, for --verify only
+        forget_set = fo._partition(th, query, args.keep)
+        if weakest:
+            spec_formula = forall2(forget_set, Implies(th.as_formula, query))
+        else:
+            spec_formula = exists2(forget_set, conj([th.as_formula, query]))
     return _finish(outcome, args, spec_formula)
 
 

@@ -341,24 +341,21 @@ def fixpoint_eliminate(r: str, f: Formula) -> EliminationOutcome:
     return success(out, steps)
 
 
-def clause_form_eliminate(r: str, f: Formula, *more: str) -> Optional[Formula]:
+def clause_form_eliminate(r: str, f: Formula) -> Optional[Formula]:
     """Eliminate ``All2 r`` from a universally quantified disjunction whose
     ``r``-part consists of literals: ``all x.(r(t1)|..|~r(s1)|..|rest)``
     becomes the equality disjunction ``all x.(s1=t1 | .. | rest)`` (one
     equality per negative/positive pair, tuples componentwise), at most
     quadratic in the input; for a propositional variable its literals are
     deleted.  A complementary pair of propositional literals makes the
-    clause ``T``.  ``None`` when the conjunct has another shape.
-
-    The symbols of ``more`` are eliminated in the same pass; then every
-    disjunct must be a literal, while for ``r`` alone a disjunct without
-    ``r`` may have any shape."""
-    return _clause_rule(_clause(f), (r,) + more)
+    clause ``T``.  ``None`` when the conjunct has another shape."""
+    return _clause_rule(_clause(f), (r,))
 
 
 def _clause_rule(view: _ClauseView, syms: tuple[str, ...]) -> Optional[Formula]:
     """:func:`clause_form_eliminate` on a conjunct's clause view, for the
-    symbols ``syms``."""
+    symbols ``syms`` in one pass.  For several symbols every disjunct must
+    be a literal, while for one a disjunct without it may have any shape."""
     bvars, ds, lits = view
     more = len(syms) > 1
     r = syms[0]

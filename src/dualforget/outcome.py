@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InternalError
@@ -47,28 +47,22 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class EliminationOutcome:
+    """An operator's result; :func:`success` decides the status of a
+    successful elimination from one walk of the result."""
+
     status: Status
     result: Optional[Formula] = None
     trace: tuple[TraceStep, ...] = ()
     failure_reason: Optional[str] = None
     residual: Optional[Formula] = None
-    #: ``contains_so_quantifier_and_fixpoint(result)`` when the caller has
-    #: already walked the result
-    scan: InitVar[Optional[tuple[bool, bool]]] = None
 
-    def __post_init__(self, scan):
+    def __post_init__(self):
         object.__setattr__(self, "trace", tuple(self.trace))
         if self.status is Status.FAILED:
             if self.result is not None or not self.failure_reason:
                 raise InternalError("failed outcome needs a reason and no result")
-        else:
-            if self.result is None:
-                raise InternalError("successful outcome needs a result formula")
-            so, fix = scan or contains_so_quantifier_and_fixpoint(self.result)
-            if so:
-                raise InternalError("second-order quantifier left in result")
-            if self.status is Status.FIRST_ORDER and fix:
-                raise InternalError("fixpoint in a first-order outcome")
+        elif self.result is None:
+            raise InternalError("successful outcome needs a result formula")
 
     @property
     def ok(self) -> bool:
@@ -88,15 +82,12 @@ def success(result: Formula, trace) -> EliminationOutcome:
     """The outcome of an elimination that produced ``result``.  A
     second-order quantifier that no rule eliminates, one the input already
     held, makes it a failure with ``result`` as the residual."""
-    scan = contains_so_quantifier_and_fixpoint(result)
-    if scan[0]:
+    so, fix = contains_so_quantifier_and_fixpoint(result)
+    if so:
         reason = "second-order quantifier left in result (Ex2/All2 of the input are not eliminated)"
         return failure(reason, trace, residual=result)
-    status = Status.FIXPOINT if scan[1] else Status.FIRST_ORDER
-    return EliminationOutcome(status, result, tuple(trace), scan=scan)
+    return EliminationOutcome(Status.FIXPOINT if fix else Status.FIRST_ORDER, result, trace)
 
 
 def failure(reason: str, trace, residual: Optional[Formula] = None) -> EliminationOutcome:
-    return EliminationOutcome(
-        Status.FAILED, None, tuple(trace), failure_reason=reason, residual=residual
-    )
+    return EliminationOutcome(Status.FAILED, None, trace, reason, residual)

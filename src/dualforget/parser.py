@@ -20,7 +20,7 @@ enclosing first-order quantifier or declared free for the request, and as
 constants otherwise.  ``all``/``ex``/``lfp``/``gfp`` are only treated as
 keywords where a quantifier can start, so relations may reuse those names
 (e.g. ``ex(x)``).  A fixpoint body that is not positive in its relation is a
-parse error.
+parse error, and the relation is checked as any use of a relation.
 
 Theory files: ``#sig prop p`` / ``#sig rel r/2`` / ``#sig const a`` header
 directives, optional ``#closure auto``, other ``#`` lines are comments, one
@@ -122,31 +122,33 @@ def _signature(kinds: dict[str, object]) -> Signature:
 
 
 class _Parser:
+    """A parse of one formula.  ``declared`` maps each name of the
+    signature it is checked against to its kind: "prop", "const" or
+    ``("rel", arity)``.  ``free`` lists its free individual variables:
+    those declared for the request, then, in a theory file's line, each
+    unbound, undeclared term identifier (there a free variable, for
+    closedness checking / auto-closure, not an inferred constant) in order
+    of first occurrence.  That is the order of a left-to-right walk of the
+    tree, because a fixpoint's applied terms follow its body."""
+
     def __init__(
         self,
         text: str,
         line_offset: int,
-        sig: Optional[Signature],
-        free_vars: frozenset[str],
+        declared: dict[str, object],
+        free_vars: Sequence[str],
         terms_as_vars: bool = False,
     ):
         self.text = text
         self.line_offset = line_offset
         self.tokens = _tokenize(text, line_offset)
         self.pos = 0
-        self.sig = sig
-        self.free_vars = free_vars
-        # theory files: unbound, undeclared term identifiers are free
-        # variables (for closedness checking / auto-closure) instead of
-        # inferred constants; ``free`` lists them in order of first
-        # occurrence, which is the order of a left-to-right walk of the tree
-        # because a fixpoint's applied terms follow its body
+        self.declared = declared
         self.terms_as_vars = terms_as_vars
-        self.free: list[str] = []
+        self.free = list(free_vars)
         self.bound: list[str] = []
         self.depth = 0
-        # symbol kinds inferred during this parse, for consistency checks:
-        # name -> ("prop" | "const" | ("rel", arity))
+        # symbol kinds inferred during this parse, for consistency checks
         self.inferred: dict[str, object] = {}
 
     # -- token helpers ------------------------------------------------------
@@ -270,7 +272,8 @@ class _Parser:
 
     def fixpoint(self) -> Formula:
         kw = self.next()
-        rel = self.expect("ident")[1]
+        rel_tok = self.expect("ident")
+        rel = rel_tok[1]
         self.expect("(")
         argvars = [self.expect("ident")[1]]
         while self.tokens[self.pos][0] == ",":
@@ -280,8 +283,8 @@ class _Parser:
         if len(set(argvars)) != len(argvars):
             self.error("fixpoint argument variables must be distinct", close)
         self.expect(".")
+        self.check_relation(rel_tok, len(argvars))
         self.bound.extend(argvars)
-        self.note(rel, ("rel", len(argvars)))
         body = self.unary()
         del self.bound[len(self.bound) - len(argvars):]
         if polarity(body, rel) not in (Polarity.POSITIVE, Polarity.ABSENT):
@@ -333,49 +336,47 @@ class _Parser:
 
     def resolve_term(self, tok: _Token) -> Term:
         name = tok[1]
-        if name in self.bound or name in self.free_vars:
+        if name in self.bound or name in self.free:
             return Var(name)
-        if self.sig is not None:
-            if name in self.sig.constants:
-                return Const(name)
-            if name in self.sig.prop_vars or name in self.sig.relations:
-                self.error(f"{name!r} is not a term", tok)
+        kind = self.declared.get(name)
+        if kind == "const":
+            return Const(name)
+        if kind is not None:
+            self.error(f"{name!r} is not a term", tok)
         if self.terms_as_vars:
             # the line has used it as a propositional variable or relation
             if name in self.inferred:
                 self.error(f"{name!r} is not a term", tok)
-            if name not in self.free:
-                self.free.append(name)
+            self.free.append(name)
             return Var(name)
         self.note(name, "const", tok)
         return Const(name)
 
     def prop_var(self, tok: _Token) -> Formula:
         name = tok[1]
-        if name in self.bound or name in self.free_vars or name in self.free:
+        if name in self.bound or name in self.free:
             self.error(f"individual variable {name!r} used as a formula", tok)
-        if self.sig is not None:
-            if name in self.sig.prop_vars:
-                return PropVar(name)
-            if name in self.sig.relations:
-                self.error(f"relation {name!r} used without arguments", tok)
-            if name in self.sig.constants:
-                self.error(f"constant {name!r} used as a formula", tok)
+        kind = self.declared.get(name)
+        if kind == "prop":
+            return PropVar(name)
+        if kind == "const":
+            self.error(f"constant {name!r} used as a formula", tok)
+        if kind is not None:
+            self.error(f"relation {name!r} used without arguments", tok)
         self.note(name, "prop", tok)
         return PropVar(name)
 
     def check_relation(self, tok: _Token, arity: int) -> None:
         name = tok[1]
-        if name in self.bound or name in self.free_vars or name in self.free:
+        if name in self.bound or name in self.free:
             self.error(f"individual variable {name!r} used as a relation", tok)
-        if self.sig is not None:
-            declared = self.sig.relations.get(name)
-            if declared is not None:
-                if declared != arity:
-                    self.error(f"relation {name!r} has arity {declared}, used with {arity}", tok)
-                return
-            if name in self.sig.prop_vars or name in self.sig.constants:
+        kind = self.declared.get(name)
+        if kind is not None:
+            if kind == "prop" or kind == "const":
                 self.error(f"{name!r} is not a relation", tok)
+            if kind[1] != arity:
+                self.error(f"relation {name!r} has arity {kind[1]}, used with {arity}", tok)
+            return
         self.note(name, ("rel", arity), tok)
 
     def note(self, name: str, kind: object, tok: Optional[_Token] = None) -> None:
@@ -390,7 +391,12 @@ def parse_formula(
     """Parse a single formula.  Symbols not declared in ``sig`` are inferred
     (bare identifier -> propositional variable, applied -> relation, term
     position -> constant)."""
-    return _Parser(text, 0, sig, frozenset(free_vars)).parse()
+    declared: dict[str, object] = {}
+    if sig is not None:
+        declared.update(dict.fromkeys(sig.constants, "const"))
+        declared.update(dict.fromkeys(sig.prop_vars, "prop"))
+        declared.update((n, ("rel", arity)) for n, arity in sig.relations.items())
+    return _Parser(text, 0, declared, free_vars).parse()
 
 
 _DIRECTIVE_RE = re.compile(r"#(sig|closure)\b")
@@ -441,13 +447,12 @@ def parse_theory(text: str, name: str = "theory") -> tuple[Signature, Theory]:
             continue
         pending.append((lineno, raw))
 
-    sig = _signature(declared)
     formulas: list[Formula] = []
     for lineno, raw in pending:
-        parser = _Parser(raw, lineno - 1, sig, frozenset(), terms_as_vars=True)
+        parser = _Parser(raw, lineno - 1, declared, (), terms_as_vars=True)
         f = parser.parse()
-        if parser.inferred:
-            sig = sig.merge(_signature(parser.inferred))
+        # the line inferred only names that ``declared`` does not hold
+        declared.update(parser.inferred)
         if parser.free:
             if not closure_auto:
                 raise ParseError(
@@ -458,4 +463,4 @@ def parse_theory(text: str, name: str = "theory") -> tuple[Signature, Theory]:
                 )
             f = forall(parser.free, f)
         formulas.append(f)
-    return sig, Theory(name, tuple(formulas))
+    return _signature(declared), Theory(name, tuple(formulas))

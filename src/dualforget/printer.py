@@ -26,7 +26,6 @@ from .syntax import (
     Not,
     Or,
     PropVar,
-    Term,
     Top,
     ind_binders,
     so_binder,
@@ -39,10 +38,6 @@ _PREC_AND = 4
 _PREC_NOT = 5
 
 _QUANT_KEYWORD = {ForallInd: "all", ExistsInd: "ex", Forall2: "All2", Exists2: "Ex2"}
-
-
-def format_term(t: Term) -> str:
-    return t.name
 
 
 @nesting_guard
@@ -62,12 +57,12 @@ def _fmt(f: Formula, minprec: int, rightmost: bool) -> str:
     if isinstance(f, PropVar):
         return f.name
     if isinstance(f, Atom):
-        return f"{f.rel}({', '.join(format_term(t) for t in f.args)})"
+        return f"{f.rel}({', '.join(t.name for t in f.args)})"
     if isinstance(f, Equal):
-        return f"{format_term(f.left)} = {format_term(f.right)}"
+        return f"{f.left.name} = {f.right.name}"
     if isinstance(f, Not):
         if isinstance(f.body, Equal):
-            return f"{format_term(f.body.left)} != {format_term(f.body.right)}"
+            return f"{f.body.left.name} != {f.body.right.name}"
         return "~" + _fmt(f.body, _PREC_NOT, rightmost)
     if isinstance(f, And):
         return _fmt_nary(f.items, " & ", _PREC_AND, minprec, rightmost)
@@ -95,7 +90,7 @@ def _fmt(f: Formula, minprec: int, rightmost: bool) -> str:
         kw = "lfp" if isinstance(f, Lfp) else "gfp"
         head = f"{kw} {f.rel}({', '.join(f.argvars)})"
         body = _quant_body(f.body)
-        applied = ", ".join(format_term(t) for t in f.applied)
+        applied = ", ".join(t.name for t in f.applied)
         return f"{head}. {body} @({applied})"
     raise InternalError(f"unhandled formula in printer: {type(f).__name__}")
 

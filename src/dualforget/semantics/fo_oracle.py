@@ -492,7 +492,7 @@ def counterexample(f: Formula, g: Formula, max_domain: int = 2) -> Optional[Coun
         raise GuardError(f"domain size {max_domain} exceeds the guard of {MAX_DOMAIN}")
     if max_domain < 1:
         raise GuardError("max_domain must be at least 1")
-    sig, sides = _signature((f, g), None)  # one walk per side
+    sig, sides = _signature((f, g))  # one walk per side
     free = sorted(sides[0].ind_vars | sides[1].ind_vars)
     consts = sorted(sig.constants)
     domains = range(1, max_domain + 1)

@@ -321,17 +321,6 @@ class Signature:
     relations: dict[str, int] = field(default_factory=dict)
     constants: frozenset[str] = frozenset()
 
-    def merge(self, other: "Signature") -> "Signature":
-        rels = dict(self.relations)
-        for name, arity in other.relations.items():
-            if rels.setdefault(name, arity) != arity:
-                raise ArityError(
-                    f"relation {name} declared with arities {rels[name]} and {arity}"
-                )
-        return Signature(
-            self.prop_vars | other.prop_vars, rels, self.constants | other.constants
-        )
-
     @property
     def symbols(self) -> frozenset[str]:
         return self.prop_vars | frozenset(self.relations)
@@ -603,24 +592,20 @@ def all_names(f: Formula) -> set[str]:
     return v.symbols.keys() | v.ind_vars | v.consts | v.bound
 
 
-def signature_of(*formulas: Formula, base: Optional[Signature] = None) -> Signature:
-    """Signature inferred from symbol usage, optionally merged over a base.
-    A name used with two arities, also as both kinds, raises
-    :class:`ArityError`."""
-    return _signature(formulas, base)[0]
+def signature_of(*formulas: Formula) -> Signature:
+    """Signature inferred from symbol usage in ``formulas``.  A name used
+    with two arities, also as both kinds, raises :class:`ArityError`."""
+    return _signature(formulas)[0]
 
 
-def _signature(
-    formulas: Iterable[Formula], base: Optional[Signature]
-) -> tuple[Signature, list[_Vocabulary]]:
+def _signature(formulas: Iterable[Formula]) -> tuple[Signature, list[_Vocabulary]]:
     """:func:`signature_of`, and the vocabulary of each formula."""
-    base = base or Signature()
-    known = {**dict.fromkeys(base.prop_vars, 0), **base.relations}
+    known: dict[str, int] = {}
     vocabularies = [_vocabulary(f, known) for f in formulas]
     return Signature(
         frozenset(name for name, arity in known.items() if not arity),
         {name: arity for name, arity in known.items() if arity},
-        base.constants.union(*(v.consts for v in vocabularies)),
+        frozenset().union(*(v.consts for v in vocabularies)),
     ), vocabularies
 
 

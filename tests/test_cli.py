@@ -8,7 +8,7 @@ import pytest
 
 from dualforget import cli, fo
 from dualforget.cli import main
-from dualforget.outcome import Status
+from dualforget.outcome import TRACE_RULES, Status
 from dualforget.parser import parse_formula, parse_theory
 from dualforget.syntax import contains_so_quantifier_and_fixpoint
 
@@ -238,6 +238,27 @@ def test_verify_picks_the_oracle_from_the_spec(capsys, theories_dir, monkeypatch
     assert (calls[oracle], calls[other]) == (1, 0)
 
 
+@pytest.mark.parametrize(
+    "argv,walks",
+    [
+        (["snc", "--theory", "theories/pressure_rules.th", "--query", "T", "--keep", "lp,mp"], 5),
+        (["wsc", "--theory", "theories/pressure_rules.th", "--query", "T", "--keep", "lp,mp"], 2),
+        (["wsc", "--query", "(fdd -> (~ld | pa)) -> pa", "--keep", "ld,fdd"], 1),
+    ],
+)
+def test_snc_wsc_build_the_spec_only_under_verify(capsys, monkeypatch, argv, walks):
+    # the --verify spec costs one more vocabulary walk of th & query, and
+    # only --verify pays it
+    monkeypatch.chdir(ROOT)
+    calls = []
+    real = fo.free_symbols
+    monkeypatch.setattr(fo, "free_symbols", lambda *a: calls.append(a) or real(*a))
+    for extra, expected in (([], walks), (["--verify"], walks + 1)):
+        calls.clear()
+        code, _, err = run(capsys, *argv, *extra)
+        assert (code, len(calls)) == (0, expected), err
+
+
 def test_output_file(capsys, theories_dir, tmp_path):
     target = tmp_path / "result.txt"
     code, out, _ = run(capsys, "forget", "--mode", "weak", "--vars", "lt",
@@ -415,6 +436,19 @@ def test_readme_command_claims(capsys, monkeypatch):
         assert code == int(expected), command
         if message:
             assert err == message + "\n", command
+
+
+def test_readme_library_example(capsys, monkeypatch):
+    # README's Python block runs from the repo root as shown: it prints the
+    # result its comment claims, then the trace's steps
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    (claim,) = re.findall(r"^print\(.*\)\s+# (.+)$", block, re.MULTILINE)
+    monkeypatch.chdir(ROOT)
+    exec(compile(block, "README.md", "exec"), {})
+    first, *steps = capsys.readouterr().out.splitlines()
+    assert first == claim
+    assert steps and {line.split()[0] for line in steps} <= TRACE_RULES
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,8 @@ import pytest
 from conftest import load_theory
 from gen import clause_fragment_theory, rule_theory
 from test_transform import shared_chain
-from dualforget import fo
-from dualforget.errors import ArityError, LogicError
+from dualforget import fo, outcome
+from dualforget.errors import ArityError, InternalError, LogicError
 from dualforget.outcome import Status
 from dualforget.parser import parse_formula, parse_theory
 from dualforget.printer import format_formula
@@ -124,6 +124,28 @@ def test_fixpoint_degenerates_without_recursion():
     out = fo.fixpoint_eliminate("t", theory.as_formula)
     assert out.status is Status.FIRST_ORDER
     assert equiv_fo_finite(out.result, Exists2("t", theory.as_formula), max_domain=2)
+
+
+def test_success_decides_the_status_from_one_walk(monkeypatch):
+    calls = []
+    real = outcome.contains_so_quantifier_and_fixpoint
+    monkeypatch.setattr(outcome, "contains_so_quantifier_and_fixpoint",
+                        lambda f: calls.append(f) or real(f))
+    fix = pf("q | ~lfp r(u). (a(u) | r(u)) @(b)")
+    out = outcome.success(fix, [])
+    assert (out.status, out.result, calls) == (Status.FIXPOINT, fix, [fix])
+    left = pf("q & Ex2 p. (p | s)")
+    out = outcome.success(left, [])
+    assert (out.status, out.result, out.residual) == (Status.FAILED, None, left)
+    assert out.failure_reason.startswith("second-order quantifier left in result")
+    assert calls == [fix, left]
+
+
+def test_outcome_needs_a_reason_or_a_result():
+    with pytest.raises(InternalError, match="failed outcome needs a reason"):
+        outcome.EliminationOutcome(Status.FAILED, None, (), None)
+    with pytest.raises(InternalError, match="successful outcome needs a result"):
+        outcome.EliminationOutcome(Status.FIRST_ORDER)
 
 
 def test_fixpoint_failure_reports_reason():

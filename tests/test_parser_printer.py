@@ -272,6 +272,39 @@ flag | extra
     assert {"flag", "extra"} <= set(sig.prop_vars)
 
 
+def test_theory_lines_share_one_signature():
+    # the declared symbols and those each line infers; a later line is
+    # parsed against those of the lines before it
+    sig, _ = parse_theory("#sig const c\n#sig rel s/1\np | q(c)\nall x. (r(x, c) -> q(x))\ns(c) | t\n")
+    assert sig == Signature(frozenset({"p", "t"}), {"s": 1, "q": 1, "r": 2}, frozenset({"c"}))
+    with pytest.raises(ParseError) as err:
+        parse_theory("all x. p(x)\np\n")
+    assert str(err.value) == "2:1: relation 'p' used without arguments"
+
+
+def test_a_fixpoint_relation_is_checked_as_any_relation_use():
+    # at its name, against the signature and the individual variables, so
+    # that a fixpoint never binds a declared relation at another arity
+    sig = Signature(frozenset({"p"}), {"r": 2}, frozenset({"a"}))
+    for text, kwargs, message in [
+        ("lfp r(x). r(x, x) @(a)", {"sig": sig}, "1:5: relation 'r' has arity 2, used with 1"),
+        ("lfp p(x). T @(a)", {"sig": sig}, "1:5: 'p' is not a relation"),
+        ("lfp r(x). T @(a)", {"free_vars": ["r"]}, "1:5: individual variable 'r' used as a relation"),
+        ("p & lfp p(x). T @(a)", {}, "1:9: 'p' used inconsistently (propositional variable vs relation of arity 1)"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_formula(text, **kwargs)
+        assert str(err.value) == message
+    for text, message in [
+        ("#sig rel r/2\n#sig const a\nlfp r(x). T @(a)\n", "3:5: relation 'r' has arity 2, used with 1"),
+        ("#sig prop r\n#sig const a\nlfp r(x). T @(a)\n", "3:5: 'r' is not a relation"),
+        ("all x. r(x)\n#sig const a\nlfp r(x, y). T @(a, a)\n", "3:5: relation 'r' has arity 1, used with 2"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_theory(text)
+        assert str(err.value) == message
+
+
 def test_theory_empty_file_is_top():
     sig, th = parse_theory("")
     assert th.formulas == ()
