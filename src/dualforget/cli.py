@@ -132,8 +132,11 @@ def _finish(outcome: EliminationOutcome, args, spec_formula: Optional[Formula]) 
 def _cmd_forget(args) -> int:
     sig, th = _load_theory(args.theory_file)
     outcome = (fo.forget_strong if args.mode == "strong" else fo.forget_weak)(th, args.vars)
-    quant = exists2 if args.mode == "strong" else forall2
-    return _finish(outcome, args, quant(args.vars, th.as_formula))
+    spec_formula = None
+    if args.verify:
+        quant = exists2 if args.mode == "strong" else forall2
+        spec_formula = quant(args.vars, th.as_formula)
+    return _finish(outcome, args, spec_formula)
 
 
 def _cmd_snc_wsc(args, weakest: bool) -> int:

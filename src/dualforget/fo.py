@@ -87,7 +87,15 @@ from .syntax import (
     polarity,
     so_binder,
 )
-from .transform import NameGen, nnf, simplify, subst_terms, substitute_prop, substitute_rel
+from .transform import (
+    NameGen,
+    _unchanged,
+    nnf,
+    simplify,
+    subst_terms,
+    substitute_prop,
+    substitute_rel,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +108,17 @@ _DIST_LIMIT = 64
 def _distribute(f: Formula) -> Formula:
     """Push disjunctions over conjunctions, at most ``_DIST_LIMIT``
     conjuncts per disjunction, and universal quantifiers over
-    conjunctions, so clause structure is exposed; input in NNF."""
+    conjunctions, so clause structure is exposed; input in NNF, flattened
+    as ``nnf`` gives it.  A subtree with nothing to push comes back as the
+    same object."""
     kind = type(f)
     if kind is And:
-        return conj([_distribute(it) for it in f.items])
+        items = [_distribute(it) for it in f.items]
+        return f if _unchanged(items, f.items, And) else conj(items)
     if kind is Or:
         items = [_distribute(it) for it in f.items]
+        if _unchanged(items, f.items, And):
+            return f
         branches = [conjuncts(it) for it in items]
         total = 1
         for b in branches:
@@ -114,9 +127,13 @@ def _distribute(f: Formula) -> Formula:
                 return disj(items)
         return conj([disj(list(combo)) for combo in itertools.product(*branches)])
     if kind is ForallInd:
-        return conj([ForallInd(f.var, c) for c in conjuncts(_distribute(f.body))])
+        body = _distribute(f.body)
+        if body is f.body and type(body) is not And:
+            return f
+        return conj([ForallInd(f.var, c) for c in conjuncts(body)])
     if kind is ExistsInd:
-        return ExistsInd(f.var, _distribute(f.body))
+        body = _distribute(f.body)
+        return f if body is f.body else ExistsInd(f.var, body)
     return f
 
 
@@ -412,15 +429,22 @@ def _eliminate_exists_rel(
     if ext.artificial:
         impl = Implies(head, TOP) if ext.positive_case else Implies(BOT, head)
         taut = forall(list(ext.params), impl)
-        steps.append(TraceStep("ArtificialConjunct", Exists2(r, g), Exists2(r, conj([taut, g]))))
+        steps.append(
+            TraceStep(
+                "ArtificialConjunct",
+                lambda: Exists2(r, g),
+                lambda: Exists2(r, conj([taut, g])),
+            )
+        )
     e = ext.a
     if ext.needs_fixpoint:
         e = (Gfp if ext.positive_case else Lfp)(r, ext.params, e, pvars)
     residual = conj(ext.residual)
     raw = substitute_rel(residual, r, ext.params, e)
-    steps.append(TraceStep("AckermannPos" if ext.positive_case else "AckermannNeg", Exists2(r, g), raw))
+    rule = "AckermannPos" if ext.positive_case else "AckermannNeg"
+    steps.append(TraceStep(rule, lambda: Exists2(r, g), raw))
     out = simplify(raw)
-    if out != raw:
+    if out is not raw:
         steps.append(TraceStep("Simplify", raw, out))
     return out, None
 
@@ -431,10 +455,10 @@ def _expand(p: str, f: Formula, steps: list[TraceStep], universal: bool) -> Form
     halves = [substitute_prop(f, p, BOT), substitute_prop(f, p, TOP)]
     if universal:
         raw = conj(halves)
-        steps.append(TraceStep("ShannonForall", Forall2(p, f), raw))
+        steps.append(TraceStep("ShannonForall", lambda: Forall2(p, f), raw))
     else:
         raw = disj(halves)
-        steps.append(TraceStep("ShannonExists", Exists2(p, f), raw))
+        steps.append(TraceStep("ShannonExists", lambda: Exists2(p, f), raw))
     out = simplify(raw)
     if out is not raw:
         steps.append(TraceStep("Simplify", raw, out))
@@ -462,7 +486,7 @@ def _eliminate_forall_conjunct(
     if fast is not None:
         # nothing is left to eliminate: the driver's last simplification
         # serves this conjunct too
-        steps.append(TraceStep("ClauseRule", forall2(pending, c), fast))
+        steps.append(TraceStep("ClauseRule", lambda: forall2(pending, c), fast))
         return fast, None
     cur = c
     for i, s in enumerate(pending):
@@ -476,7 +500,8 @@ def _eliminate_forall_conjunct(
         if res is not None:
             out = simplify(nnf(Not(exists(prefix, res))))
             rule = next(t.rule for t in inner if t.rule.startswith("Ackermann"))
-            steps.append(TraceStep(rule, Forall2(s, cur), out))
+            # the loop rebinds s and cur, so the step binds this pass's now
+            steps.append(TraceStep(rule, lambda s=s, cur=cur: Forall2(s, cur), out))
         elif arities[s]:
             return cur, reason
         else:
@@ -511,11 +536,18 @@ def forget_strong(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
     relation by the fixpoint form.  A failure on one symbol reports the
     partial progress over the previous ones.  One simplification of the
     whole result follows."""
-    steps: list[TraceStep] = []
-    # each conjunct with its free symbols; the one walk that learns each
-    # symbol's arity, 0 for a propositional variable
     arities: dict[str, int] = {}
     parts = [(c, free_symbols(c, arities)) for c in conjuncts(simplify(th.as_formula))]
+    return _forget_strong(parts, forget, arities)
+
+
+def _forget_strong(
+    parts: list[tuple[Formula, dict[str, int]]], forget: Sequence[str], arities: dict[str, int]
+) -> EliminationOutcome:
+    """:func:`forget_strong` on ``parts``, the simplified conjuncts each with
+    its free symbols, whose walks gave ``arities``, each symbol's arity, 0
+    for a propositional variable."""
+    steps: list[TraceStep] = []
     pending = list(forget)
     while pending:
         # the propositional variables ahead of the next relation, else that
@@ -569,8 +601,8 @@ def _forget_weak(th: Theory, forget: Sequence[str], arities: dict[str, int]) -> 
         steps.append(
             TraceStep(
                 "DistributeForall",
-                forall2(present, conj(items)),
-                conj([forall2(present, c) for c in items]),
+                lambda: forall2(present, conj(items)),
+                lambda: conj([forall2(present, c) for c in items]),
             )
         )
     order = sorted(present, key=lambda s: arities[s] > 0)
@@ -582,7 +614,7 @@ def _forget_weak(th: Theory, forget: Sequence[str], arities: dict[str, int]) -> 
         results.append(cur)
     raw = conj(results)
     out = simplify(raw)
-    if out != raw:
+    if out is not raw:
         steps.append(TraceStep("Simplify", raw, out))
     return success(out, steps)
 
@@ -591,9 +623,14 @@ def _forget_weak(th: Theory, forget: Sequence[str], arities: dict[str, int]) -> 
 def snc(th: Theory, query: Formula, keep: Sequence[str]) -> EliminationOutcome:
     """Strongest necessary condition of ``query`` on the ``keep`` vocabulary
     under ``th``: strong forgetting of the complementary vocabulary in
-    ``th & query``."""
-    forget = _partition(th, query, keep)
-    return forget_strong(Theory(th.name, th.formulas + (query,)), forget)
+    ``th & query``.  Strong forgetting's walks of the conjuncts give the
+    symbols to forget; one that simplification removed is absent, and
+    forgetting it would be the identity."""
+    arities: dict[str, int] = {}
+    f = simplify(conj(th.formulas + (query,)))
+    parts = [(c, free_symbols(c, arities)) for c in conjuncts(f)]
+    kept = set(keep)
+    return _forget_strong(parts, [s for s in sorted(arities) if s not in kept], arities)
 
 
 @nesting_guard
@@ -610,7 +647,7 @@ def wsc(th: Theory, query: Formula, keep: Sequence[str]) -> EliminationOutcome:
 
 
 def _partition(th: Theory, query: Formula, keep: Sequence[str]) -> list[str]:
-    """The symbols of ``th`` and ``query`` outside ``keep``, sorted: what
-    ``snc`` forgets."""
+    """The symbols of ``th`` and ``query`` outside ``keep``, sorted: the
+    symbols the command line's ``--verify`` spec quantifies."""
     kept = set(keep)
     return [s for s in sorted(free_symbols(conj([th.as_formula, query]))) if s not in kept]

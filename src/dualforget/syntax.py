@@ -379,6 +379,9 @@ _IND_BINDERS = {
     **dict.fromkeys((Lfp, Gfp), operator.attrgetter("argvars")),
 }
 
+#: the nodes no propositional formula holds: a term or an individual binder
+_NOT_PROPOSITIONAL = frozenset(_TERMS.keys() | _IND_BINDERS.keys())
+
 #: connectives: built from their children alone
 _REBUILD = {
     Not: lambda g, kids: Not(*kids),
@@ -609,17 +612,28 @@ def _signature(formulas: Iterable[Formula]) -> tuple[Signature, list[_Vocabulary
     ), vocabularies
 
 
+def classify(f: Formula) -> tuple[bool, bool, bool]:
+    """From one walk: whether ``f`` holds a second-order quantifier, whether
+    it holds a fixpoint, and whether it is propositional (see
+    :func:`is_propositional`)."""
+    kinds = _vocabulary(f).kinds
+    return (
+        Forall2 in kinds or Exists2 in kinds,
+        Lfp in kinds or Gfp in kinds,
+        kinds.isdisjoint(_NOT_PROPOSITIONAL),
+    )
+
+
 def contains_so_quantifier_and_fixpoint(f: Formula) -> tuple[bool, bool]:
     """Whether ``f`` holds a second-order quantifier, and a fixpoint."""
-    kinds = _vocabulary(f).kinds
-    return Forall2 in kinds or Exists2 in kinds, Lfp in kinds or Gfp in kinds
+    return classify(f)[:2]
 
 
 def is_propositional(f: Formula) -> bool:
     """True when the formula uses only truth constants, propositional
     variables, connectives, and second-order quantifiers: no node holds a
     term or binds an individual variable."""
-    return _vocabulary(f).kinds.isdisjoint(_TERMS.keys() | _IND_BINDERS.keys())
+    return classify(f)[2]
 
 
 # ---------------------------------------------------------------------------

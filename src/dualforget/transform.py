@@ -265,9 +265,10 @@ def nnf(f: Formula) -> Formula:
 
     Applied fixpoint literals are treated as atomic (they are outputs of
     elimination, not rewritten).  A negated atom comes back as the same
-    object.  ``A -> B`` and ``A <-> B`` are rewritten from the NNF of their
-    operands, as ``~A | B`` and ``(~A | B) & (A | ~B)``, without building
-    those formulas first.
+    object, and so does a subtree that is in flattened NNF already.  ``A ->
+    B`` and ``A <-> B`` are rewritten from the NNF of their operands, as
+    ``~A | B`` and ``(~A | B) & (A | ~B)``, without building those formulas
+    first.
 
     The walk dispatches on the exact node type, the commonest first: node
     classes are final, so ``type(f) is X`` decides what ``isinstance``
@@ -286,10 +287,14 @@ def _nnf(f: Formula, neg: bool) -> Formula:
         return _nnf(b, not neg)
     if kind is And:
         items = [_nnf(it, neg) for it in f.items]
-        return disj(items) if neg else conj(items)
+        if neg:
+            return disj(items)
+        return f if _unchanged(items, f.items, And) else conj(items)
     if kind is Or:
         items = [_nnf(it, neg) for it in f.items]
-        return conj(items) if neg else disj(items)
+        if neg:
+            return conj(items)
+        return f if _unchanged(items, f.items, Or) else disj(items)
     if kind in _ATOMIC:
         return Not(f) if neg else f
     if kind is Implies:
@@ -310,7 +315,17 @@ def _nnf(f: Formula, neg: bool) -> Formula:
     dual = _DUAL.get(kind)
     if dual is None:
         raise InternalError(f"unhandled formula in nnf: {type(f).__name__}")
-    return (dual if neg else kind)(so_binder(f) or ind_binders(f)[0], _nnf(f.body, neg))
+    body = _nnf(f.body, neg)
+    if not neg and body is f.body:
+        return f
+    return (dual if neg else kind)(so_binder(f) or ind_binders(f)[0], body)
+
+
+def _unchanged(items: list[Formula], old: tuple[Formula, ...], kind: type) -> bool:
+    """Whether ``items`` are the objects ``old`` and none of them is a
+    ``kind``: then ``conj``/``disj`` would rebuild the node it came from
+    equal."""
+    return all(map(operator.is_, items, old)) and kind not in map(type, items)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dualforget import cli, fo
+from dualforget import cli, fo, syntax
 from dualforget.cli import main
 from dualforget.outcome import TRACE_RULES, Status
 from dualforget.parser import parse_formula, parse_theory
@@ -241,7 +241,7 @@ def test_verify_picks_the_oracle_from_the_spec(capsys, theories_dir, monkeypatch
 @pytest.mark.parametrize(
     "argv,walks",
     [
-        (["snc", "--theory", "theories/pressure_rules.th", "--query", "T", "--keep", "lp,mp"], 5),
+        (["snc", "--theory", "theories/pressure_rules.th", "--query", "T", "--keep", "lp,mp"], 4),
         (["wsc", "--theory", "theories/pressure_rules.th", "--query", "T", "--keep", "lp,mp"], 2),
         (["wsc", "--query", "(fdd -> (~ld | pa)) -> pa", "--keep", "ld,fdd"], 1),
     ],
@@ -257,6 +257,35 @@ def test_snc_wsc_build_the_spec_only_under_verify(capsys, monkeypatch, argv, wal
         calls.clear()
         code, _, err = run(capsys, *argv, *extra)
         assert (code, len(calls)) == (0, expected), err
+
+
+def test_forget_walks_the_result_once(capsys, theories_dir, monkeypatch):
+    # weak forgetting walks the theory; success walks the result once, and
+    # that walk also tells the command line its fragment
+    calls = []
+    real = syntax._vocabulary
+    monkeypatch.setattr(syntax, "_vocabulary", lambda *a: calls.append(a[0]) or real(*a))
+    code, out, err = run(capsys, "forget", "--mode", "weak", "--vars", "lt",
+                         str(theories_dir / "maintain.th"))
+    assert (code, out, err) == (0, "lp\n", "")
+    assert len(calls) == 2
+
+
+def test_forget_builds_the_spec_only_under_verify(capsys, theories_dir, monkeypatch):
+    # nor does the trace, unread without --trace, build its All2 formulas
+    built = []
+    real = syntax.Forall2.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(syntax.Forall2, "__init__", counted)
+    argv = ["forget", "--mode", "weak", "--vars", "lt", str(theories_dir / "maintain.th")]
+    assert run(capsys, *argv) == (0, "lp\n", "")
+    assert built == []
+    assert run(capsys, *argv, "--verify") == (0, "lp\n", "verify: PASS\n")
+    assert len(built) == 1
 
 
 def test_output_file(capsys, theories_dir, tmp_path):

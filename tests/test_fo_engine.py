@@ -127,10 +127,11 @@ def test_fixpoint_degenerates_without_recursion():
 
 
 def test_success_decides_the_status_from_one_walk(monkeypatch):
+    # the same walk tells the fragment of a first-order result
     calls = []
-    real = outcome.contains_so_quantifier_and_fixpoint
-    monkeypatch.setattr(outcome, "contains_so_quantifier_and_fixpoint",
-                        lambda f: calls.append(f) or real(f))
+    real = outcome.classify
+    monkeypatch.setattr(outcome, "classify", lambda f: calls.append(f) or real(f))
+    monkeypatch.setattr(outcome, "is_propositional", None)
     fix = pf("q | ~lfp r(u). (a(u) | r(u)) @(b)")
     out = outcome.success(fix, [])
     assert (out.status, out.result, calls) == (Status.FIXPOINT, fix, [fix])
@@ -139,6 +140,10 @@ def test_success_decides_the_status_from_one_walk(monkeypatch):
     assert (out.status, out.result, out.residual) == (Status.FAILED, None, left)
     assert out.failure_reason.startswith("second-order quantifier left in result")
     assert calls == [fix, left]
+    for text, fragment in (("p & ~q", "prop"), ("all x. a(x)", "fo")):
+        calls.clear()
+        out = outcome.success(pf(text), [])
+        assert (out.status, out.fragment, calls) == (Status.FIRST_ORDER, fragment, [out.result])
 
 
 def test_outcome_needs_a_reason_or_a_result():
@@ -646,16 +651,16 @@ def test_forget_weak_walks_a_conjunct_with_a_non_literal_disjunct(monkeypatch):
 
 
 def test_snc_walks_the_theory_and_the_query_once(monkeypatch):
-    # one walk of th & query gives the symbols to forget; the others are
-    # strong forgetting's walks of its conjuncts (a | b, c) and of its
-    # result (T)
+    # strong forgetting's walks of the simplified conjuncts of th & query
+    # (a | b, c) give the symbols to forget; the third walk is of the
+    # result of eliminating b (T)
     a, b, c = PropVar("a"), PropVar("b"), PropVar("c")
     theory = Theory("t", (a | b, ~b | c))
     calls = _count_free_symbols_calls(monkeypatch)
     out = fo.snc(theory, c, ["c"])
     assert out.ok, out.failure_reason
-    assert len(calls) == 4
-    assert calls[0] == conj([theory.as_formula, c])
+    assert len(calls) == 3
+    assert calls[:2] == [a | b, c]
     assert equiv_prop(out.result, exists2(["a", "b"], conj([theory.as_formula, c])))
 
 
@@ -846,3 +851,108 @@ def test_forget_strong_rule_theory_against_the_oracle():
     order = _eliminated(out)
     assert sorted(order) == sorted(forget) and order != forget  # the engine's own order
     assert equiv_prop(out.result, exists2(forget, theory.as_formula))
+
+
+# ---------------------------------------------------------------------------
+# a trace step builds its formulas when read
+
+
+def _count_trace_builders(monkeypatch):
+    """Calls of ``fo.forall2``, ``fo.Forall2`` and ``fo.Exists2`` from now
+    on, by name."""
+    calls = dict.fromkeys(("forall2", "Forall2", "Exists2"), 0)
+    for name in calls:
+
+        def counted(*args, name=name, real=getattr(fo, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(fo, name, counted)
+    return calls
+
+
+def _read(out):
+    return [(s.rule, format_formula(s.before), format_formula(s.after)) for s in out.trace]
+
+
+def test_weak_forgetting_builds_its_trace_when_read(monkeypatch):
+    theory = Theory("t", (pf("~a | b"), pf("~b | c"), pf("~c | d")))
+    calls = _count_trace_builders(monkeypatch)
+    out = fo.forget_weak(theory, ["b"])
+    assert out.ok, out.failure_reason
+    assert calls == {"forall2": 0, "Forall2": 0, "Exists2": 0}
+    assert _read(out) == [
+        ("DistributeForall", "All2 b. ((~a | b) & (~b | c) & (~c | d))",
+         "(All2 b. (~a | b)) & (All2 b. (~b | c)) & All2 b. (~c | d)"),
+        ("ClauseRule", "All2 b. (~a | b)", "~a"),
+        ("ClauseRule", "All2 b. (~b | c)", "c"),
+    ]
+    # the two sides of DistributeForall, then one per ClauseRule step
+    assert calls == {"forall2": 1 + 3 + 2, "Forall2": 0, "Exists2": 0}
+    step = out.trace[0]
+    assert step.before is step.before and step.after is step.after
+
+
+def test_strong_forgetting_builds_its_trace_when_read(monkeypatch):
+    # Shannon expansion of a, an artificial conjunct for p, an Ackermann
+    # step for b
+    theory = Theory("t", (pf("(a & b) | (~a & c)"), pf("~b | d"), pf("(p & r) | q")))
+    calls = _count_trace_builders(monkeypatch)
+    out = fo.forget_strong(theory, ["a", "b", "p"])
+    assert out.ok, out.failure_reason
+    assert calls == {"forall2": 0, "Forall2": 0, "Exists2": 0}
+    assert _read(out) == [
+        ("ShannonExists", "Ex2 a. (a & b | ~a & c)", "F & b | ~F & c | T & b | ~T & c"),
+        ("Simplify", "F & b | ~F & c | T & b | ~T & c", "c | b"),
+        ("ArtificialConjunct", "Ex2 p. (p & r | q)", "Ex2 p. ((p -> T) & (p & r | q))"),
+        ("AckermannPos", "Ex2 p. (p & r | q)", "T & r | q"),
+        ("Simplify", "T & r | q", "r | q"),
+        ("AckermannNeg", "Ex2 b. ((c | b) & (~b | d))", "~~c | d"),
+        ("Simplify", "~~c | d", "c | d"),
+    ]
+    # one per Shannon and Ackermann step, two for the artificial conjunct
+    assert calls == {"forall2": 0, "Forall2": 0, "Exists2": 5}
+    for step in out.trace:
+        assert step.before is step.before and step.after is step.after
+
+
+def test_each_weak_step_keeps_its_own_symbol_and_conjunct():
+    # the clause rule does not apply (q & a is no literal), so p and then q
+    # go one at a time through the loop that rebinds the symbol and the
+    # conjunct; each step's before is read only now, after the loop
+    c = pf("p | (q & a)")
+    steps = []
+    out, reason = fo._eliminate_forall_conjunct(c, ["p", "q"], {"p": 0, "q": 0}, steps)
+    assert (out, reason) == (pf("F"), None)
+    assert [(s.rule, s.before, format_formula(s.after)) for s in steps] == [
+        ("AckermannPos", Forall2("p", c), "q & a"),
+        ("AckermannPos", Forall2("q", pf("q & a")), "F"),
+    ]
+
+
+def test_trace_step_takes_formulas_and_checks_its_rule():
+    f, g = pf("p | ~p"), pf("T")
+    step = outcome.TraceStep("Simplify", f, lambda: g)
+    assert (step.rule, step.before, step.after) == ("Simplify", f, g)
+    with pytest.raises(InternalError, match="unknown trace rule 'Nope'"):
+        outcome.TraceStep("Nope", f, g)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(all x. (~a(x) | b(x))) & (p | ~q) & ~r(c)",
+        "all x. ex y. (~a(x) | b(y))",
+        "p | q",
+    ],
+)
+def test_normalize_returns_a_formula_in_clause_form_as_it_is(text):
+    f = pf(text)
+    assert fo.normalize(f) is f
+
+
+def test_normalize_keeps_the_subtrees_it_does_not_change():
+    kept = pf("all x. (~a(x) | b(x))")
+    f = conj([kept, pf("p | (q & r)")])
+    assert fo.normalize(f) == conj([kept, pf("p | q"), pf("p | r")])
+    assert fo.normalize(f).items[0] is kept
