@@ -46,7 +46,6 @@ This module imports nothing from ``prop``, which wraps the rules here.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -72,6 +71,7 @@ from .syntax import (
     PropVar,
     Term,
     Theory,
+    Top,
     Var,
     all_names,
     children,
@@ -106,30 +106,42 @@ _DIST_LIMIT = 64
 
 
 def _distribute(f: Formula) -> Formula:
-    """Push disjunctions over conjunctions, at most ``_DIST_LIMIT``
-    conjuncts per disjunction, and universal quantifiers over
+    """Push disjunctions over conjunctions and universal quantifiers over
     conjunctions, so clause structure is exposed; input in NNF, flattened
     as ``nnf`` gives it.  A subtree with nothing to push comes back as the
-    same object."""
+    same object.
+
+    Two rules keep the clauses few.  A disjunction is distributed only
+    whole: when the product of its items' conjunct counts passes
+    ``_DIST_LIMIT``, it comes back as it is, its items undistributed too.
+    And the product holds no clause with a literal and its complement, in
+    NNF an atom and its negation (same symbol and arguments, or the same
+    equality or fixpoint literal): such a clause is valid.  A product
+    without clauses is ``T``, which a conjunction drops and a disjunction
+    or universal quantifier over it becomes."""
     kind = type(f)
     if kind is And:
         items = [_distribute(it) for it in f.items]
-        return f if _unchanged(items, f.items, And) else conj(items)
+        if _unchanged(items, f.items, And):
+            return f
+        return conj([it for it in items if type(it) is not Top])
     if kind is Or:
         items = [_distribute(it) for it in f.items]
         if _unchanged(items, f.items, And):
             return f
-        branches = [conjuncts(it) for it in items]
+        branches = [() if type(it) is Top else conjuncts(it) for it in items]
         total = 1
         for b in branches:
             total *= len(b)
             if total > _DIST_LIMIT:
-                return disj(items)
-        return conj([disj(list(combo)) for combo in itertools.product(*branches)])
+                return f
+        return conj(_product(branches))
     if kind is ForallInd:
         body = _distribute(f.body)
         if body is f.body and type(body) is not And:
             return f
+        if type(body) is Top:
+            return TOP
         return conj([ForallInd(f.var, c) for c in conjuncts(body)])
     if kind is ExistsInd:
         body = _distribute(f.body)
@@ -137,9 +149,51 @@ def _distribute(f: Formula) -> Formula:
     return f
 
 
+def _sign_masks(ds: Sequence[Formula], bits: dict[Formula, int]) -> tuple[int, int]:
+    """The items of ``ds`` as bits of an int mask, and their negations as a
+    second mask.  ``bits`` gives each atom two bits, one for it and one for
+    its negation, and grows as new atoms are met; in NNF, a clause holds a
+    literal and its complement when its two masks meet."""
+    mask = comp = 0
+    for d in ds:
+        neg = type(d) is Not
+        bit = bits.setdefault(d.body if neg else d, 2 * len(bits))
+        mask |= 1 << (bit + neg)
+        comp |= 1 << (bit + (not neg))
+    return mask, comp
+
+
+def _valid_clause(c: Formula) -> bool:
+    """Whether the conjunct ``c``, read as a clause in NNF, holds a literal
+    and its complement."""
+    mask, comp = _sign_masks(disjuncts(_strip_forall(c)[1]), {})
+    return bool(mask & comp)
+
+
+def _product(branches: Sequence[tuple[Formula, ...]]) -> list[Formula]:
+    """The disjunctions of one conjunct from each branch, in the order of
+    ``itertools.product``, less those that hold a literal and its
+    complement.  A partial clause that holds a pair is dropped before it is
+    extended."""
+    bits: dict[Formula, int] = {}
+    partial: list[tuple[tuple[Formula, ...], int]] = [((), 0)]
+    for branch in branches:
+        grown = [(c, *_sign_masks(disjuncts(c), bits)) for c in branch]
+        partial = [
+            (combo + (c,), seen | mask)
+            for combo, seen in partial
+            for c, mask, comp in grown
+            if not comp & (seen | mask)
+        ]
+    return [disj(combo) for combo, _ in partial]
+
+
 def normalize(f: Formula) -> Formula:
-    """NNF, universal quantifiers distributed over conjunctions, bounded
-    or-over-and distribution to expose clause structure."""
+    """NNF, universal quantifiers distributed over conjunctions, and
+    or-over-and distribution to expose clause structure (see
+    :func:`_distribute`): a disjunction whose product would pass
+    ``_DIST_LIMIT`` clauses stays as ``nnf`` gave it, and the product
+    builds no clause that holds a literal and its complement."""
     return _distribute(nnf(f))
 
 
@@ -324,8 +378,14 @@ def _select_extraction(
     relation's definition allowed to mention ``r`` positively.  A shape
     whose definitional conjuncts are r-free wins at once; else the first
     tautological definition, else the first fixpoint definition.  Each
-    conjunct's polarity in ``r`` is computed once."""
+    conjunct's polarity in ``r`` is computed once.
+
+    A relation's conjunct of both polarities that holds a literal and its
+    complement is left out: it is valid, and as a definition it would put
+    the relation inside its own fixpoint."""
     pairs = [(c, polarity(c, r)) for c in items]
+    if arity:
+        pairs = [(c, pol) for c, pol in pairs if pol is not Polarity.BOTH or not _valid_clause(c)]
     found: list[_Extraction] = []
     for positive_case in (False, True):
         ext = _attempt(r, pairs, positive_case, arity > 0, avoid, arity)

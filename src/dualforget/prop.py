@@ -69,6 +69,8 @@ def clause_forall_eliminate(vars: Sequence[str], clause: Formula) -> Optional[Fo
 
 
 def normalize_conjuncts(f: Formula) -> list[Formula]:
-    """NNF plus bounded or-over-and distribution, flattened into conjuncts,
-    as weak forgetting starts from them."""
+    """NNF plus or-over-and distribution, flattened into conjuncts, as weak
+    forgetting starts from them.  A disjunction whose product would pass
+    ``fo._DIST_LIMIT`` clauses stays undistributed, and no clause holds a
+    literal and its complement."""
     return list(conjuncts(normalize(f)))

@@ -342,6 +342,9 @@ def _unchanged(items: list[Formula], old: tuple[Formula, ...], kind: type) -> bo
 #   complements        A&~A=F  A|~A=T        (within one level)
 #   absorption         A&(A|B)=A  A|(A&B)=A  (within one level)
 #   reflexivity        A->A=T  A<->A=T  t=t -> T
+#   symmetry           within one level, b=a counts as a=b for idempotence,
+#                      complements and absorption: a=b | ~(b=a) = T,
+#                      a=b & b=a = a=b; neither side is rewritten
 #   vacuous binders    (all x. A)=A when x not free in A; same for ex,
 #                      All2/Ex2 when the symbol does not occur
 #   flattening         nested &/& and |/| merged
@@ -353,9 +356,10 @@ def _unchanged(items: list[Formula], old: tuple[Formula, ...], kind: type) -> bo
 # ``Bottom()`` count as the constants without a structural ``==``.  It
 # flattens while it simplifies and stops at the first absorbing constant.
 # Each item is hashed once: added to the level's set, it is new when the
-# set grew.  Absorption looks for another item among the items of an inner
-# disjunction (conjunction), which can never meet the item itself: no node
-# contains a node equal to itself.
+# set grew.  An equality's flip joins the set beside it.  Absorption looks
+# for another item among the items of an inner disjunction (conjunction),
+# which can never meet the item itself: no node contains a node equal to
+# itself.
 #
 # No tautology checking beyond these local rules: outputs stay predictable
 # and traces honest.  Golden comparisons go through the oracle instead.
@@ -476,6 +480,10 @@ def _simp_nary(f: Union[And, Or], is_and: bool, memo: _Memo) -> Formula:
             seen.add(x)
             if len(seen) > n:
                 kept.append(x)
+                if type(x) is Equal:
+                    # ``b = a`` is ``a = b``: the flip makes it a duplicate
+                    # and ``~(b = a)`` a complement
+                    seen.add(Equal(x.right, x.left))
     # complements within this level: one of a complementary pair is the
     # negation of the other
     if any(type(s) is Not and s.body in seen for s in kept):

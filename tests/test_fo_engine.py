@@ -956,3 +956,55 @@ def test_normalize_keeps_the_subtrees_it_does_not_change():
     f = conj([kept, pf("p | (q & r)")])
     assert fo.normalize(f) == conj([kept, pf("p | q"), pf("p | r")])
     assert fo.normalize(f).items[0] is kept
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("(p & ~q) | (~p & q)", "(p | q) & (~q | ~p)"),
+        ("(p & q) | ~p", "q | ~p"),
+        # relation literals count: same symbol, same arguments
+        ("all x. ((r(x) & a) | ~r(x))", "all x. (a | ~r(x))"),
+        ("all x. ((r(x) & a) | ~r(c))", "(all x. (r(x) | ~r(c))) & all x. (a | ~r(c))"),
+        ("all x. ((x = c & a) | ~(x = c))", "all x. (a | ~(x = c))"),
+        # every clause of the product is valid
+        ("(p & q) | ~p | ~q", "T"),
+        ("((p & q) | ~p | ~q) & r", "r"),
+        # a product item that holds a pair itself
+        ("((p | ~p) & q) | r", "q | r"),
+    ],
+)
+def test_normalize_builds_no_clause_with_a_literal_and_its_complement(text, expected):
+    assert fo.normalize(pf(text)) == pf(expected)
+
+
+#: an NNF disjunction whose product, 2**6 * 3 clauses, passes ``_DIST_LIMIT``;
+#: its last item holds a disjunction that could be distributed alone
+_OVERFLOW = "(a & b) | (b & c) | (c & d) | (d & e) | (e & a) | (a & c) | (g & (h | (p & q)))"
+
+
+def test_normalize_keeps_a_disjunction_past_the_limit_whole():
+    f = pf(_OVERFLOW)
+    assert fo.nnf(f) is f
+    assert fo.normalize(f) is f
+
+
+def test_weak_forgetting_clause_steps_skip_valid_clauses():
+    th = Theory("t", (pf(_OVERFLOW), pf("(p & ~q) | (~p & s)"), pf("(p & r) | ~p")))
+    out = fo.forget_weak(th, ["p"])
+    assert out.ok, out.failure_reason
+    # p | s and ~q | ~p from the second formula, r | ~p from the third; not
+    # p | ~p, once from each
+    assert _rules(out).count("ClauseRule") == 3
+    assert equiv_prop(out.result, forall2(["p"], th.as_formula))
+
+
+def test_strong_forgetting_meets_no_valid_clause_as_a_definition():
+    # nnf builds the valid clause b(v0, v0) | ~a(v0) | a(v0) whole, so no
+    # product drops it; as a definition of a it would put b inside a
+    # fixpoint literal, beside a b outside it, and b's elimination would
+    # fail
+    th = Theory("t", (pf("all v0. ((b(v0, v0) & b(v0, v0) -> F) & a(v0) <-> a(v0))"),))
+    out = fo.forget_strong(th, ["a", "b"])
+    assert out.ok, out.failure_reason
+    assert out.result == TOP

@@ -170,6 +170,28 @@ def test_simplify_rules():
     assert simplify(pf("Ex2 q. p")) == pf("p")
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("all x. all y. (x = y | ~(y = x))", "T"),
+        ("all x. all y. (x = y | b(x, x) | y = x)", "all x. all y. (x = y | b(x, x))"),
+        ("x = y & ~(y = x)", "F"),
+        ("~(y = x) | x = y", "T"),
+        ("all x. all y. (x = y & (y = x | b(x, x)))", "all x. all y. x = y"),
+    ],
+)
+def test_simplify_reads_an_equality_either_way_round(text, expected):
+    s = simplify(pf(text))
+    assert s == pf(expected)
+    assert simplify(s) is s
+
+
+def test_simplify_keeps_each_side_of_an_equality_where_it_is():
+    f = pf("y = x | b(x, x)")
+    assert simplify(f) is f
+    assert simplify(pf("y = x | b(x, x) | x = y")) == f
+
+
 def test_simplify_equivalent_and_idempotent_prop():
     rng = random.Random(17)
     for _ in range(300):
