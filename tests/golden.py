@@ -1,6 +1,7 @@
 """Golden CLI outputs: every shipped theory forgotten strongly and weakly
-over each single symbol and each pair of symbols, plus the README's
-``forget``/``snc``/``wsc``/``check-equiv`` commands.
+over each single symbol and each pair of symbols, the README's
+``forget``/``snc``/``wsc``/``check-equiv`` commands, and six ``--trace``
+runs whose step lists (on stderr) take every rule of ``TRACE_RULES``.
 
 ``test_cli.py::test_golden_outputs`` compares a fresh run with
 ``golden_cli.txt`` byte for byte.  Regenerate the file only when an output
@@ -10,10 +11,12 @@ change is intended and has been checked:
     PYTHONPATH=src python3 tests/golden.py           # rewrite the file
 
 ``--check`` renders every command again and prints each block whose output
-differs from the file, with the old and the new stdout.  For a changed
-``forget``, ``snc`` or ``wsc`` block that succeeds both times it runs
-``dualforget check-equiv OLD NEW`` (first-order formulas on domains up to
-its default size, 2).  It exits 1 when any changed block is not
+differs from the file.  For a changed ``forget``, ``snc`` or ``wsc`` block
+that succeeds both times with one output line and no trace, it prints the
+old and the new line and runs ``dualforget check-equiv OLD NEW``
+(first-order formulas on domains up to its default size, 2); for any other
+changed block it prints a unified diff of the old and the new lines.  It
+exits 1 when any changed block is not
 equivalent or cannot be checked (another command, an exit code or stderr
 that changed), else 0.
 """
@@ -21,6 +24,7 @@ that changed), else 0.
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
 import itertools
 import sys
@@ -34,6 +38,17 @@ README_COMMANDS = [
     ["wsc", "--query", "(fdd -> (~ld | pa)) -> pa", "--keep", "ld,fdd"],
     ["snc", "--theory", "theories/pressure_rules.th", "--query", "T", "--keep", "lp,mp"],
     ["check-equiv", "p | ~p", "T"],
+]
+
+# shipped theories need no expansion: the two queries take the Shannon rules
+_SHANNON_QUERY = "(p <-> a) & b & c & d | e & g & h & i & j | k & l & m"
+TRACE_COMMANDS = [
+    ["forget", "--mode", "weak", "--vars", "lt", "--trace", "theories/maintain.th"],
+    ["forget", "--mode", "strong", "--vars", "sp", "--trace", "theories/consultant.th"],
+    ["forget", "--mode", "weak", "--vars", "ex", "--trace", "theories/network.th"],
+    ["forget", "--mode", "strong", "--vars", "r", "--trace", "theories/network.th"],
+    ["snc", "--query", _SHANNON_QUERY, "--keep", "a,b,c,d,e,g,h,i,j,k,l,m", "--trace"],
+    ["wsc", "--query", _SHANNON_QUERY, "--keep", "a,b,c,d,e,g,h,i,j,k,l,m", "--trace"],
 ]
 
 
@@ -51,7 +66,7 @@ def cases() -> list[list[str]]:
         for mode in ("strong", "weak"):
             for group in groups:
                 out.append(["forget", "--mode", mode, "--vars", ",".join(group), rel])
-    return out + README_COMMANDS
+    return out + README_COMMANDS + TRACE_COMMANDS
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -104,8 +119,6 @@ def check() -> int:
             continue
         changed += 1
         print(head)
-        print("  old: " + (" / ".join(before) if before is not None else "(no such command)"))
-        print("  new: " + (" / ".join(after) if after is not None else "(no such command)"))
         comparable = (
             head.startswith(("$ dualforget forget ", "$ dualforget snc ", "$ dualforget wsc "))
             and before is not None and after is not None
@@ -113,8 +126,12 @@ def check() -> int:
             and before[0] == after[0] == "exit 0"
         )
         if not comparable:
+            diff = difflib.unified_diff(before or [], after or [], "old", "new", lineterm="")
+            print("\n".join("  " + line for line in diff))
             print("  check-equiv: not run (not a changed formula of a successful forget, snc or wsc)")
             continue
+        print(f"  old: exit 0 / {before[1]}")
+        print(f"  new: exit 0 / {after[1]}")
         code, out, _ = _run(["check-equiv", before[1], after[1]])
         verdict = "equivalent" if code == 0 else f"NOT equivalent, exit {code} {out.strip()}"
         print(f"  check-equiv: {verdict}")

@@ -513,6 +513,31 @@ def test_golden_outputs():
     assert golden.render() == golden.GOLDEN.read_text(encoding="utf-8")
 
 
+def test_golden_traces_take_every_rule():
+    # the --trace blocks pin a step list for each rule a trace may name
+    import golden
+
+    text = golden.GOLDEN.read_text(encoding="utf-8")
+    assert set(re.findall(r"^! \[ *\d+\] (\w+):", text, re.M)) == TRACE_RULES
+
+
+def test_golden_check_diffs_a_changed_trace_block(capsys, monkeypatch, tmp_path):
+    # a changed block that check-equiv cannot compare is shown as a diff
+    import golden
+
+    step = "! [  1] ClauseRule: All2 lt. (lt | lp)  ==>  lp\n"
+    text = golden.GOLDEN.read_text(encoding="utf-8")
+    assert step in text
+    altered = tmp_path / "golden_cli.txt"
+    altered.write_text(text.replace(step, step.replace("ClauseRule", "ShannonForall")), encoding="utf-8")
+    monkeypatch.setattr(golden, "GOLDEN", altered)
+    assert golden.check() == 1
+    out = capsys.readouterr().out
+    assert "  -! [  1] ShannonForall: All2 lt. (lt | lp)  ==>  lp\n" in out
+    assert "  +" + step in out
+    assert out.endswith("1 blocks changed, 0 checked equivalent\n")
+
+
 @pytest.mark.parametrize(
     "old_line,verdict,code",
     [
