@@ -34,6 +34,10 @@ Each rule is tried at most once per symbol, cheapest first:
    for a relation, a reported failure (reason plus partial-progress
    residual).
 
+Rules 2 and 3 are one step per symbol, :func:`_eliminate`, for both
+drivers: ``All2 s. C`` is ``~Ex2 s. ~C``, so weak forgetting runs the same
+rewrite on the negation.
+
 Definitional parts are recognized in two shapes: a clause whose head literal
 applies ``r`` to distinct clause-bound variables (a propositional variable
 is a head without arguments), and a bare literal conjunct isolated with
@@ -41,13 +45,14 @@ equality guards (``~r(x,y)`` becomes ``all u. all w. (r(u,w) -> u != x | w !=
 y)``).  A tautological definition is injected when the whole formula already
 has uniform polarity.
 
-This module imports nothing from ``prop``, which wraps the rules here.
+This module imports nothing from ``prop``, whose names are bound to the
+functions here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import nesting_guard
 from .outcome import EliminationOutcome, TraceStep, failure, success
@@ -166,7 +171,7 @@ def _sign_masks(ds: Sequence[Formula], bits: dict[Formula, int]) -> tuple[int, i
 def _valid_clause(c: Formula) -> bool:
     """Whether the conjunct ``c``, read as a clause in NNF, holds a literal
     and its complement."""
-    mask, comp = _sign_masks(disjuncts(_strip_forall(c)[1]), {})
+    mask, comp = _sign_masks(disjuncts(_strip(c, ForallInd)[1]), {})
     return bool(mask & comp)
 
 
@@ -197,9 +202,11 @@ def normalize(f: Formula) -> Formula:
     return _distribute(nnf(f))
 
 
-def _strip_forall(f: Formula) -> tuple[list[str], Formula]:
+def _strip(f: Formula, kind: type) -> tuple[list[str], Formula]:
+    """The variables of the leading ``kind`` (``ForallInd`` or ``ExistsInd``)
+    prefix of ``f``, and the body under it."""
     vars: list[str] = []
-    while type(f) is ForallInd:
+    while type(f) is kind:
         vars.append(f.var)
         f = f.body
     return vars, f
@@ -217,17 +224,9 @@ def _clause(c: Formula) -> _ClauseView:
     """A conjunct read as a clause: its ``all``-prefix variables, its
     disjuncts, and each disjunct's literal view (``None`` for a disjunct
     that is no literal)."""
-    bvars, body = _strip_forall(c)
+    bvars, body = _strip(c, ForallInd)
     ds = disjuncts(body)
     return bvars, ds, [literal(d) for d in ds]
-
-
-def _strip_exists(f: Formula) -> tuple[list[str], Formula]:
-    vars: list[str] = []
-    while type(f) is ExistsInd:
-        vars.append(f.var)
-        f = f.body
-    return vars, f
 
 
 def _tuple_eq(left: Sequence[Term], right: Sequence[Term]) -> Formula:
@@ -467,6 +466,14 @@ def _clause_rule(view: _ClauseView, syms: tuple[str, ...]) -> Optional[Formula]:
 # propositional variable
 
 
+def _simplified(raw: Formula, steps: list[TraceStep]) -> Formula:
+    """``simplify(raw)``, recording a ``Simplify`` step when it changed."""
+    out = simplify(raw)
+    if out is not raw:
+        steps.append(TraceStep("Simplify", raw, out))
+    return out
+
+
 def _eliminate_exists_rel(
     r: str, f: Formula, steps: list[TraceStep], arity: int
 ) -> tuple[Optional[Formula], Optional[str]]:
@@ -503,10 +510,7 @@ def _eliminate_exists_rel(
     raw = substitute_rel(residual, r, ext.params, e)
     rule = "AckermannPos" if ext.positive_case else "AckermannNeg"
     steps.append(TraceStep(rule, lambda: Exists2(r, g), raw))
-    out = simplify(raw)
-    if out is not raw:
-        steps.append(TraceStep("Simplify", raw, out))
-    return out, None
+    return _simplified(raw, steps), None
 
 
 def _expand(p: str, f: Formula, steps: list[TraceStep], universal: bool) -> Formula:
@@ -519,10 +523,34 @@ def _expand(p: str, f: Formula, steps: list[TraceStep], universal: bool) -> Form
     else:
         raw = disj(halves)
         steps.append(TraceStep("ShannonExists", lambda: Exists2(p, f), raw))
-    out = simplify(raw)
-    if out is not raw:
-        steps.append(TraceStep("Simplify", raw, out))
-    return out
+    return _simplified(raw, steps)
+
+
+def _eliminate(
+    s: str, f: Formula, steps: list[TraceStep], arity: int, universal: bool
+) -> tuple[Optional[Formula], Optional[str]]:
+    """Eliminate ``All2 s`` (``universal``) or ``Ex2 s`` from ``f``: the
+    Ackermann rewrite, else for a propositional variable two-point
+    expansion; returns (result, None), or (None, reason) when a relation's
+    rewrite fails.
+
+    ``All2 s. f`` is ``~Ex2 s. ~f``: the rewrite runs on ``nnf(~f)`` less
+    its leading ``ex`` prefix, under which the definitional shapes are
+    recognized, and its result is negated back.  Such a step records the
+    universal form alone, not the rewrite's own steps."""
+    if universal:
+        prefix, matrix = _strip(nnf(Not(f)), ExistsInd)
+        inner: list[TraceStep] = []
+        out, reason = _eliminate_exists_rel(s, matrix, inner, arity)
+        if out is not None:
+            out = simplify(nnf(Not(exists(prefix, out))))
+            rule = next(t.rule for t in inner if t.rule.startswith("Ackermann"))
+            steps.append(TraceStep(rule, lambda: Forall2(s, f), out))
+    else:
+        out, reason = _eliminate_exists_rel(s, f, steps, arity)
+    if out is None and not arity:
+        return _expand(s, f, steps, universal), None
+    return out, reason
 
 
 def _eliminate_forall_conjunct(
@@ -530,9 +558,8 @@ def _eliminate_forall_conjunct(
 ) -> tuple[Formula, Optional[str]]:
     """Eliminate ``All2`` of the symbols of ``forget`` that occur in the
     conjunct ``c``: all of them in one pass of the clause rule, else one at
-    a time by the Ackermann rewrite on ``~c`` and expansion of a
-    propositional variable.  Returns (result, None), or the conjunct as far
-    as it got and the reason a relation failed.
+    a time by :func:`_eliminate`.  Returns (result, None), or the conjunct
+    as far as it got and the reason a relation failed.
 
     The symbols present in ``c`` are read from its clause view when every
     disjunct is a literal; only another conjunct takes a vocabulary walk."""
@@ -552,20 +579,9 @@ def _eliminate_forall_conjunct(
     for i, s in enumerate(pending):
         if s not in present:
             continue
-        # All2 s C == ~ Ex2 s ~C; strip the leading existential prefix so the
-        # definitional shapes can be recognized under it
-        prefix, matrix = _strip_exists(nnf(Not(cur)))
-        inner: list[TraceStep] = []
-        res, reason = _eliminate_exists_rel(s, matrix, inner, arities[s])
-        if res is not None:
-            out = simplify(nnf(Not(exists(prefix, res))))
-            rule = next(t.rule for t in inner if t.rule.startswith("Ackermann"))
-            # the loop rebinds s and cur, so the step binds this pass's now
-            steps.append(TraceStep(rule, lambda s=s, cur=cur: Forall2(s, cur), out))
-        elif arities[s]:
+        out, reason = _eliminate(s, cur, steps, arities[s], universal=True)
+        if out is None:
             return cur, reason
-        else:
-            out = _expand(s, cur, steps, universal=True)
         cur = out
         if i + 1 < len(pending):
             present = free_symbols(cur)
@@ -591,11 +607,9 @@ def forget_strong(th: Theory, forget: Sequence[str]) -> EliminationOutcome:
     Each step miniscopes, ``Ex2 s.(A & B) = A & Ex2 s.B`` when ``s`` does not
     occur in ``A``: only ``B``, the conjuncts that mention ``s``, is rewritten,
     and its result takes the place of the first of them; the conjuncts of
-    ``A`` stay the same objects.  A symbol is eliminated by the Ackermann
-    rewrite, then a propositional variable by two-point expansion and a
-    relation by the fixpoint form.  A failure on one symbol reports the
-    partial progress over the previous ones.  One simplification of the
-    whole result follows."""
+    ``A`` stay the same objects.  Each symbol takes one :func:`_eliminate`
+    step.  A failure on one symbol reports the partial progress over the
+    previous ones.  One simplification of the whole result follows."""
     arities: dict[str, int] = {}
     parts = [(c, free_symbols(c, arities)) for c in conjuncts(simplify(th.as_formula))]
     return _forget_strong(parts, forget, arities)
@@ -621,19 +635,13 @@ def _forget_strong(
         if not hit:
             continue  # forgetting an absent symbol is the identity
         body = conj([parts[i][0] for i in hit])
-        out, reason = _eliminate_exists_rel(s, body, steps, arities[s])
+        out, reason = _eliminate(s, body, steps, arities[s], universal=False)
         if out is None:
-            if arities[s]:
-                return failure(reason, steps, residual=conj([c for c, _ in parts]))
-            out = _expand(s, body, steps, universal=False)
+            return failure(reason, steps, residual=conj([c for c, _ in parts]))
         rest = [part for part in parts if s not in part[1]]
         new = [(c, free_symbols(c, arities)) for c in conjuncts(out)]
         parts = rest[: hit[0]] + new + rest[hit[0]:]
-    f = conj([c for c, _ in parts])
-    out = simplify(f)
-    if out is not f:
-        steps.append(TraceStep("Simplify", f, out))
-    return success(out, steps)
+    return success(_simplified(conj([c for c, _ in parts]), steps), steps)
 
 
 @nesting_guard
@@ -672,11 +680,7 @@ def _forget_weak(th: Theory, forget: Sequence[str], arities: dict[str, int]) -> 
         if reason is not None:
             return failure(f"conjunct {idx + 1} ({cur!r}): {reason}", steps, residual=conj(items))
         results.append(cur)
-    raw = conj(results)
-    out = simplify(raw)
-    if out is not raw:
-        steps.append(TraceStep("Simplify", raw, out))
-    return success(out, steps)
+    return success(_simplified(conj(results), steps), steps)
 
 
 @nesting_guard
@@ -689,8 +693,7 @@ def snc(th: Theory, query: Formula, keep: Sequence[str]) -> EliminationOutcome:
     arities: dict[str, int] = {}
     f = simplify(conj(th.formulas + (query,)))
     parts = [(c, free_symbols(c, arities)) for c in conjuncts(f)]
-    kept = set(keep)
-    return _forget_strong(parts, [s for s in sorted(arities) if s not in kept], arities)
+    return _forget_strong(parts, _outside(arities, keep), arities)
 
 
 @nesting_guard
@@ -701,13 +704,16 @@ def wsc(th: Theory, query: Formula, keep: Sequence[str]) -> EliminationOutcome:
     symbols to forget and their arities."""
     body = Implies(th.as_formula, query) if th.formulas else query
     arities = free_symbols(body)
+    return _forget_weak(Theory(th.name, (body,)), _outside(arities, keep), arities)
+
+
+def _outside(symbols: Iterable[str], keep: Sequence[str]) -> list[str]:
+    """The names of ``symbols`` outside ``keep``, sorted."""
     kept = set(keep)
-    forget = [s for s in sorted(arities) if s not in kept]
-    return _forget_weak(Theory(th.name, (body,)), forget, arities)
+    return [s for s in sorted(symbols) if s not in kept]
 
 
 def _partition(th: Theory, query: Formula, keep: Sequence[str]) -> list[str]:
     """The symbols of ``th`` and ``query`` outside ``keep``, sorted: the
     symbols the command line's ``--verify`` spec quantifies."""
-    kept = set(keep)
-    return [s for s in sorted(free_symbols(conj([th.as_formula, query]))) if s not in kept]
+    return _outside(free_symbols(conj([th.as_formula, query])), keep)

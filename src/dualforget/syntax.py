@@ -584,10 +584,6 @@ def rel_symbols(f: Formula) -> dict[str, int]:
     return {name: arity for name, arity in free_symbols(f).items() if arity}
 
 
-def const_symbols(f: Formula) -> set[str]:
-    return set(_vocabulary(f).consts)
-
-
 def all_names(f: Formula) -> set[str]:
     """Every identifier appearing anywhere (bound or free); used to pick
     fresh names."""
@@ -622,11 +618,6 @@ def classify(f: Formula) -> tuple[bool, bool, bool]:
         Lfp in kinds or Gfp in kinds,
         kinds.isdisjoint(_NOT_PROPOSITIONAL),
     )
-
-
-def contains_so_quantifier_and_fixpoint(f: Formula) -> tuple[bool, bool]:
-    """Whether ``f`` holds a second-order quantifier, and a fixpoint."""
-    return classify(f)[:2]
 
 
 def is_propositional(f: Formula) -> bool:

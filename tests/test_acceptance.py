@@ -101,8 +101,9 @@ def test_criterion_4_merged_beliefs():
 
 
 def test_criterion_5_clause_rule_example():
-    out = prop.clause_forall_eliminate(["q", "r"], pf("~~q | ~r | ~s | t"))
-    assert out == pf("~s | t")  # exactly
+    out = fo.forget_weak(Theory("c", (pf("~~q | ~r | ~s | t"),)), ["q", "r"])
+    assert out.result == pf("~s | t")  # exactly
+    assert [step.rule for step in out.trace] == ["ClauseRule"]
     report(5, "clause rule gives ~s | t exactly")
 
 
@@ -232,9 +233,9 @@ def test_criterion_9_clause_fragment_suite():
 
 
 def _clause_counts(conjunct, result, rel):
-    from dualforget.syntax import Atom, Equal, Not as NotF, children, disjuncts
+    from dualforget.syntax import Atom, Equal, ForallInd, Not as NotF, children, disjuncts
 
-    _, body = fo._strip_forall(conjunct)
+    _, body = fo._strip(conjunct, ForallInd)
     pos = neg = 0
     for d in disjuncts(body):
         if isinstance(d, Atom) and d.rel == rel:

@@ -10,7 +10,7 @@ from dualforget import cli, fo, syntax
 from dualforget.cli import main
 from dualforget.outcome import TRACE_RULES, Status
 from dualforget.parser import parse_formula, parse_theory
-from dualforget.syntax import contains_so_quantifier_and_fixpoint
+from dualforget.syntax import classify
 
 ROOT = Path(__file__).parent.parent
 
@@ -579,7 +579,7 @@ def test_second_order_quantifier_in_input_fails_with_residual(capsys, tmp_path):
     for out in outcomes:
         assert out.status is Status.FAILED
         assert out.failure_reason.startswith("second-order quantifier left in result")
-        assert contains_so_quantifier_and_fixpoint(out.residual)[0]
+        assert classify(out.residual)[0]
     for argv in (
         ["forget", "--mode", "strong", "--vars", "p", str(path)],
         ["forget", "--mode", "weak", "--vars", "p", str(path)],
@@ -589,7 +589,7 @@ def test_second_order_quantifier_in_input_fails_with_residual(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 2, err
         assert "second-order quantifier left in result" in err
-        assert contains_so_quantifier_and_fixpoint(parse_formula(out.strip()))[0]
+        assert classify(parse_formula(out.strip()))[0]
 
     # a forgotten symbol that the input also rebinds: only its free
     # occurrences are substituted, and the quantifier stays
@@ -599,9 +599,9 @@ def test_second_order_quantifier_in_input_fails_with_residual(capsys, tmp_path):
     for out in (fo.forget_strong(th, ["p"]), fo.forget_weak(th, ["p"])):
         assert out.status is Status.FAILED
         assert out.failure_reason.startswith("second-order quantifier left in result")
-        assert contains_so_quantifier_and_fixpoint(out.residual)[0]
+        assert classify(out.residual)[0]
     for mode in ("strong", "weak"):
         code, out, err = run(capsys, "forget", "--mode", mode, "--vars", "p", str(rebound))
         assert code == 2, err
         assert "second-order quantifier left in result" in err
-        assert contains_so_quantifier_and_fixpoint(parse_formula(out.strip()))[0]
+        assert classify(parse_formula(out.strip()))[0]

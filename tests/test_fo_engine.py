@@ -197,7 +197,7 @@ def test_clause_form_quadratic_size():
     # |equality disjuncts| = m * (n - m), each of `arity` component equalities
     f = pf("all x. all y. (r(x, y) | r(y, x) | ~r(x, x) | ~r(y, y) | b(x, y))")
     out = fo.clause_form_eliminate("r", f)
-    _, body = fo._strip_forall(out)
+    _, body = fo._strip(out, ForallInd)
     eq_disjuncts = [d for d in body.items if d != pf("b(x, y)", free_vars=["x", "y"])]
     assert len(eq_disjuncts) == 2 * 2
     equals = sum(

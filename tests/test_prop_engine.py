@@ -6,12 +6,14 @@ from conftest import load_theory
 from gen import forget_split, prop_formula, prop_theory
 from dualforget import fo, prop
 from dualforget.errors import LogicError
+from dualforget.outcome import Status
 from dualforget.parser import parse_formula
 from dualforget.semantics import equiv_prop, implies_prop
 from dualforget.syntax import (
     BOT,
     TOP,
     Exists2,
+    Forall2,
     Not,
     PropVar,
     Theory,
@@ -35,9 +37,17 @@ def th(*texts, name="t"):
 # shannon expansion
 
 
-@pytest.mark.parametrize("op", ["forget_strong", "forget_weak", "snc", "wsc"])
+#: prop's names for fo's single-symbol entry points
+_FO_NAME = {
+    "ackermann_eliminate": "fixpoint_eliminate",
+    "clause_forall_eliminate": "clause_form_eliminate",
+    "normalize_conjuncts": "normalize",
+}
+
+
+@pytest.mark.parametrize("op", ["forget_strong", "forget_weak", "snc", "wsc", *_FO_NAME])
 def test_operators_are_the_one_driver(op):
-    assert getattr(prop, op) is getattr(fo, op)
+    assert getattr(prop, op) is getattr(fo, _FO_NAME.get(op, op))
 
 
 def test_shannon_examples():
@@ -52,8 +62,8 @@ def test_shannon_examples():
 
 def test_ackermann_denial_example():
     f = pf("~((fdd -> (~ld | pa)) -> pa)")
-    out = prop.ackermann_eliminate("pa", f)
-    assert out is not None
+    out = fo.fixpoint_eliminate("pa", f)
+    assert out.ok
     assert "pa" not in prop_symbols(out.result)
     assert equiv_prop(out.result, Exists2("pa", f))
     assert equiv_prop(out.result, pf("~fdd | ~ld"))
@@ -61,8 +71,8 @@ def test_ackermann_denial_example():
 
 def test_ackermann_groups_multiple_definitions():
     f = pf("(p -> q) & (~p | r)")
-    out = prop.ackermann_eliminate("p", f)
-    assert out is not None
+    out = fo.fixpoint_eliminate("p", f)
+    assert out.ok
     assert out.result == TOP
     assert equiv_prop(out.result, Exists2("p", f))
 
@@ -72,9 +82,9 @@ def test_ackermann_biconditional():
     # finds a definitional clause in the expansion and the result matches
     # the two-point expansion
     f = pf("p <-> q")
-    out = prop.ackermann_eliminate("p", f)
+    out = fo.fixpoint_eliminate("p", f)
     expected = fo._expand("p", f, [], universal=False)
-    if out is None:
+    if not out.ok:
         assert expected == TOP
     else:
         assert equiv_prop(out.result, expected)
@@ -83,7 +93,9 @@ def test_ackermann_biconditional():
 
 def test_ackermann_not_applicable_falls_back():
     f = pf("((~p & q) | s) & ((p & u) | v)")
-    assert prop.ackermann_eliminate("p", f) is None
+    out = fo.fixpoint_eliminate("p", f)
+    assert out.status is Status.FAILED
+    assert out.failure_reason == "mixed-polarity occurrences of p not separable"
     assert equiv_prop(fo._expand("p", f, [], universal=False), Exists2("p", f))
 
 
@@ -91,8 +103,8 @@ def test_ackermann_random_agrees_with_expansion():
     rng = random.Random(43)
     for _ in range(300):
         f = prop_formula(rng)
-        out = prop.ackermann_eliminate("p", f)
-        if out is None:
+        out = fo.fixpoint_eliminate("p", f)
+        if not out.ok:
             continue
         assert "p" not in prop_symbols(out.result)
         assert equiv_prop(out.result, Exists2("p", f))
@@ -102,15 +114,25 @@ def test_ackermann_random_agrees_with_expansion():
 # clause rule
 
 
+def _clause_rule(syms, f):
+    for s in syms:
+        f = fo.clause_form_eliminate(s, f)
+    return f
+
+
 def test_clause_rule_examples():
-    assert prop.clause_forall_eliminate(["q", "r"], pf("~~q | ~r | ~s | t")) == pf("~s | t")
-    assert prop.clause_forall_eliminate(["p"], pf("p | ~p | s")) == TOP
-    assert prop.clause_forall_eliminate(["p", "p2"], pf("p | ~p2")) == BOT
+    assert _clause_rule(["q", "r"], pf("~~q | ~r | ~s | t")) == pf("~s | t")
+    assert _clause_rule(["p"], pf("p | ~p | s")) == TOP
+    assert _clause_rule(["p", "p2"], pf("p | ~p2")) == BOT
 
 
 def test_clause_rule_rejects_non_clause():
-    assert prop.clause_forall_eliminate(["p"], pf("p | (q & r)")) is None
-    assert prop.clause_forall_eliminate(["p"], pf("p -> q")) is None
+    # a disjunct without the symbol may have any shape
+    f = pf("p | (q & r)")
+    out = fo.clause_form_eliminate("p", f)
+    assert out == pf("q & r")
+    assert equiv_prop(out, Forall2("p", f))
+    assert fo.clause_form_eliminate("p", pf("p -> q")) is None
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,11 @@ from dualforget.syntax import (
     PropVar,
     Signature,
     Var,
+    _vocabulary,
     all_names,
     children,
+    classify,
     conj,
-    const_symbols,
-    contains_so_quantifier_and_fixpoint,
     disj,
     free_ind_vars,
     free_symbols,
@@ -301,10 +301,10 @@ def test_readers_visit_a_shared_chain_once():
             "rel_symbols": _timed(rel_symbols, f),
             "free_ind_vars": _timed(free_ind_vars, f),
             "is_closed": _timed(is_closed, f),
-            "const_symbols": _timed(const_symbols, f),
+            "consts": _timed(_vocabulary, f).consts,
             "all_names": _timed(all_names, f),
             "signature_of": (sig.prop_vars, sig.relations, sig.constants),
-            "so_fix": _timed(contains_so_quantifier_and_fixpoint, f),
+            "so_fix": _timed(classify, f)[:2],
             "is_propositional": _timed(is_propositional, f),
             "polarity y0": _timed(polarity, f, "y0"),
             "polarity g": _timed(polarity, f, "g"),
@@ -319,7 +319,7 @@ def test_readers_visit_a_shared_chain_once():
             "rel_symbols": rels,
             "free_ind_vars": set(),
             "is_closed": True,
-            "const_symbols": consts,
+            "consts": consts,
             "all_names": names,
             "signature_of": (set(syms) - set(rels), rels, consts),
             "so_fix": (f is under, False),
@@ -459,9 +459,9 @@ def test_readers_agree_with_a_walk_that_follows_the_tree(seed):
     assert mine == theirs
     assert free_ind_vars(f) == ind_vars
     assert is_closed(f) is not ind_vars
-    assert const_symbols(f) == consts
+    assert _vocabulary(f).consts == consts
     assert all_names(f) == names
-    assert contains_so_quantifier_and_fixpoint(f) == (
+    assert classify(f)[:2] == (
         bool(kinds & {Forall2, Exists2}), bool(kinds & {Lfp, Gfp}))
     assert is_propositional(f) is not kinds & {Atom, Equal, ForallInd, ExistsInd, Lfp, Gfp}
 
