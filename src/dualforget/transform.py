@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+from itertools import chain
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ArityError, CaptureError, InternalError, nesting_guard
@@ -43,12 +44,17 @@ from .syntax import (
 
 class NameGen:
     """Deterministic fresh-name supply: ``x, x_1, x_2, ...`` skipping an
-    avoid set.  Confine one instance to a single elimination request."""
+    avoid set, which is read at the first fresh name (so it may be a lazy
+    iterable).  Confine one instance to a single elimination request."""
 
     def __init__(self, avoid: Iterable[str] = ()):
-        self._avoid = set(avoid)
+        self._pending: Optional[Iterable[str]] = avoid
+        self._avoid: set[str] = set()
 
     def fresh(self, base: str) -> str:
+        if self._pending is not None:
+            self._avoid.update(self._pending)
+            self._pending = None
         if base not in self._avoid:
             self._avoid.add(base)
             return base
@@ -63,26 +69,25 @@ class NameGen:
 # ---------------------------------------------------------------------------
 # Capture-avoiding substitution
 #
-# Two walks serve every substitution.  ``_rename`` is the only one that
-# knows about binders: it replaces free individual variables by terms and
-# gives a binder a fresh name where it would capture.  ``substitute_rel``
-# finds the free occurrences of one symbol and inserts its instances.
+# One walk, ``_rename``, serves every substitution and is the only one that
+# knows about binders.  It replaces free individual variables by terms and
+# free occurrences of one symbol by instances of a formula.  A binder that
+# would capture takes a fresh name where the walk meets it, before its body.
 
 #: a memo for one call of a walk: ``id(node)`` -> ``(node, result)``; the
 #: node is kept so that its id is not reused within the call
 _Memo = dict[int, tuple[Formula, Formula]]
 
-_BINDERS = frozenset((ForallInd, ExistsInd, Forall2, Exists2, Lfp, Gfp))
+#: the nodes that bind no name and hold no term
+_CONNECTIVES = frozenset((Not, And, Or, Implies, Iff))
 
 
 def _terms_sub(ts: tuple[Term, ...], m: Mapping[str, Term]) -> tuple[Term, ...]:
     """``ts`` with ``m`` applied; the same tuple when no term changes."""
+    if not m:
+        return ts
     out = tuple(m.get(t.name, t) if type(t) is Var else t for t in ts)
     return ts if out == ts else out
-
-
-def _term_vars(ts: Iterable[Term]) -> set[str]:
-    return {t.name for t in ts if type(t) is Var}
 
 
 def _without(m: dict, names: Iterable[str]) -> dict:
@@ -102,66 +107,111 @@ def subst_terms(f: Formula, mapping: Mapping[str, Term], ng: Optional[NameGen] =
     return _rename(f, dict(mapping), ng)
 
 
-def _rename(
-    f: Formula,
-    terms: dict[str, Term],
-    ng: NameGen,
-    clash_vars: AbstractSet[str] = frozenset(),
-    clash_syms: AbstractSet[str] = frozenset(),
-) -> Formula:
-    """Replace the free individual variables of ``terms`` by their terms.
-    In pre-order, a binder whose name is in ``clash_vars``/``clash_syms``,
-    or would capture a variable of an inserted term, takes a fresh name
-    from ``ng``, and its bound occurrences follow it.  Under the starting
+def _rename(f: Formula, terms: dict[str, Term], ng: Optional[NameGen], r: Optional[str] = None,
+            params: tuple[str, ...] = (), e: Formula = TOP) -> Formula:
+    """Replace the free individual variables of ``terms`` by their terms
+    and, given ``r``, each free ``r(args)`` by ``e`` with ``params`` put to
+    ``args``; ``f`` itself when no ``r`` is free in it.  In pre-order, a
+    binder that would capture a variable of an inserted term, or a name
+    ``e`` uses freely beyond ``r`` and ``params``, takes a fresh name, and
+    its bound occurrences follow it.  A fixpoint's relation is renamed as
+    an ``Ex2``'s symbol is.  Fresh names come from ``ng``, or if it is None
+    from a supply avoiding the names of ``f``, ``e`` and ``params``.  An
+    instance of ``e`` is made by a walk of its own.  Under the starting
     maps each node object is rewritten once."""
     memo: _Memo = {}
-    first_terms = terms
-    first_syms: dict[str, str] = {}
+    # the scope the walk is in: ``terms``, new names for symbols, the symbol
+    # to replace (None under a binder of it), and whether these are the
+    # starting maps, under which the memo holds; a binder sets and restores it
+    syms: dict[str, str] = {}
+    sub = r
+    at_start = True
+    # the names of ``e`` a binder must not capture, read at the first
+    # binder: most substitutions meet none
+    clash_vars: Optional[AbstractSet[str]] = None if r is not None else frozenset()
+    clash_syms: AbstractSet[str] = frozenset()
+    inserted = False
 
-    def walk(g: Formula, terms: dict[str, Term], syms: dict[str, str]) -> Formula:
-        if not (terms or syms or clash_vars or clash_syms):
-            return g
+    def names() -> NameGen:
+        nonlocal ng
+        if ng is None:  # made at the first need, and reads its names later
+            ng = NameGen(chain(params, chain.from_iterable(map(all_names, (f, e)))))
+        return ng
+
+    def instance(args: tuple[Term, ...]) -> Formula:
+        nonlocal inserted
+        if len(args) != len(params):
+            raise ArityError(f"{r} used with {len(args)} arguments, "
+                             f"substitution expects {len(params)}")
+        inserted = True
+        return _rename(e, dict(zip(params, args)), names()) if args else e
+
+    def walk(g: Formula) -> Formula:
         kind = type(g)
         if kind is PropVar:
+            if g.name == sub:
+                return instance(())
             return PropVar(syms[g.name]) if g.name in syms else g
-        if kind is Atom and g.rel in syms:
-            g = Atom(syms[g.rel], g.args)
+        if kind is Atom:
+            ts = _terms_sub(g.args, terms)
+            if g.rel == sub:
+                return instance(ts)
+            rel = syms.get(g.rel, g.rel)
+            return g if rel is g.rel and ts is g.args else Atom(rel, ts)
         kids = children(g)
-        ts = terms_of(g)
-        if not kids:
+        if not kids:  # a truth constant or an equation
+            ts = terms_of(g)
             new_ts = _terms_sub(ts, terms)
             return g if new_ts is ts else reshape(g, None, (), (), new_ts)
-        at_start = terms is first_terms and syms is first_syms
         if at_start:
             hit = memo.get(id(g))
             if hit is not None:
                 return hit[1]
-        # the general case is a fixpoint: it binds a symbol and variables
-        # in its body and holds terms outside it
-        sym = new_sym = so_binder(g)
-        if sym is not None:
-            syms = _without(syms, (sym,))
-            if sym in clash_syms:
-                new_sym = ng.fresh(sym)
-                syms = {**syms, sym: new_sym}
-        vs = ind_binders(g)
-        inner = _without(terms, vs)
-        capture = clash_vars | _term_vars(inner.values()) if vs else ()
-        new_vs = tuple(ng.fresh(v) if v in capture else v for v in vs)
-        renamed = {v: Var(n) for v, n in zip(vs, new_vs) if n != v}
-        if renamed:
-            inner = {**inner, **renamed}
-        new_kids = [walk(k, inner, syms) for k in kids]
-        new_ts = _terms_sub(ts, terms)
-        if new_sym is sym and not renamed and new_ts is ts:
-            out = rebuild(g, new_kids)
-        else:
-            out = reshape(g, new_sym, new_vs, new_kids, new_ts)
+        # the connectives first, as the commonest nodes: no binder logic
+        out = rebuild(g, [walk(k) for k in kids]) if kind in _CONNECTIVES else binder(g, kids)
         if at_start:
             memo[id(g)] = (g, out)
         return out
 
-    return walk(f, first_terms, first_syms)
+    def binder(g: Formula, kids: tuple[Formula, ...]) -> Formula:
+        # the general case is a fixpoint: it binds a symbol and variables in
+        # its body and holds terms outside it
+        nonlocal terms, syms, sub, at_start, clash_vars, clash_syms
+        if clash_vars is None:
+            vocab = _vocabulary(e)  # one walk for both clash sets
+            clash_vars = vocab.ind_vars - set(params)
+            clash_syms = vocab.symbols.keys() - {r}
+        outer = terms, syms, sub, at_start
+        sym = new_sym = so_binder(g)
+        if sym is not None:
+            syms = _without(syms, (sym,))
+            if sym == sub:
+                sub = None
+            elif sym in clash_syms:
+                new_sym = names().fresh(sym)
+                syms = {**syms, sym: new_sym}
+        vs = ind_binders(g)
+        terms = _without(terms, vs)
+        capture = clash_vars | {t.name for t in terms.values() if type(t) is Var} if vs else ()
+        new_vs = tuple(names().fresh(v) if v in capture else v for v in vs)
+        renamed = {v: Var(n) for v, n in zip(vs, new_vs) if n != v}
+        if renamed:
+            terms = {**terms, **renamed}
+        at_start = at_start and terms is outer[0] and syms is outer[1] and sub is outer[2]
+        if terms or syms or sub or clash_vars or clash_syms:
+            new_kids = [walk(k) for k in kids]
+        else:  # nothing left to do below
+            new_kids = kids
+        terms, syms, sub, at_start = outer
+        ts = terms_of(g)
+        new_ts = _terms_sub(ts, terms)
+        if new_sym is sym and not renamed and new_ts is ts:
+            return rebuild(g, new_kids)
+        return reshape(g, new_sym, new_vs, new_kids, new_ts)
+
+    out = walk(f)
+    # renamed binders alone make no new formula
+    return f if r is not None and not inserted else out
 
 
 @nesting_guard
@@ -179,71 +229,19 @@ def substitute_rel(f: Formula, r: str, params: Sequence[str], e: Formula) -> For
 
     An occurrence under a second-order quantifier or fixpoint of ``r`` is
     not free and stays.  ``params`` must be pairwise distinct, else
-    :class:`CaptureError`.  Capture-avoiding in both directions: an instance
-    of ``e`` renames its binders that would capture a variable of the
-    occurrence's arguments, and binders in ``f`` are renamed when they would
-    capture a name ``e`` uses freely beyond ``params`` (the definition may
-    be guarded by variables of an enclosing prefix).  Subtrees without ``r``
-    are kept as the same objects, and a subtree shared in ``f`` is rewritten
-    once and stays shared in the result."""
+    :class:`CaptureError`.  Capture-avoiding both ways, in one walk
+    (:func:`_rename`): a binder of ``f`` that would capture a name ``e``
+    uses freely beyond ``params``, a fixpoint's relation too, is renamed
+    where the walk meets it, even with no ``r`` below it (the definition
+    may be guarded by variables of an enclosing prefix); an instance of
+    ``e`` renames its binders that would capture a variable of the
+    occurrence's arguments.  A subtree shared in ``f`` is rewritten once
+    and stays shared; one without ``r`` or such a binder stays itself."""
     params = tuple(params)
     if len(set(params)) != len(params):
         raise CaptureError(f"parameter variables must be distinct: {params}")
 
-    def fresh_names() -> NameGen:
-        return NameGen(all_names(f) | all_names(e) | set(params))
-
-    # without parameters no instance renames anything
-    ng = fresh_names() if params else None
-    memo: _Memo = {}
-    met_binder = False
-
-    def inst(args: tuple[Term, ...]) -> Formula:
-        if len(args) != len(params):
-            raise ArityError(
-                f"{r} used with {len(args)} arguments, substitution expects {len(params)}"
-            )
-        if not args:
-            return e
-        return _rename(e, dict(zip(params, args)), ng)
-
-    def walk(g: Formula) -> Formula:
-        nonlocal met_binder
-        kind = type(g)
-        if kind is PropVar:
-            return inst(()) if g.name == r else g
-        if kind is Atom:
-            return inst(g.args) if g.rel == r else g
-        kids = children(g)
-        if not kids:
-            return g
-        hit = memo.get(id(g))
-        if hit is not None:
-            return hit[1]
-        if kind in _BINDERS:
-            met_binder = True
-            if so_binder(g) == r:
-                return g
-        out = rebuild(g, [walk(k) for k in kids])
-        memo[id(g)] = (g, out)
-        return out
-
-    out = walk(f)
-    if out is f or not met_binder:
-        return out
-    vocab = _vocabulary(e, {})  # one walk for both clash sets
-    clash_vars = vocab.ind_vars - set(params)
-    clash_syms = vocab.symbols.keys() - {r}
-    if not (clash_vars or clash_syms):
-        return out
-    # Rename ``f``'s binders with a new supply, then substitute again, so
-    # that no instance of ``e`` takes a fresh name before they do.
-    ng = fresh_names()
-    renamed = _rename(f, {}, ng, clash_vars, clash_syms)
-    if renamed is f:
-        return out
-    memo.clear()
-    return walk(renamed)
+    return _rename(f, {}, None, r, params, e)
 
 
 # ---------------------------------------------------------------------------

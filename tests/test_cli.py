@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import fuzz_cli
 from dualforget import cli, fo, syntax
 from dualforget.cli import main
 from dualforget.outcome import TRACE_RULES, Status
@@ -605,3 +606,35 @@ def test_second_order_quantifier_in_input_fails_with_residual(capsys, tmp_path):
         assert code == 2, err
         assert "second-order quantifier left in result" in err
         assert classify(parse_formula(out.strip()))[0]
+
+
+def test_a_definition_put_into_a_fixpoint_is_not_captured(capsys, tmp_path):
+    # Ackermann's definition of a is ~r(x): put in for a(x) inside
+    # lfp r(x). ..., its free r would be captured and make the body
+    # negative in the bound relation, so the fixpoint's relation is renamed
+    path = tmp_path / "capture.th"
+    path.write_text(
+        "#sig const c\n"
+        "all x. (~r(x) | ~a(x))\n"
+        "lfp r(x). (a(x) | ex y. (b(x, y) & r(y))) @(c)\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "forget", "--mode", "strong", "--vars", "a", "--verify", str(path))
+    assert (code, out, err) == (
+        0, "lfp r_1(x). (~r(x) | ex y. (b(x, y) & r_1(y))) @(c)\n", "verify: PASS\n"
+    )
+    code, out, err = run(capsys, "forget", "--mode", "weak", "--vars", "a", "--verify", str(path))
+    assert code == 2
+    assert err.startswith("elimination failed: conjunct 2 ")
+    assert err.endswith(": a occurs only inside fixpoint literals; elimination not attempted\n")
+
+
+def test_cli_fuzz_exits_only_with_documented_codes():
+    # every call runs under --verify: exit 3 would be an invariant breach or
+    # a refuted result, and exit 4 belongs to check-equiv alone
+    counts, bad = fuzz_cli.fuzz(2, 1000)
+    assert sum(counts.values()) == 1000
+    if bad:
+        code, theory, argv, err = bad[0]
+        pytest.fail(f"{len(bad)} bad calls, the first: {code} from "
+                    f"dualforget {' '.join(argv)}\n{theory}{err}")

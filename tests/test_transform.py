@@ -8,7 +8,8 @@ from gen import fo_formula, prop_formula, prop_theory
 from dualforget import transform
 from dualforget.errors import CaptureError
 from dualforget.parser import parse_formula
-from dualforget.semantics import equiv_fo_finite, equiv_prop, truth_table
+from dualforget.printer import format_formula
+from dualforget.semantics import counterexample, equiv_fo_finite, equiv_prop, truth_table
 from dualforget.syntax import (
     BOT,
     TOP,
@@ -32,6 +33,7 @@ from dualforget.syntax import (
     Var,
     conj,
     disj,
+    forall,
     ind_binders,
     polarity,
     prop_symbols,
@@ -64,6 +66,9 @@ def test_substitute_prop_keeps_rebound_occurrences():
     # a binder that would capture a symbol of the inserted formula is renamed
     f = pf("p | (Ex2 q. (q & p))")
     assert substitute_prop(f, "p", pf("q")) == pf("q | (Ex2 q_1. (q_1 & q))")
+    # and without a free occurrence nothing is inserted: f comes back itself
+    f = pf("s | (Ex2 q. (q & s))")
+    assert substitute_prop(f, "p", pf("q")) is f
 
 
 def test_substitute_prop_removes_symbol():
@@ -110,14 +115,39 @@ def test_substitute_rel_renames_only_binders_that_capture():
 
 
 def test_substitute_rel_renames_a_relation_binder_and_its_atoms():
-    # Ex2 s would capture the s the definition uses freely: the binder and
-    # the atoms it binds take a fresh name
-    f = pf("Ex2 s. (s(a) & ~r(a))")
-    out = substitute_rel(f, "r", ["u"], pf("s(u) | q(u)", free_vars=["u"]))
-    assert out == pf("Ex2 s_1. (s_1(a) & ~(s(a) | q(a)))")
-    # f wherever r is the relation the definition describes
-    spec = Forall2("r", Implies(pf("all u. (r(u) <-> s(u) | q(u))"), f))
-    assert equiv_fo_finite(out, spec, max_domain=2)
+    # a binder of a symbol the definition uses freely would capture it: the
+    # binder and the atoms it binds take a fresh name, be it an Ex2's
+    # symbol or a fixpoint's relation, and with or without parameters
+    cases = [
+        ("Ex2 s. (s(a) & ~r(a))", "r", ["u"], "s(u) | q(u)",
+         "Ex2 s_1. (s_1(a) & ~(s(a) | q(a)))"),
+        ("lfp s(x). (r(x) | ex y. (b(x, y) & s(y))) @(a)", "r", ["u"], "~s(u)",
+         "lfp s_1(x). (~s(x) | ex y. (b(x, y) & s_1(y))) @(a)"),
+        ("gfp r(x). (q | ex y. (b(x, y) & r(y))) @(c)", "q", [], "~r(c) | a(c)",
+         "gfp r_1(x). ((~r(c) | a(c)) | ex y. (b(x, y) & r_1(y))) @(c)"),
+    ]
+    for f_text, sym, params, e_text, expected in cases:
+        f, e = pf(f_text), pf(e_text, free_vars=params)
+        out = substitute_rel(f, sym, params, e)
+        assert out == pf(expected)
+        # f wherever sym is the symbol the definition describes
+        head = Atom(sym, tuple(map(Var, params))) if params else PropVar(sym)
+        spec = Forall2(sym, Implies(forall(params, Iff(head, e)), f))
+        assert counterexample(out, spec, max_domain=2) is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_substitute_rel_agrees_with_the_oracle_under_clashing_binders(seed):
+    # e uses v1 and s freely; f binds v1 by an all, s by an Ex2 and s by an
+    # lfp around a random formula from gen.py, whose own binders are v0, v1,
+    # ... and whose atoms a(t) are replaced
+    e = pf("b(u, v1) | ~s(u)", free_vars=["u", "v1"])
+    body = format_formula(fo_formula(random.Random(seed), depth=3))
+    f = pf(f"all v1. Ex2 s. ((lfp s(x). ((a(x) & {body}) | ex y. (b(x, y) & s(y))) @(v1))"
+           f" & (s(v1) | a(v1)))")
+    spec = Exists2("a", conj([forall(["u"], Iff(Atom("a", (Var("u"),)), e)), f]))
+    out = substitute_rel(f, "a", ["u"], e)
+    assert counterexample(out, spec, max_domain=2) is None
 
 
 # ---------------------------------------------------------------------------
