@@ -481,8 +481,11 @@ def _eliminate_exists_rel(
     (result, None) or (None, reason).  A relation's conjuncts are normalized
     and its definition may mention it positively (fixpoint form); a
     propositional variable's are only put in NNF, and its definition never
-    mentions it, because expansion is its complete fallback."""
-    if arity and not _occurs_outside_fixpoints(f, r):
+    mentions it, because expansion is its complete fallback.  A relation
+    that occurs only inside fixpoint literals is taken only with one
+    polarity there, which the artificial conjunct turns into ``F[r:=T]`` or
+    ``F[r:=F]``."""
+    if arity and not _occurs_outside_fixpoints(f, r) and polarity(f, r) is Polarity.BOTH:
         return None, f"{r} occurs only inside fixpoint literals; elimination not attempted"
     g = normalize(f) if arity else nnf(f)
     avoid = all_names(f) if arity else set()

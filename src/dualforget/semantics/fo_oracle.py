@@ -37,7 +37,9 @@
   next ones and sibling binders reuse them.  Their number is the widest
   chain of nested bound atoms, cut to what the 22-input guard leaves beside
   the free atoms; tuples past that are enumerated as constants, grounding
-  the body once per assignment of them.
+  the body once per assignment of them.  On tables both oracles quantify
+  this way: ``prop_oracle``'s one walk projects a bound name's input out
+  of its body's table in the same ``kernel.project``.
 
 Enumeration guards are hard errors, never silent truncation.
 """

@@ -32,12 +32,14 @@ BACKEND = "pure"
 
 #: The width at which tables get big.  Below it a table is at most 256
 #: bytes, and the oracles' walks compute every node's table, calling no
-#: kernel, because building the circuit cost more than evaluating it
-#: (3,000 prop_random checks on a 2-vCPU VM: 0.14 s as tables, 0.31 s as
-#: circuits; the first-order figures are in the ``fo_oracle`` docstring).
-#: From this many inputs on, the same walks build gates, and one circuit
-#: per check is evaluated by :func:`eval_table`.  Read by :func:`_space`
-#: at each call.
+#: kernel, because building the circuit cost more than evaluating it (the
+#: figures are in the ``prop_oracle`` and ``fo_oracle`` docstrings).  A
+#: propositional check whose names, free and bound, number at most one
+#: less than this is compiled in one walk over that many table inputs,
+#: projecting the bound names out.  From this many inputs on, the walks
+#: build gates, and one circuit per check is evaluated by
+#: :func:`eval_table`.  Read by :func:`_space` and ``prop_oracle`` at each
+#: call.
 FREE_FROM_VARS = 12
 
 _mask_cache: dict[tuple[int, int], int] = {}

@@ -347,10 +347,17 @@ def test_fixpoints_are_terminal():
     _, theory = load_theory("network.th")
     first = fo.forget_strong(theory, ["r"])
     assert first.status is Status.FIXPOINT
-    # con now occurs only inside the fixpoint literal on some paths
+    # con now occurs only inside the fixpoint literal, and only negatively:
+    # Ex2 con is the formula with con false there (the artificial conjunct)
     second = fo.forget_strong(Theory("n", (first.result,)), ["con"])
-    assert second.status is Status.FAILED
-    assert "fixpoint" in second.failure_reason
+    assert second.status is Status.FIXPOINT
+    assert "con" not in rel_symbols(second.result)
+    assert equiv_fo_finite(second.result, Exists2("con", first.result), max_domain=2)
+    # with both polarities inside fixpoint literals it is not attempted
+    mixed = parse_formula("lfp r(x). (a(x) | ~a(x) & ex y. (b(x, y) & r(y))) @(c)")
+    third = fo.forget_strong(Theory("m", (mixed,)), ["a"])
+    assert third.status is Status.FAILED
+    assert third.failure_reason == "a occurs only inside fixpoint literals; elimination not attempted"
 
 
 def test_random_clause_fragment_strong_and_weak():

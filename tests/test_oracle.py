@@ -17,7 +17,7 @@ from dualforget.semantics import (
     taut_prop,
     truth_table,
 )
-from dualforget.semantics import kernel
+from dualforget.semantics import kernel, prop_oracle
 from dualforget.semantics.fo_oracle import _tuple_space
 from dualforget.syntax import (
     BOT,
@@ -73,11 +73,17 @@ def test_truth_table_guard():
         taut_prop(pf(many))
 
 
-@pytest.fixture(params=["tables", "circuit"])
+@pytest.fixture(params=["tables", "masked", "circuit"])
 def oracle_path(request, monkeypatch):
     """Below kernel.FREE_FROM_VARS inputs both oracles compute truth tables
-    as they walk the formulas; "circuit" moves the cut to 0 so that every
-    check builds and evaluates a circuit instead."""
+    as they walk the formulas.  A propositional check whose names, free and
+    bound, fit in FREE_FROM_VARS - 1 inputs takes one walk that projects
+    the bound names out; a wider one first scans for the names free in each
+    node.  "masked" makes the one walk decline, so that every propositional
+    check is scanned; "circuit" moves the cut to 0 so that every check
+    builds and evaluates a circuit instead."""
+    if request.param == "masked":
+        monkeypatch.setattr(prop_oracle, "_one_walk", lambda fs: None)
     if request.param == "circuit":
         monkeypatch.setattr(kernel, "FREE_FROM_VARS", 0)
     return request.param
@@ -154,6 +160,41 @@ def test_checks_without_inputs(oracle_path):
         assert implies_prop(f, TOP)
 
 
+def _assert_checks_agree(f, g):
+    """The three checks on ``f`` and ``g`` agree with ``eval_prop`` at every
+    valuation of their free names."""
+    vocab = sorted(prop_symbols(f) | prop_symbols(g))
+    fv, gv = [], []
+    for _, val in _valuations(vocab):
+        fv.append(eval_prop(f, val))
+        gv.append(eval_prop(g, val))
+    assert taut_prop(f) == all(fv)
+    assert taut_prop(g) == all(gv)
+    assert equiv_prop(f, g) == (fv == gv)
+    assert implies_prop(f, g) == all(b or not a for a, b in zip(fv, gv))
+    assert implies_prop(g, f) == all(a or not b for a, b in zip(fv, gv))
+
+
+@pytest.mark.parametrize("f_text,g_text", [
+    # a bound name that is also free, and one bound again inside its binder
+    ("p & Ex2 p. (p | q)", "p"),
+    ("p & Ex2 p. (p | q)", "q"),
+    ("Ex2 p. (p & Ex2 p. ~p)", "T"),
+    ("All2 p. (p | All2 p. ~p) -> p", "p"),
+    # a name bound on one side and free on the other
+    ("Ex2 q. (p & q)", "p & q"),
+    ("All2 q. (p | q)", "p | q"),
+    ("All2 q. (p | q)", "p"),
+    # All2 over a constant body
+    ("All2 p. T", "T"),
+    ("All2 p. F", "F"),
+    ("All2 p. (q | ~q)", "Ex2 p. ~p"),
+    ("All2 p. (q & ~q)", "p & ~p"),
+])
+def test_bound_names_share_inputs_with_free_ones(oracle_path, f_text, g_text):
+    _assert_checks_agree(pf(f_text), pf(g_text))
+
+
 def _wide_formula(rng, vocab):
     """A random formula, quantified over one name, that mentions every name
     of ``vocab`` free."""
@@ -194,6 +235,45 @@ def test_width_decides_the_evaluation_path(monkeypatch, n_vars, circuits):
     assert taut_prop(f) == (n_vars == 0)
     assert truth_table(f, sorted(prop_symbols(f))) == 1 << ((1 << n_vars) - 1)
     assert len(calls) == 4 * circuits
+
+
+def _with_bound_names(n_free, n_bound):
+    """A conjunction of ``n_free`` free names and ``n_bound`` names, each
+    bound by its own ``Ex2`` around it; equivalent to the free conjunction,
+    which is returned beside it."""
+    free = conj([PropVar(f"v{i}") for i in range(n_free)])
+    f = conj([free] + [PropVar(f"b{i}") for i in range(n_bound)])
+    for i in range(n_bound):
+        f = Exists2(f"b{i}", f)
+    return f, free
+
+
+@pytest.mark.parametrize("n_bound,scans", [(5, 0), (6, 1)])
+def test_the_cut_counts_bound_names(monkeypatch, n_bound, scans):
+    # 11 names fit in the one walk's FREE_FROM_VARS - 1 inputs however many
+    # are bound; the 12th sends the check to the free-name scan, and the
+    # verdicts stay the same
+    calls = []
+    scan = prop_oracle._scan
+    monkeypatch.setattr(prop_oracle, "_scan", lambda fs: calls.append(fs) or scan(fs))
+    f, free = _with_bound_names(6, n_bound)
+    verdicts = [equiv_prop(f, free), implies_prop(free, f), implies_prop(f, free),
+                implies_prop(f, PropVar("b0")), taut_prop(f)]
+    assert verdicts == [True, True, True, False, False]
+    assert len(calls) == len(verdicts) * scans
+
+
+def test_a_first_order_node_is_named_on_either_side_of_the_cut():
+    # the one walk rejects it with the scan's words, and when the walk
+    # stops at the 12th name first, the scan rejects it
+    f, _ = _with_bound_names(6, 6)
+    node = pf("all x. p")
+    messages = []
+    for g in [conj([node, f]), conj([f, node])]:
+        with pytest.raises(EvalError) as caught:
+            equiv_prop(g, TOP)
+        messages.append(str(caught.value))
+    assert messages == ["first-order construct in propositional oracle: ForallInd"] * 2
 
 
 def test_truth_table_over_names_the_formula_does_not_use(oracle_path):
