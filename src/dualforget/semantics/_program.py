@@ -1,11 +1,11 @@
 """Circuit program representation evaluated by the truth-table kernel.
 
-A program is a straight-line boolean circuit.  Slots ``0 .. n_vars-1`` are
-the inputs; instruction ``k`` (opcode plus up to two operand slot indices)
-writes slot ``n_vars + k``.  The kernel evaluates one designated output slot
-over every valuation of the inputs.  ``OP_EXISTS`` projects an input out of
-its operand: its second operand is that input's index, which is also the
-input's slot.
+A program is a straight-line boolean circuit.  Slots ``0 .. len(inputs)-1``
+are the inputs; instruction ``k`` (opcode plus up to two operand slot
+indices) writes slot ``len(inputs) + k``.  The kernel evaluates one
+designated output slot over every valuation of the first ``n_vars`` inputs.
+``OP_EXISTS`` projects an input out of its operand: its second operand is
+that input's index, which is also the input's slot.
 
 Circuits are built by computing with :class:`Gate` values as if they were
 int truth tables: ``&``, ``|`` and ``^`` emit gates, and the ints 0 and 1
@@ -66,7 +66,8 @@ class Gate:
 class CircuitBuilder:
     """Accumulates instructions with hash-consing (structurally identical
     subcircuits share a slot and a :class:`Gate`).  ``inputs`` holds the
-    gate of each input and ``full``, the all-true value, is 1."""
+    gate of each input and ``full``, the all-true value, is 1.  ``n_vars``
+    is the number of inputs, unless a walk that used fewer records so."""
 
     __slots__ = ("n_vars", "inputs", "ops", "arg1", "arg2", "_memo")
 
@@ -84,7 +85,7 @@ class CircuitBuilder:
         key = (op, a, b)
         gate = self._memo.get(key)
         if gate is None:
-            gate = self._memo[key] = Gate(self, self.n_vars + len(self.ops))
+            gate = self._memo[key] = Gate(self, len(self.inputs) + len(self.ops))
             self.ops.append(op)
             self.arg1.append(a)
             self.arg2.append(b)

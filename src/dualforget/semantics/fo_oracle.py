@@ -19,9 +19,10 @@
   order, constants and free variables enumerated outermost).
 
   The width picks what a side grounds to, as in ``prop_oracle``: one walk
-  computes with the values of ``kernel._space``.  Below
-  ``kernel.FREE_FROM_VARS`` (12) inputs, each node grounds straight to its
-  truth table, at most 256 bytes.  From 12 inputs on, the same walk builds
+  computes with the values of ``kernel._space``.  A check grounds first on
+  the tables of ``kernel.FREE_FROM_VARS - 1`` (11) inputs: each node
+  grounds straight to its truth table, at most 256 bytes.  When the free
+  atoms and the bound atoms in use at once need more, the same walk builds
   one hash-consed circuit for both sides, which shares repeated
   sub-groundings, and the kernel evaluates its ``f XOR g`` output.
   Measured on a 2-vCPU VM: the benchmark's fo_cli checks (all but 11 of
@@ -33,10 +34,13 @@
   once, with each ground atom of the bound symbol as one more input, and
   those inputs are projected out by ``kernel.project`` (``Ex2 r. F`` is
   ``F[r(t):=T] | F[r(t):=F]`` for each tuple ``t`` in turn; ``All2`` is
-  ``~Ex2 ~``).  Inputs are taken stack-style, so nested binders take the
-  next ones and sibling binders reuse them.  Their number is the widest
-  chain of nested bound atoms, cut to what the 22-input guard leaves beside
-  the free atoms; tuples past that are enumerated as constants, grounding
+  ``~Ex2 ~``).  The grounder reads a binder's arity when the check first
+  meets it, and takes its inputs as it meets it, stack-style: nested
+  binders take the next ones and sibling binders reuse them.  A binder
+  whose tuples do not fit in the tables raises ``kernel._Wide``, and that
+  domain size's remaining assignments ground on circuits made with the
+  22 inputs of the guard, which the kernel evaluates at the width their
+  walk used.  Tuples past the guard are enumerated as constants, grounding
   the body once per assignment of them.  On tables both oracles quantify
   this way: ``prop_oracle``'s one walk projects a bound name's input out
   of its body's table in the same ``kernel.project``.
@@ -47,7 +51,6 @@ Enumeration guards are hard errors, never silent truncation.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -74,11 +77,11 @@ from ..syntax import (
     Top,
     Var,
     _signature,
-    children,
     free_symbols,
     is_propositional,
 )
 from . import kernel
+from ._program import CircuitBuilder
 from .prop_oracle import MAX_TT_VARS
 
 MAX_DOMAIN = 3
@@ -305,30 +308,32 @@ def _eval_so_quant(
 
 
 class _Grounder:
-    """Grounds a formula over a fixed domain to a value of ``space``, a
-    truth table or a gate; the ground atoms of the free vocabulary are the
-    first inputs."""
+    """Grounds a formula over a fixed domain to a value of the
+    ``kernel._space`` of ``n_inputs``, a truth table or a gate; the ground
+    atoms of the free vocabulary are the first inputs.  ``width`` is the
+    most inputs in use at once.  Bound tuples past the inputs raise
+    ``kernel._Wide`` below the guard and are enumerated at it."""
 
     def __init__(
         self,
-        space,
+        n_inputs: int,
         atoms: list[tuple[str, tuple[int, ...]]],
         domain_size: int,
         const_map: Mapping[str, int],
-        so_arity: Mapping[int, Optional[int]],
+        so_arity: dict[int, Optional[int]],
     ):
-        self.space = space
+        self.space = space = kernel._space(n_inputs)
         self.full = space.full
         self.d = domain_size
         self.const_map = const_map
         # each free ground atom's grounding: the input that stands for it
         self.atom_value = dict(zip(atoms, space.inputs))
-        # per second-order binder, by id: the arity of its bound symbol in
-        # its body, None when vacuous
+        # per second-order binder the check's grounders have met, by id:
+        # the arity of its bound symbol in its body, None when vacuous
         self.so_arity = so_arity
         # the next input a second-order binder may take; inputs below it
         # are free atoms or held by enclosing binders
-        self.next_input = len(atoms)
+        self.next_input = self.width = len(atoms)
 
     def atom(self, name: str, elems: tuple[int, ...], frames: Mapping[str, dict]):
         frame = frames.get(name)
@@ -356,22 +361,42 @@ class _Grounder:
         return cur[elems]
 
     def so_quant(self, f: Forall2 | Exists2, env: Mapping[str, int], frames: Mapping[str, dict]):
-        arity = self.so_arity[id(f)]
+        so_arity = self.so_arity
+        if id(f) in so_arity:
+            arity = so_arity[id(f)]
+        else:
+            arity = so_arity[id(f)] = free_symbols(f.body).get(f.sym)
+            if arity is not None:
+                _so_guard(self.d, arity, f.sym)
         if arity is None:
             return self.ground(f.body, env, frames)  # vacuous
         # a propositional variable is 0-ary: its frame has the one tuple ()
         tuples = _tuple_space(self.d, arity)
+        inputs = self.space.inputs
         first = self.next_input
-        inputs = range(first, min(first + len(tuples), len(self.space.inputs)))
-        self.next_input = inputs.stop
-        frame = dict(zip(tuples, self.space.inputs[first:]))
-        rest = tuples[len(inputs):]
+        stop = first + len(tuples)
+        if stop > len(inputs):
+            if len(inputs) < MAX_TT_VARS:
+                raise kernel._Wide
+            stop = len(inputs)
+        self.next_input = stop
+        self.width = max(self.width, stop)
+        frame = dict(zip(tuples, inputs[first:stop]))
+        rest = tuples[stop - first:]
         values = []
         for bits in range(1 << len(rest)):
             frame.update((t, self.const(bool((bits >> j) & 1))) for j, t in enumerate(rest))
             values.append(self.ground(f.body, env, {**frames, f.sym: frame}))
         self.next_input = first
-        return self.project(values, inputs, isinstance(f, Exists2))
+        return self.project(values, range(first, stop), isinstance(f, Exists2))
+
+    def difference(self, f: Formula, g: Formula, env: Mapping[str, int]) -> int:
+        """The truth table of ``f XOR g`` under ``env``; a circuit is
+        evaluated over the inputs the walk used."""
+        value = self.ground(f, env, {}) ^ self.ground(g, env, {})
+        if type(self.space) is CircuitBuilder:
+            self.space.n_vars = self.width
+        return kernel._table(self.space, value)
 
     def const(self, value: bool):
         return self.full if value else 0
@@ -446,35 +471,6 @@ class _Grounder:
         raise EvalError(f"unhandled formula in grounding: {t.__name__}")
 
 
-
-def _scan_so_binders(
-    f: Formula,
-    domains: range,
-    so_arity: dict[int, Optional[int]],
-    chain: dict[int, tuple[int, ...]],
-) -> tuple[int, ...]:
-    """Record the bound arity of every second-order binder in ``f`` in
-    ``so_arity`` and return, per domain size, the most ground atoms that
-    nested binders bind at once.  Binders are visited in the order the
-    grounder meets them, so the first to break a guard raises, as when
-    each was checked on grounding."""
-    key = id(f)
-    if key in chain:
-        return chain[key]
-    widest = (0,) * len(domains)
-    if isinstance(f, (Forall2, Exists2)):
-        arity = free_symbols(f.body).get(f.sym)
-        so_arity[key] = arity
-        if arity is not None:
-            _so_guard(domains[0], arity, f.sym)
-            widest = tuple(d**arity for d in domains)
-    kids = [_scan_so_binders(k, domains, so_arity, chain) for k in children(f)]
-    if kids:
-        widest = tuple(map(operator.add, widest, map(max, zip(*kids))))
-    chain[key] = widest
-    return widest
-
-
 def _atom_order(sig: Signature, domain_size: int) -> list[tuple[str, tuple[int, ...]]]:
     """The documented lexicographic enumeration order of ground atoms."""
     atoms: list[tuple[str, tuple[int, ...]]] = []
@@ -497,31 +493,27 @@ def counterexample(f: Formula, g: Formula, max_domain: int = 2) -> Optional[Coun
     sig, sides = _signature((f, g))  # one walk per side
     free = sorted(sides[0].ind_vars | sides[1].ind_vars)
     consts = sorted(sig.constants)
-    domains = range(1, max_domain + 1)
     so_arity: dict[int, Optional[int]] = {}
-    chain: Optional[tuple[int, ...]] = None
-    for d in domains:
+    tables = min(kernel.FREE_FROM_VARS - 1, MAX_TT_VARS)
+    for d in range(1, max_domain + 1):
         atoms = _atom_order(sig, d)
         if len(atoms) > MAX_TT_VARS:
             raise GuardError(
                 f"{len(atoms)} ground atoms at domain size {d} exceed the "
                 f"{MAX_TT_VARS}-input guard"
             )
-        if chain is None:
-            # after the first atom guard, where grounding met the binders
-            memo: dict[int, tuple[int, ...]] = {}
-            chain = tuple(
-                map(max, _scan_so_binders(f, domains, so_arity, memo),
-                    _scan_so_binders(g, domains, so_arity, memo))
-            )
-        n_inputs = len(atoms) + min(chain[d - 1], MAX_TT_VARS - len(atoms))
+        n_inputs = tables if len(atoms) <= tables else MAX_TT_VARS
         for const_vals in itertools.product(range(d), repeat=len(consts)):
             const_map = dict(zip(consts, const_vals))
             for env_vals in itertools.product(range(d), repeat=len(free)):
                 env = dict(zip(free, env_vals))
-                space = kernel._space(n_inputs)
-                grounder = _Grounder(space, atoms, d, const_map, so_arity)
-                diff = kernel._table(space, grounder.ground(f, env, {}) ^ grounder.ground(g, env, {}))
+                try:
+                    diff = _Grounder(n_inputs, atoms, d, const_map, so_arity).difference(f, g, env)
+                except kernel._Wide:
+                    # bound tuples outgrew the tables: this domain size's
+                    # remaining assignments ground on circuits
+                    n_inputs = MAX_TT_VARS
+                    diff = _Grounder(n_inputs, atoms, d, const_map, so_arity).difference(f, g, env)
                 if diff:
                     # the projections leave the table constant along the
                     # bound inputs, so its lowest set bit has them clear

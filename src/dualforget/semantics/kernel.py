@@ -36,32 +36,25 @@ BACKEND = "pure"
 #: figures are in the ``prop_oracle`` and ``fo_oracle`` docstrings).  A
 #: propositional check whose names, free and bound, number at most one
 #: less than this is compiled in one walk over that many table inputs,
-#: projecting the bound names out.  From this many inputs on, the walks
-#: build gates, and one circuit per check is evaluated by
-#: :func:`eval_table`.  Read by :func:`_space` and ``prop_oracle`` at each
-#: call.
+#: projecting the bound names out, and a first-order check grounds there
+#: while its atoms fit.  From this many inputs on, the walks build gates,
+#: and one circuit per check is evaluated by :func:`eval_table`.  Read by
+#: :func:`_space` and both oracles at each call.
 FREE_FROM_VARS = 12
 
-_mask_cache: dict[tuple[int, int], int] = {}
 
-
+@functools.cache
 def _var_mask(i: int, nbits: int) -> int:
     """Table of input ``i``: bit v set iff (v >> i) & 1.  One period (``2**i``
     clear bits, then ``2**i`` set bits) is doubled until it fills ``nbits``."""
-    key = (i, nbits)
-    cached = _mask_cache.get(key)
-    if cached is not None:
-        return cached
     chunk = 1 << i
     if chunk >= nbits:
-        m = 0
-    else:
-        m = ((1 << chunk) - 1) << chunk
-        width = chunk << 1
-        while width < nbits:
-            m |= m << width
-            width <<= 1
-    _mask_cache[key] = m
+        return 0
+    m = ((1 << chunk) - 1) << chunk
+    width = chunk << 1
+    while width < nbits:
+        m |= m << width
+        width <<= 1
     return m
 
 
@@ -76,11 +69,13 @@ def project(t: int, i: int, nbits: int) -> int:
 
 def eval_table(builder: CircuitBuilder, out: int) -> int:
     """Truth table of slot ``out`` (an index or its gate) as an integer
-    over 2**n_vars bits."""
+    over 2**n_vars bits, for the builder's ``n_vars``: no instruction reads
+    an input past them."""
     n_vars = builder.n_vars
     nbits = 1 << n_vars
     full = (1 << nbits) - 1
     slots: list = [_var_mask(i, nbits) for i in range(n_vars)]
+    slots += [None] * (len(builder.inputs) - n_vars)
     ops, arg1, arg2 = builder.ops, builder.arg1, builder.arg2
     n_ops = len(ops)
     # last[s]: the last instruction with s as an operand, after which its
@@ -92,7 +87,7 @@ def eval_table(builder: CircuitBuilder, out: int) -> int:
     # second operand is an input index read here as a slot: that keeps the
     # input's table, also cached by _var_mask, until the projection at the
     # latest.  ``out`` is never released.
-    last = [-1] * (n_vars + n_ops)
+    last = [-1] * (len(slots) + n_ops)
     for k in range(n_ops):
         last[arg1[k]] = k
         last[arg2[k]] = k
@@ -141,6 +136,12 @@ class _Tables:
 
 
 _tables = functools.cache(_Tables)
+
+
+class _Wide(Exception):
+    """Raised by an oracle's walk when its table inputs run out: at a name
+    past them, or a binder whose tuples do not fit; the check then takes
+    its circuit path."""
 
 
 def _space(n_vars: int):

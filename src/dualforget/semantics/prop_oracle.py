@@ -166,11 +166,6 @@ def _compile(fs: tuple[Formula, ...], var_order: Optional[Sequence[str]] = None)
     return space, [comp(f, 0, 0) for f in fs]
 
 
-class _Wide(Exception):
-    """Raised by :func:`_one_walk` when a check has more names than the
-    cut leaves table inputs for."""
-
-
 def _one_walk(fs: tuple[Formula, ...]):
     """The table space of ``kernel.FREE_FROM_VARS - 1`` inputs and the truth
     table of each formula of ``fs`` there, computed in one walk; ``None``
@@ -199,7 +194,7 @@ def _one_walk(fs: tuple[Formula, ...]):
             if i is None:
                 i = len(index)
                 if i == width:
-                    raise _Wide
+                    raise kernel._Wide
                 index[f.name] = i
             return inputs[i]
         r = memo.get(id(f))
@@ -233,7 +228,7 @@ def _one_walk(fs: tuple[Formula, ...]):
 
     try:
         return space, [comp(f) for f in fs]
-    except _Wide:
+    except kernel._Wide:
         return None
 
 

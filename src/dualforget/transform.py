@@ -345,6 +345,7 @@ def _unchanged(items: list[Formula], old: tuple[Formula, ...], kind: type) -> bo
 #                      a=b & b=a = a=b; neither side is rewritten
 #   vacuous binders    (all x. A)=A when x not free in A; same for ex,
 #                      All2/Ex2 when the symbol does not occur
+#   constant bodies    (lfp r(x). T @(t))=T  (lfp r(x). F @(t))=F; same for gfp
 #   flattening         nested &/& and |/| merged
 #
 # Every step dispatches on the exact node type, the commonest first, with
@@ -450,13 +451,16 @@ def _rewrite(f: Formula, memo: _Memo) -> Formula:
             return TOP
         return f if a is f.left and b is f.right else Iff(a, b)
     # the rest bind names in their body: a quantifier whose name does not
-    # occur free there is vacuous; a fixpoint is a literal and stays
+    # occur free there is vacuous; a fixpoint is a literal and stays unless
+    # its body is constant
     b = _simp(f.body, memo)
     if kind in _DUAL:
         sym = so_binder(f)
         vocab = _vocabulary(b)
         if (sym or f.var) not in (vocab.ind_vars if sym is None else vocab.symbols):
             return b
+    elif type(b) is Top or type(b) is Bottom:
+        return b
     return f if b is f.body else rebuild(f, [b])
 
 

@@ -17,7 +17,7 @@ from dualforget.semantics import (
     taut_prop,
     truth_table,
 )
-from dualforget.semantics import kernel, prop_oracle
+from dualforget.semantics import MAX_TT_VARS, kernel, prop_oracle
 from dualforget.semantics.fo_oracle import _tuple_space
 from dualforget.syntax import (
     BOT,
@@ -601,6 +601,69 @@ def test_counterexample_guards(monkeypatch):
     assert counterexample(fits, pf("p | q | r"), max_domain=3) is None
     with pytest.raises(GuardError, match="7 ground atoms at domain size 3"):
         counterexample(fits, pf("(p | q | r) & (t | ~t)"), max_domain=3)
+
+
+def test_each_binder_reads_its_arity_once_per_check(monkeypatch):
+    # the grounders of one check share the arities they read: one
+    # free_symbols per binder, whatever the domain sizes, the assignments
+    # of x and c, and the table attempt at size 3 that the bound tuples of
+    # b and s outgrow
+    from dualforget.semantics import fo_oracle
+
+    seen = []
+    walk = fo_oracle.free_symbols
+    monkeypatch.setattr(fo_oracle, "free_symbols", lambda f: seen.append(f) or walk(f))
+    f = pf(
+        "Ex2 b. ((ex y. b(y, x)) & Ex2 s. all y. (s(y) <-> b(y, c))) & (Ex2 t. p) & (x = c | ~x = c)",
+        free_vars=["x"],
+    )
+    for n_checks in (1, 2):
+        assert counterexample(f, pf("p"), max_domain=3) is None
+        assert len(seen) == 3 * n_checks
+
+
+def _spaces_and_circuits(monkeypatch):
+    """The widths of the spaces the grounders take, in order, and the
+    ``n_vars`` of each circuit the kernel evaluates."""
+    spaces, circuits = [], []
+    space, eval_table = kernel._space, kernel.eval_table
+    monkeypatch.setattr(kernel, "_space", lambda n: spaces.append(n) or space(n))
+    monkeypatch.setattr(kernel, "eval_table", lambda b, out: circuits.append(b.n_vars) or eval_table(b, out))
+    return spaces, circuits
+
+
+def test_sibling_binders_reuse_table_inputs(monkeypatch):
+    # at domain size 2 each binder's 4 tuples fit beside a(0), a(1), and
+    # the five siblings' 20 take the same inputs in turn
+    spaces, circuits = _spaces_and_circuits(monkeypatch)
+    siblings = " & ".join(f"(Ex2 b{i}. ex y. (b{i}(y, y) & a(y)))" for i in range(5))
+    assert counterexample(pf(siblings), pf("ex y. a(y)"), max_domain=2) is None
+    assert spaces == [kernel.FREE_FROM_VARS - 1] * 2
+    assert circuits == []
+
+
+def test_a_nested_chain_past_the_tables_grounds_on_circuits(monkeypatch):
+    # at domain size 2, a(0), a(1) and the 4 tuples of each of b, s and t
+    # nested need 14 inputs: the first assignment's table walk stops at t,
+    # and each of the 4 assignments of (x, c) is one circuit of 14 inputs
+    spaces, circuits = _spaces_and_circuits(monkeypatch)
+    f = pf(
+        "Ex2 b. Ex2 s. Ex2 t. all y. ((b(y, x) | s(y, c)) & (b(y, x) -> a(y))"
+        " & (s(y, c) -> a(y)) & (t(y, y) <-> a(y)))",
+        free_vars=["x"],
+    )
+    assert counterexample(f, pf("all y. a(y)"), max_domain=2) is None
+    tables = kernel.FREE_FROM_VARS - 1
+    assert spaces == [tables, tables] + [MAX_TT_VARS] * 4
+    assert circuits == [2 + 3 * 4] * 4
+
+
+def test_the_arity_guard_holds_past_the_tables():
+    # f's 11 free atoms and bound q outgrow the tables at domain size 1,
+    # before the grounder meets g's binder
+    f = pf(" & ".join(f"v{i:02}" for i in range(11)) + " & Ex2 q. (q | v00)")
+    with pytest.raises(GuardError, match="arity 3"):
+        counterexample(f, pf("Ex2 r. r(a, b, c)"), max_domain=1)
 
 
 def test_eval_fo_names_what_it_cannot_evaluate():

@@ -203,6 +203,32 @@ def test_simplify_rules():
 @pytest.mark.parametrize(
     "text, expected",
     [
+        ("lfp r(x). F @(c)", "F"),
+        ("gfp r(x). T @(c)", "T"),
+        ("lfp r(x). (a(x) & ~a(x)) @(c)", "F"),
+        ("gfp r(x, y). (b(x, y) | ~b(x, y)) @(c, z)", "T"),
+        ("q & ~lfp r(x). F @(c)", "q"),
+        ("all x. (~a(x) | gfp r(y). (T | r(y)) @(x))", "T"),
+    ],
+)
+def test_simplify_folds_a_fixpoint_whose_body_is_constant(text, expected):
+    # the operator of a constant body has that constant relation as its
+    # only fixpoint, least and greatest
+    f = pf(text, free_vars=["z"])
+    assert simplify(f) == pf(expected)
+    assert equiv_fo_finite(simplify(f), f, max_domain=2)
+
+
+def test_simplify_keeps_a_fixpoint_whose_body_is_not_constant():
+    f = pf("lfp r(x). (a(x) | ex y. (b(x, y) & r(y))) @(c)")
+    assert simplify(f) is f
+    g = pf("gfp r(x). (a(x) & (T & all y. (~b(x, y) | r(y)))) @(c)")
+    assert simplify(g) == pf("gfp r(x). (a(x) & all y. (~b(x, y) | r(y))) @(c)")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
         ("all x. all y. (x = y | ~(y = x))", "T"),
         ("all x. all y. (x = y | b(x, x) | y = x)", "all x. all y. (x = y | b(x, x))"),
         ("x = y & ~(y = x)", "F"),
